@@ -10,8 +10,6 @@ from .model import (
     InfeasibleSchemeError,
     NetworkConfig,
     Placement,
-    Provenance,
-    RatePoint,
     SubfileId,
     Tier,
     Transmission,
@@ -28,8 +26,6 @@ __all__ = [
     "KSubset",
     "NetworkConfig",
     "Placement",
-    "Provenance",
-    "RatePoint",
     "SubfileId",
     "Tier",
     "Transmission",

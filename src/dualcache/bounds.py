@@ -37,17 +37,32 @@ def lower_convex_points(
     return hull
 
 
-def envelope_interp(
+def envelope_mix(
     points: Sequence[tuple[Fraction, Fraction]], x: Fraction
-) -> Optional[Fraction]:
-    """Evaluate the lower convex envelope at x; None outside the point span."""
+) -> Optional[list[tuple[Fraction, Fraction, Fraction]]]:
+    """One-dimensional mixture (x_i, y_i, weight) realizing the lower convex
+    envelope at x: one hull point, or the two ends of the hull edge around x;
+    None outside the point span."""
     hull = lower_convex_points(points)
     if not hull or x < hull[0][0] or x > hull[-1][0]:
         return None
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x1 <= x <= x2:
-            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-    return hull[-1][1] if x == hull[-1][0] else None
+            if x == x1:
+                return [(x1, y1, Fraction(1))]
+            if x == x2:
+                return [(x2, y2, Fraction(1))]
+            w2 = (x - x1) / (x2 - x1)
+            return [(x1, y1, 1 - w2), (x2, y2, w2)]
+    return [(hull[-1][0], hull[-1][1], Fraction(1))]
+
+
+def envelope_interp(
+    points: Sequence[tuple[Fraction, Fraction]], x: Fraction
+) -> Optional[Fraction]:
+    """Evaluate the lower convex envelope at x; None outside the point span."""
+    mix = envelope_mix(points, x)
+    return None if mix is None else sum(y * w for _, y, w in mix)
 
 
 def man_points(k: int, n: int) -> list[tuple[Fraction, Fraction]]:
@@ -167,10 +182,7 @@ def high_memory_optimality(config: NetworkConfig, assoc: Association) -> HighMem
     if not applicable:
         return HighMemoryVerdict(False, None, cutset, None, False)
     expected = 1 - config.total_mem / n
-    sol = envelope.envelope_at(
-        envelope.scheme2_corners(config, assoc), config.helper_mem, config.private_mem
-    )
-    achieved = sol.achieved_rate if sol is not None else None
+    achieved = envelope.scheme2_envelope_rate(config, assoc)
     return HighMemoryVerdict(
         applicable=True,
         envelope_rate=achieved,
@@ -194,7 +206,6 @@ class BoundReport:
 
 def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
     from . import envelope
-    from .scheme_unknown import rate_unknown_general
 
     m = config.total_mem
     man = man_rate(config.num_users, config.num_files, m)
@@ -202,9 +213,7 @@ def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
     cutset, u = cutset_bound(config, assoc)
 
     rates: dict[str, Optional[Fraction]] = {
-        "unknown": rate_unknown_general(config, assoc.profile),
-        "scheme1": envelope.scheme1_envelope_rate(config, assoc),
-        "scheme2": envelope.scheme2_envelope_rate(config, assoc),
+        name: envelope.scheme_rate(name, config, assoc)[0] for name in envelope.SCHEMES
     }
     flags = {
         "scheme1_meets_man": rates["scheme1"] is not None and rates["scheme1"] == man,

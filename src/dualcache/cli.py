@@ -19,9 +19,7 @@ from . import converse as converse_mod
 from . import envelope as envelope_mod
 from . import simulator as simulator_mod
 from .model import ConfigError, InfeasibleSchemeError, load_config, parse_fraction
-from .scheme1 import rate_scheme1, scheme1_feasible
-from .scheme2 import rate_scheme2
-from .scheme_unknown import rate_unknown, rate_unknown_general
+from .scheme1 import scheme1_feasible
 
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
@@ -47,43 +45,17 @@ def main() -> None:
     """Coded caching with shared helper caches and private user caches."""
 
 
-def _one_rate(scheme: str, loaded) -> tuple[Optional[Fraction], str]:
-    config, assoc = loaded.config, loaded.association
-    if scheme == "unknown":
-        try:
-            return rate_unknown(config, assoc.profile), "formula"
-        except InfeasibleSchemeError:
-            return rate_unknown_general(config, assoc.profile), "envelope"
-    if scheme == "scheme1":
-        report = scheme1_feasible(config, assoc)
-        if report.feasible:
-            return rate_scheme1(config), "formula"
-        value = envelope_mod.scheme1_envelope_rate(config, assoc)
-        if value is None:
-            return None, "; ".join(report.reasons)
-        return value, "envelope"
-    if scheme == "scheme2":
-        try:
-            return rate_scheme2(config, assoc), "formula"
-        except InfeasibleSchemeError:
-            value = envelope_mod.scheme2_envelope_rate(config, assoc)
-            if value is None:
-                return None, "no mixture of corner points reaches this memory pair"
-            return value, "envelope"
-    raise ValueError(scheme)
-
-
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--scheme", type=click.Choice(["unknown", "scheme1", "scheme2", "all"]),
+@click.option("--scheme", type=click.Choice([*envelope_mod.SCHEMES, "all"]),
               default="unknown", show_default=True)
 @click.option("--fractions", is_flag=True, help="Print exact a/b instead of decimals.")
 def rate(config_path: str, scheme: str, fractions: bool) -> None:
     """Worst-case rate of a scheme at the configured memory point."""
     loaded = _load(config_path)
-    schemes = ["unknown", "scheme1", "scheme2"] if scheme == "all" else [scheme]
+    schemes = envelope_mod.SCHEMES if scheme == "all" else [scheme]
     for name in schemes:
-        value, provenance = _one_rate(name, loaded)
+        value, provenance = envelope_mod.scheme_rate(name, loaded.config, loaded.association)
         if value is None:
             click.echo(f"{name}: infeasible ({provenance})", err=True)
             if scheme != "all":
@@ -100,7 +72,7 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction, Fraction]:
         raise ConfigError(f"range must be A:B:STEP, got {text!r}")
     start, stop, step = (parse_fraction(p) for p in parts)
     if step <= 0 or stop < start:
-        raise ConfigError(f"bad sweep range {spec!r}")
+        raise ConfigError(f"bad sweep range {text!r}: need STEP > 0 and B >= A")
     return start, stop, step
 
 
@@ -128,16 +100,9 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
     rows = []
     mp = start
     while mp <= stop:
-        config = base.with_memories(ms, mp)
-        unknown = rate_unknown_general(config, assoc.profile)
-        s1 = envelope_mod.scheme1_envelope_rate(config, assoc)
-        s2 = envelope_mod.scheme2_envelope_rate(config, assoc)
-        man = bounds_mod.man_rate(config.num_users, config.num_files, config.total_mem)
-        pue = bounds_mod.pue_rate(
-            config.num_helpers, config.num_files, config.total_mem, assoc.profile
-        )
-        cut, _ = bounds_mod.cutset_bound(config, assoc)
-        rows.append((mp, unknown, s1, s2, man, pue, cut))
+        report = bounds_mod.bound_report(base.with_memories(ms, mp), assoc)
+        rows.append((mp, *report.scheme_rates.values(),
+                     report.man_lower, report.pue_upper, report.cutset))
         mp += step
 
     def cell(value: Optional[Fraction]) -> str:
@@ -146,7 +111,7 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
     try:
         with open(out_path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["Mp", "unknown", "scheme1", "scheme2", "man", "pue", "cutset"])
+            writer.writerow(["Mp", *envelope_mod.SCHEMES, "man", "pue", "cutset"])
             for row in rows:
                 writer.writerow([cell(v) for v in row])
     except OSError as exc:
@@ -165,28 +130,24 @@ def _run_for(scheme: str, loaded):
             click.echo("scheme1 infeasible: " + "; ".join(report.reasons), err=True)
             sys.exit(EXIT_INFEASIBLE)
         return "scheme1"
-    try:
-        simulator_mod.build_segment("scheme2", config, assoc, Fraction(1))
-        return "scheme2"
-    except InfeasibleSchemeError:
-        sol = envelope_mod.envelope_at(
-            envelope_mod.scheme2_corners(config, assoc),
-            config.helper_mem, config.private_mem,
-        )
-        if sol is None:
-            click.echo("scheme2 infeasible at this memory point", err=True)
-            sys.exit(EXIT_INFEASIBLE)
-        return envelope_mod.materialize_shared_placement(sol, config, assoc)
+    sol = envelope_mod.scheme2_envelope(config, assoc)
+    if sol is None:
+        click.echo("scheme2 infeasible at this memory point", err=True)
+        sys.exit(EXIT_INFEASIBLE)
+    return envelope_mod.materialize_shared_placement(sol, config, assoc)
 
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--scheme", type=click.Choice(["unknown", "scheme1", "scheme2"]),
+@click.option("--scheme", type=click.Choice(envelope_mod.SCHEMES),
               default="unknown", show_default=True)
 @click.option("--trials", default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def verify(config_path: str, scheme: str, trials: int, seed: int) -> None:
     """Bit-exact decode sweep over random distinct demands."""
+    if trials < 1:
+        click.echo(f"error: --trials must be at least 1, got {trials}", err=True)
+        sys.exit(EXIT_VALIDATION)
     loaded = _load(config_path)
     run = _run_for(scheme, loaded)
     report = simulator_mod.adversarial_sweep(

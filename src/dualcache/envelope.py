@@ -14,11 +14,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import bounds
-from .model import Association, NetworkConfig
-from .scheme1 import corner_feasible
+from . import bounds, simulator
+from .bounds import envelope_mix
+from .model import Association, InfeasibleSchemeError, NetworkConfig
+from .scheme1 import corner_feasible, rate_scheme1, scheme1_feasible
 from .scheme2 import rate_scheme2_formula
-from .scheme_unknown import rate_unknown_general, unknown_params
+from .scheme_unknown import rate_unknown, rate_unknown_general, unknown_params
+
+SCHEMES = ("unknown", "scheme1", "scheme2")
 
 
 class SchemeTag(Enum):
@@ -124,18 +127,6 @@ def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
                         SchemeTag.UNKNOWN, (mem,))
         )
     return corners
-
-
-def corner_grid(
-    config: NetworkConfig, assoc: Association, scheme_tag: SchemeTag
-) -> list[CornerPoint]:
-    if scheme_tag is SchemeTag.SCHEME2:
-        return scheme2_corners(config, assoc)
-    if scheme_tag is SchemeTag.SCHEME1:
-        return scheme1_corners(config, assoc)
-    if scheme_tag is SchemeTag.UNKNOWN:
-        return unknown_corners(config, assoc)
-    return dedicated_corners(config)
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +253,17 @@ def certificate_holds(
     return y[0] * helper_mem + y[1] * private_mem + y[2] == solution.achieved_rate
 
 
-def envelope_mix(
-    points: Sequence[tuple[Fraction, Fraction]], x: Fraction
-) -> Optional[list[tuple[Fraction, Fraction, Fraction]]]:
-    """One-dimensional mixture (x_i, y_i, weight) realizing the envelope at x."""
-    hull = bounds.lower_convex_points(points)
-    if not hull or x < hull[0][0] or x > hull[-1][0]:
-        return None
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            if x == x1:
-                return [(x1, y1, Fraction(1))]
-            if x == x2:
-                return [(x2, y2, Fraction(1))]
-            w2 = (x - x1) / (x2 - x1)
-            return [(x1, y1, 1 - w2), (x2, y2, w2)]
-    return [(hull[-1][0], hull[-1][1], Fraction(1))]
+def scheme2_envelope(
+    config: NetworkConfig, assoc: Association
+) -> Optional[EnvelopeSolution]:
+    """The cheapest mixture of scheme2 corners at the configured memory pair."""
+    return envelope_at(scheme2_corners(config, assoc), config.helper_mem, config.private_mem)
 
 
 def scheme2_envelope_rate(
     config: NetworkConfig, assoc: Association
 ) -> Optional[Fraction]:
-    sol = envelope_at(scheme2_corners(config, assoc), config.helper_mem, config.private_mem)
+    sol = scheme2_envelope(config, assoc)
     return sol.achieved_rate if sol is not None else None
 
 
@@ -296,69 +276,91 @@ def scheme1_envelope_rate(
     return bounds.envelope_interp(points, config.private_mem) if points else None
 
 
+def scheme_rate(
+    name: str, config: NetworkConfig, assoc: Association
+) -> tuple[Optional[Fraction], str]:
+    """A scheme's rate at the configured memory pair, with its provenance.
+
+    Returns (rate, "formula") when one direct run of the scheme achieves
+    the rate, (rate, "envelope") when it takes a memory-sharing mixture,
+    and (None, reason) when no mixture reaches the pair.  The scheme2 rate
+    is always the LP optimum, the same mixture that verification runs.
+    """
+    if name == "unknown":
+        try:
+            return rate_unknown(config, assoc.profile), "formula"
+        except InfeasibleSchemeError:
+            return rate_unknown_general(config, assoc.profile), "envelope"
+    if name == "scheme1":
+        report = scheme1_feasible(config, assoc)
+        if report.feasible:
+            return rate_scheme1(config), "formula"
+        value = scheme1_envelope_rate(config, assoc)
+        if value is None:
+            return None, "; ".join(report.reasons)
+        return value, "envelope"
+    if name == "scheme2":
+        sol = scheme2_envelope(config, assoc)
+        if sol is None:
+            return None, "no mixture of corner points reaches this memory pair"
+        # a single weight-1 corner sits at the target pair itself
+        direct = len(sol.weights) == 1 and sol.weights[0][0].scheme_tag is SchemeTag.SCHEME2
+        return sol.achieved_rate, "formula" if direct else "envelope"
+    raise ValueError(f"unknown scheme {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # materialization
+
+
+def _unknown_segments(config: NetworkConfig, assoc: Association, weight: Fraction) -> list:
+    """Segments realizing the association-oblivious scheme at config's memory
+    pair, scaled to a total of weight.
+
+    At lattice-aligned parameters this is a single segment; otherwise the
+    helper share and the private share are each mixed along their own
+    one-parameter lattice, giving up to four pure segments.
+    """
+    try:
+        unknown_params(config)
+        return [simulator.build_segment("unknown", config, assoc, weight)]
+    except InfeasibleSchemeError:
+        pass
+    n, k, lam = config.num_files, config.num_users, config.num_helpers
+    m = config.total_mem
+    alpha = config.helper_mem / m
+    segments = []
+    for share, points, memories in (
+        (alpha, bounds.pue_points(lam, n, assoc.profile), lambda mem: (mem, 0)),
+        (1 - alpha, bounds.man_points(k, n), lambda mem: (0, mem)),
+    ):
+        if share == 0:
+            continue
+        for mem, _rate, w in envelope_mix(points, m):
+            if share * w > 0:
+                sub = config.with_memories(*memories(mem))
+                segments.append(simulator.build_segment("unknown", sub, assoc, weight * share * w))
+    return segments
 
 
 def materialize_shared_placement(
     solution: EnvelopeSolution, config: NetworkConfig, assoc: Association
 ):
     """Split files into one weighted segment per corner and place each segment
-    under its own scheme; returns a simulator-ready SegmentedRun."""
-    from . import simulator
+    under its own scheme; returns a simulator-ready SegmentedRun.
 
-    k, n = config.num_users, config.num_files
+    A dedicated corner is the oblivious scheme at zero helper memory, so a
+    point between its subpacketization levels becomes two segments."""
     segments = []
     for corner, weight in solution.weights:
-        if corner.scheme_tag is SchemeTag.DEDICATED:
-            # a dedicated point may sit between integer subpacketization
-            # levels; realize it as a mixture of its two lattice neighbours
-            mix = envelope_mix(bounds.man_points(k, n), corner.private_mem)
-            assert mix is not None
-            for mem, _rate, w in mix:
-                sub = config.with_memories(Fraction(0), mem)
-                segments.append(simulator.build_segment("unknown", sub, assoc, weight * w))
-            continue
         sub = config.with_memories(corner.helper_mem, corner.private_mem)
-        tag = "unknown" if corner.scheme_tag is SchemeTag.UNKNOWN else corner.scheme_tag.value
-        segments.append(simulator.build_segment(tag, sub, assoc, weight))
+        if corner.scheme_tag in (SchemeTag.SCHEME1, SchemeTag.SCHEME2):
+            segments.append(simulator.build_segment(corner.scheme_tag.value, sub, assoc, weight))
+        else:
+            segments.extend(_unknown_segments(sub, assoc, weight))
     return simulator.SegmentedRun(tuple(segments))
 
 
 def unknown_run_segments(config: NetworkConfig, assoc: Association):
-    """Segmented realization of the association-oblivious scheme at any memory.
-
-    At lattice-aligned parameters this is a single segment; otherwise the
-    helper share and the private share are each mixed along their own
-    one-parameter lattice, giving up to four pure segments.
-    """
-    from . import simulator
-    from .model import InfeasibleSchemeError
-
-    try:
-        unknown_params(config)
-        return simulator.SegmentedRun(
-            (simulator.build_segment("unknown", config, assoc, Fraction(1)),)
-        )
-    except InfeasibleSchemeError:
-        pass
-
-    n, k, lam = config.num_files, config.num_users, config.num_helpers
-    m = config.total_mem
-    alpha = config.helper_mem / m
-    segments = []
-    if alpha > 0:
-        mix = envelope_mix(bounds.pue_points(lam, n, assoc.profile), m)
-        assert mix is not None
-        for mem, _rate, w in mix:
-            if alpha * w > 0:
-                sub = config.with_memories(mem, Fraction(0))
-                segments.append(simulator.build_segment("unknown", sub, assoc, alpha * w))
-    if alpha < 1:
-        mix = envelope_mix(bounds.man_points(k, n), m)
-        assert mix is not None
-        for mem, _rate, w in mix:
-            if (1 - alpha) * w > 0:
-                sub = config.with_memories(Fraction(0), mem)
-                segments.append(simulator.build_segment("unknown", sub, assoc, (1 - alpha) * w))
-    return simulator.SegmentedRun(tuple(segments))
+    """Segmented realization of the association-oblivious scheme at any memory."""
+    return simulator.SegmentedRun(tuple(_unknown_segments(config, assoc, Fraction(1))))

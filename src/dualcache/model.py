@@ -8,7 +8,7 @@ output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -232,25 +232,6 @@ class Placement:
         )
 
 
-class Provenance(Enum):
-    FORMULA = "formula"
-    SIMULATED = "simulated"
-    ENVELOPE = "envelope"
-    BOUND = "bound"
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    helper_mem: Fraction
-    private_mem: Fraction
-    rate: Fraction
-    provenance: Provenance
-
-    def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"rate must be non-negative, got {self.rate}")
-
-
 @dataclass(frozen=True)
 class LoadedConfig:
     """A parsed JSON config file: network, association, optional demand/seed."""
@@ -261,6 +242,14 @@ class LoadedConfig:
     seed: int
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
 def load_config(source) -> LoadedConfig:
     """Load a config from a path, JSON text, or an already-parsed dict."""
     if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
@@ -269,19 +258,29 @@ def load_config(source) -> LoadedConfig:
         data = json.loads(source)
     else:
         data = source
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     try:
-        n = int(data["N"])
-        k = int(data["K"])
-        lam = int(data["Lambda"])
+        n, k, lam = data["N"], data["K"], data["Lambda"]
         ms = parse_fraction(data["Ms"])
         mp = parse_fraction(data["Mp"])
         partition = data["association"]
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc.args[0]!r}") from exc
+    seed = data.get("seed", 0)
+    for key, value in (("N", n), ("K", k), ("Lambda", lam), ("seed", seed)):
+        if not _is_int(value):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if not _is_list(partition) or not all(
+        _is_list(group) and all(map(_is_int, group)) for group in partition
+    ):
+        raise ConfigError("association must be a list of lists of integer user ids")
     config = NetworkConfig(n, k, lam, ms, mp)
     assoc = build_association(config, partition)
-    demand = None
-    if data.get("demand") is not None:
-        demand = validate_demand(config, data["demand"])
-    seed = int(data.get("seed", 0))
+    demand = data.get("demand")
+    if demand is not None:
+        if not _is_list(demand) or not all(map(_is_int, demand)):
+            raise ConfigError("demand must be a list of integer file indices")
+        demand = validate_demand(config, demand)
     return LoadedConfig(config=config, association=assoc, demand=demand, seed=seed)
+

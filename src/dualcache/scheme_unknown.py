@@ -35,10 +35,6 @@ class UnknownSchemeParams:
     f1: Fraction
     f2: Fraction
 
-    @property
-    def split_ratio(self) -> Fraction:
-        return self.f1
-
 
 def unknown_params(config: NetworkConfig) -> UnknownSchemeParams:
     """Derive (t_s, t_p, F1, F2); raises when a direct run needs memory sharing."""

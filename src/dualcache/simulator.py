@@ -69,13 +69,12 @@ def build_segment(
     elif tag == "scheme2":
         placement = place_scheme2(config, assoc)
         extents = layout_scheme2(config, assoc)
-    elif tag in ("unknown", "dedicated"):
+    elif tag == "unknown":
         placement = place_unknown(config)
         extents = layout_unknown(config)
     else:
         raise ValueError(f"unknown scheme tag {tag!r}")
-    return Segment(tag="unknown" if tag == "dedicated" else tag,
-                   weight=Fraction(weight), config=config,
+    return Segment(tag=tag, weight=Fraction(weight), config=config,
                    placement=placement, extents=extents)
 
 

@@ -70,6 +70,14 @@ def test_curve_csv_layout(config_path, tmp_path):
         assert values == sorted(values, reverse=True)
 
 
+def _assert_rejected(result):
+    """Exit 1 with a one-line message and no escaped exception."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1, result.output
+
+
 def test_curve_range_validation(config_path, tmp_path):
     out = tmp_path / "curve.csv"
     result = CliRunner().invoke(main, [
@@ -77,11 +85,12 @@ def test_curve_range_validation(config_path, tmp_path):
         "--mp-range", "0:9:1", "--out", str(out),
     ])
     assert result.exit_code == 1
-    result = CliRunner().invoke(main, [
-        "curve", "--config", config_path, "--ms", "1",
-        "--mp-range", "0:3", "--out", str(out),
-    ])
-    assert result.exit_code == 1
+    for bad in ("0:3", "2:1:1", "0:1:0"):
+        result = CliRunner().invoke(main, [
+            "curve", "--config", config_path, "--ms", "1",
+            "--mp-range", bad, "--out", str(out),
+        ])
+        _assert_rejected(result)
 
 
 def test_verify_passes(config_path):
@@ -90,6 +99,39 @@ def test_verify_passes(config_path):
     ])
     assert result.exit_code == 0
     assert "4/4 trials decoded" in result.output
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_rejects_too_few_trials(config_path, trials):
+    result = CliRunner().invoke(main, ["verify", "--config", config_path, "--trials", trials])
+    _assert_rejected(result)
+
+
+GOOD = {"N": 4, "K": 4, "Lambda": 2, "Ms": 1, "Mp": 1,
+        "association": [[1, 2, 3], [4]], "demand": [1, 2, 3, 4], "seed": 3}
+
+
+MALFORMED = {
+    "top-level array": [1, 2],
+    "top-level string": "N=4",
+    "float N": {**GOOD, "N": 4.7},
+    "string K": {**GOOD, "K": "4"},
+    "boolean Lambda": {**GOOD, "Lambda": True},
+    "float seed": {**GOOD, "seed": 1.5},
+    "string association": {**GOOD, "Lambda": 1, "association": "1"},
+    "flat association": {**GOOD, "association": [1, 2, 3, 4]},
+    "string user id": {**GOOD, "association": [[1, "2", 3], [4]]},
+    "string demand": {**GOOD, "demand": [1, 2, 3, "4"]},
+    "float demand": {**GOOD, "demand": [1.0, 2, 3, 4]},
+    "scalar demand": {**GOOD, "demand": 4},
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_is_rejected(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    _assert_rejected(CliRunner().invoke(main, ["rate", "--config", str(path)]))
 
 
 def test_verify_failure_exit_code(config_path, monkeypatch):
