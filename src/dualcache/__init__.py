@@ -6,6 +6,7 @@ simulator."""
 from .combin import KSubset, binom, enumerate_ksubsets, rank_ksubset, unrank_ksubset
 from .model import (
     Association,
+    CertificateError,
     ConfigError,
     InfeasibleSchemeError,
     NetworkConfig,
@@ -21,6 +22,7 @@ from .model import (
 
 __all__ = [
     "Association",
+    "CertificateError",
     "ConfigError",
     "InfeasibleSchemeError",
     "KSubset",

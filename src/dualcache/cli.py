@@ -18,8 +18,7 @@ from . import bounds as bounds_mod
 from . import converse as converse_mod
 from . import envelope as envelope_mod
 from . import simulator as simulator_mod
-from .model import ConfigError, InfeasibleSchemeError, load_config, parse_fraction
-from .scheme1 import scheme1_feasible
+from .model import CertificateError, ConfigError, InfeasibleSchemeError, load_config, parse_fraction
 
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
@@ -27,20 +26,29 @@ EXIT_FAILURE = 3
 
 
 def fmt(value: Fraction, fractions: bool) -> str:
-    if fractions:
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    return f"{float(value):.12g}"
+    return str(value) if fractions else f"{float(value):.12g}"
 
 
-def _load(path: str):
-    try:
-        return load_config(path)
-    except (ConfigError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+def _fail(code: int, message: str):
+    click.echo(message, err=True)
+    sys.exit(code)
 
 
-@click.group()
+class _Main(click.Group):
+    """Turns the package's errors into a one-line message and an exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            _fail(EXIT_VALIDATION, f"error: {exc}")
+        except InfeasibleSchemeError as exc:
+            _fail(EXIT_INFEASIBLE, f"infeasible: {exc}")
+        except CertificateError as exc:
+            _fail(EXIT_FAILURE, f"certificate failure: {exc}")
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Coded caching with shared helper caches and private user caches."""
 
@@ -52,7 +60,7 @@ def main() -> None:
 @click.option("--fractions", is_flag=True, help="Print exact a/b instead of decimals.")
 def rate(config_path: str, scheme: str, fractions: bool) -> None:
     """Worst-case rate of a scheme at the configured memory point."""
-    loaded = _load(config_path)
+    loaded = load_config(config_path)
     schemes = envelope_mod.SCHEMES if scheme == "all" else [scheme]
     for name in schemes:
         value, provenance = envelope_mod.scheme_rate(name, loaded.config, loaded.association)
@@ -61,9 +69,8 @@ def rate(config_path: str, scheme: str, fractions: bool) -> None:
             if scheme != "all":
                 sys.exit(EXIT_INFEASIBLE)
             continue
-        exact = f"{value.numerator}/{value.denominator}"
-        click.echo(f"{name}: {exact} = {fmt(value, False)} ({provenance})"
-                   if not fractions else f"{name}: {exact} ({provenance})")
+        shown = fmt(value, True) if fractions else f"{fmt(value, True)} = {fmt(value, False)}"
+        click.echo(f"{name}: {shown} ({provenance})")
 
 
 def _parse_range(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -84,18 +91,13 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction, Fraction]:
 @click.option("--fractions", is_flag=True)
 def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fractions: bool) -> None:
     """Rate-memory CSV at fixed Ms, sweeping Mp: scheme and bound columns."""
-    loaded = _load(config_path)
+    loaded = load_config(config_path)
     base, assoc = loaded.config, loaded.association
-    try:
-        ms = parse_fraction(ms_text)
-        start, stop, step = _parse_range(mp_range)
-        if ms + stop > base.num_files:
-            raise ConfigError(
-                f"Ms + max Mp = {ms + stop} exceeds N = {base.num_files}"
-            )
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+    ms = parse_fraction(ms_text)
+    start, stop, step = _parse_range(mp_range)
+    # both ends of the sweep must be valid memory pairs
+    base.with_memories(ms, start)
+    base.with_memories(ms, stop)
 
     rows = []
     mp = start
@@ -115,26 +117,8 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
             for row in rows:
                 writer.writerow([cell(v) for v in row])
     except OSError as exc:
-        click.echo(f"error: cannot write {out_path}: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        _fail(EXIT_VALIDATION, f"error: cannot write {out_path}: {exc}")
     click.echo(f"wrote {len(rows)} rows to {out_path}")
-
-
-def _run_for(scheme: str, loaded):
-    config, assoc = loaded.config, loaded.association
-    if scheme == "unknown":
-        return envelope_mod.unknown_run_segments(config, assoc)
-    if scheme == "scheme1":
-        report = scheme1_feasible(config, assoc)
-        if not report.feasible:
-            click.echo("scheme1 infeasible: " + "; ".join(report.reasons), err=True)
-            sys.exit(EXIT_INFEASIBLE)
-        return "scheme1"
-    sol = envelope_mod.scheme2_envelope(config, assoc)
-    if sol is None:
-        click.echo("scheme2 infeasible at this memory point", err=True)
-        sys.exit(EXIT_INFEASIBLE)
-    return envelope_mod.materialize_shared_placement(sol, config, assoc)
 
 
 @main.command()
@@ -144,14 +128,12 @@ def _run_for(scheme: str, loaded):
 @click.option("--trials", default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def verify(config_path: str, scheme: str, trials: int, seed: int) -> None:
-    """Bit-exact decode sweep over random distinct demands."""
+    """Bit-exact decode sweep over random distinct demands, run on the mixture `rate` prints."""
     if trials < 1:
-        click.echo(f"error: --trials must be at least 1, got {trials}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    loaded = _load(config_path)
-    run = _run_for(scheme, loaded)
+        _fail(EXIT_VALIDATION, f"error: --trials must be at least 1, got {trials}")
+    loaded = load_config(config_path)
     report = simulator_mod.adversarial_sweep(
-        loaded.config, loaded.association, scheme=run, trials=trials,
+        loaded.config, loaded.association, scheme=scheme, trials=trials,
         seed=seed if seed else loaded.seed,
     )
     click.echo(
@@ -159,8 +141,7 @@ def verify(config_path: str, scheme: str, trials: int, seed: int) -> None:
         f"worst rate {report.worst_rate}"
     )
     if not report.ok:
-        click.echo(f"first failure: {report.first_failure}", err=True)
-        sys.exit(EXIT_FAILURE)
+        _fail(EXIT_FAILURE, f"first failure: {report.first_failure}")
 
 
 @main.command("bounds")
@@ -168,7 +149,7 @@ def verify(config_path: str, scheme: str, trials: int, seed: int) -> None:
 @click.option("--fractions", is_flag=True)
 def bounds_cmd(config_path: str, fractions: bool) -> None:
     """Lower bounds, reference curves, and scheme rates at this point."""
-    loaded = _load(config_path)
+    loaded = load_config(config_path)
     report = bounds_mod.bound_report(loaded.config, loaded.association)
     click.echo(f"cutset: {fmt(report.cutset, fractions)} (u = {report.cutset_u})")
     click.echo(f"dedicated lower: {fmt(report.man_lower, fractions)}")
@@ -183,13 +164,9 @@ def bounds_cmd(config_path: str, fractions: bool) -> None:
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def converse_cmd(config_path: str) -> None:
     """Index-coding optimality certificate for the association-oblivious scheme."""
-    loaded = _load(config_path)
+    loaded = load_config(config_path)
     demand = loaded.demand or tuple(range(1, loaded.config.num_users + 1))
-    try:
-        cert = converse_mod.certify(loaded.config, loaded.association, demand)
-    except InfeasibleSchemeError as exc:
-        click.echo(f"infeasible: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+    cert = converse_mod.certify(loaded.config, loaded.association, demand)
     click.echo(f"|H1| = {len(cert.h1)}, |H2| = {len(cert.h2)}")
     click.echo(f"alpha_lower = {cert.alpha_lower}")
     click.echo(f"kappa_upper = {cert.kappa_upper}")

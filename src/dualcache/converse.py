@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .combin import binom, enumerate_ksubsets
-from .model import Association, NetworkConfig, SubfileId, Tier, validate_demand
+from .model import Association, InfeasibleSchemeError, NetworkConfig, SubfileId, Tier, validate_demand
 from .scheme_unknown import place_unknown, rate_unknown, unknown_params
 
 
@@ -114,7 +114,7 @@ def certify(
     """Match the normalized certificate-set size against the achieved rate."""
     params = unknown_params(config)
     if config.total_mem == 0:
-        raise ValueError("the converse needs a positive total memory")
+        raise InfeasibleSchemeError("the converse needs a positive total memory")
     h1, h2 = build_h(config, assoc, demand)
     alpha = Fraction(0)
     if params.f1 > 0:

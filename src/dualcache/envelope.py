@@ -1,43 +1,29 @@
 """Memory sharing: corner grids, an exact-rational LP over convex mixtures,
-and materialization of segmented runs.
+and the mixtures of direct runs that realize each scheme's rate.
 
 A corner point is a memory pair where some scheme's integer parameters
 line up; arbitrary (Ms, Mp) targets are met by splitting files into
-weighted segments, one per corner, which realizes the lower convex
-envelope of the corner rates.
+weighted segments, one direct run per corner.  scheme_rate and scheme_run
+both read scheme_mixture, so a printed rate is the rate of the run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bounds, simulator
 from .bounds import envelope_mix
-from .model import Association, InfeasibleSchemeError, NetworkConfig
-from .scheme1 import corner_feasible, rate_scheme1, scheme1_feasible
+from .combin import binom
+from .model import Association, CertificateError, CornerPoint, InfeasibleSchemeError, NetworkConfig
+from .scheme1 import corner_feasible
 from .scheme2 import rate_scheme2_formula
-from .scheme_unknown import rate_unknown, rate_unknown_general, unknown_params
+from .scheme_unknown import rate_unknown_general, unknown_mixture
 
 SCHEMES = ("unknown", "scheme1", "scheme2")
-
-
-class SchemeTag(Enum):
-    UNKNOWN = "unknown"
-    SCHEME1 = "scheme1"
-    SCHEME2 = "scheme2"
-    DEDICATED = "dedicated"
-
-
-@dataclass(frozen=True)
-class CornerPoint:
-    helper_mem: Fraction
-    private_mem: Fraction
-    rate: Fraction
-    scheme_tag: SchemeTag
-    params: tuple
+UNREACHABLE = "no mixture of {} runs reaches this memory pair"
 
 
 @dataclass(frozen=True)
@@ -56,7 +42,7 @@ def dedicated_corners(config: NetworkConfig) -> list[CornerPoint]:
     k, n = config.num_users, config.num_files
     return [
         CornerPoint(Fraction(0), Fraction(t * n, k), Fraction(k - t, t + 1),
-                    SchemeTag.DEDICATED, (t,))
+                    "unknown", (t,))
         for t in range(k + 1)
     ]
 
@@ -73,7 +59,7 @@ def scheme2_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
     mp0 = config.private_mem
     corners = [
         CornerPoint(Fraction(0), mp0, bounds.man_rate(k, n, mp0),
-                    SchemeTag.DEDICATED, (Fraction(k * mp0, n),))
+                    "unknown", (Fraction(k * mp0, n),))
     ]
     seen = {(c.helper_mem, c.private_mem, c.rate) for c in corners}
     for t_s in range(1, lam + 1):
@@ -85,7 +71,7 @@ def scheme2_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
             if key in seen:
                 continue
             seen.add(key)
-            corners.append(CornerPoint(ms, mp, rate, SchemeTag.SCHEME2, (t_s, t_p)))
+            corners.append(CornerPoint(ms, mp, rate, "scheme2", (t_s, t_p)))
     return corners
 
 
@@ -101,7 +87,7 @@ def scheme1_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
         if mp < 0 or not corner_feasible(k, n, l1, t, ms):
             continue
         corners.append(
-            CornerPoint(ms, mp, Fraction(k - t, t + 1), SchemeTag.SCHEME1, (t,))
+            CornerPoint(ms, mp, Fraction(k - t, t + 1), "scheme1", (t,))
         )
     return corners
 
@@ -112,7 +98,7 @@ def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
     n, k, lam = config.num_files, config.num_users, config.num_helpers
     m = config.total_mem
     if m == 0:
-        return [CornerPoint(Fraction(0), Fraction(0), Fraction(k), SchemeTag.UNKNOWN, ())]
+        return [CornerPoint(Fraction(0), Fraction(0), Fraction(k), "unknown", ())]
     alpha = config.helper_mem / m
     lattice = sorted(
         {Fraction(t * n, lam) for t in range(lam + 1)}
@@ -124,13 +110,24 @@ def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
         corners.append(
             CornerPoint(sub.helper_mem, sub.private_mem,
                         rate_unknown_general(sub, assoc.profile),
-                        SchemeTag.UNKNOWN, (mem,))
+                        "unknown", (mem,))
         )
     return corners
 
 
 # ---------------------------------------------------------------------------
 # exact-rational simplex (equality form, Bland's rule)
+
+
+def _pivot(tableau, basis, row: int, col: int) -> None:
+    """Make column col basic in row: scale the row, clear the column elsewhere."""
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col] != 0:
+            factor = tableau[i][col]
+            tableau[i] = [x - factor * y for x, y in zip(tableau[i], tableau[row])]
+    basis[row] = col
 
 
 def _pivot_loop(tableau, basis, costs, blocked) -> None:
@@ -156,14 +153,7 @@ def _pivot_loop(tableau, basis, costs, blocked) -> None:
                     best, leaving = ratio, i
         if leaving is None:
             raise ArithmeticError("LP unbounded; mixture problems are always bounded")
-        piv = tableau[leaving][entering]
-        tableau[leaving] = [x / piv for x in tableau[leaving]]
-        row = tableau[leaving]
-        for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [x - factor * y for x, y in zip(tableau[i], row)]
-        basis[leaving] = entering
+        _pivot(tableau, basis, leaving, entering)
 
 
 def simplex_solve(
@@ -195,13 +185,7 @@ def simplex_solve(
         if basis[i] >= n:
             for j in range(n):
                 if tableau[i][j] != 0:
-                    piv = tableau[i][j]
-                    tableau[i] = [x / piv for x in tableau[i]]
-                    for r in range(m):
-                        if r != i and tableau[r][j] != 0:
-                            factor = tableau[r][j]
-                            tableau[r] = [x - factor * y for x, y in zip(tableau[r], tableau[i])]
-                    basis[i] = j
+                    _pivot(tableau, basis, i, j)
                     break
 
     phase2 = list(costs) + [Fraction(0)] * m
@@ -222,7 +206,8 @@ def simplex_solve(
 def envelope_at(
     corners: Sequence[CornerPoint], helper_mem: Fraction, private_mem: Fraction
 ) -> Optional[EnvelopeSolution]:
-    """Cheapest convex mixture of corners hitting both memory targets exactly."""
+    """Cheapest convex mixture of corners hitting both memory targets exactly;
+    raises CertificateError if its dual certificate does not check."""
     if not corners:
         return None
     columns = [
@@ -236,7 +221,13 @@ def envelope_at(
     weights = tuple(
         (corner, w) for corner, w in zip(corners, x) if w > 0
     )
-    return EnvelopeSolution(weights=weights, achieved_rate=value, duals=tuple(duals))
+    sol = EnvelopeSolution(weights=weights, achieved_rate=value, duals=tuple(duals))
+    if not certificate_holds(corners, sol, helper_mem, private_mem):
+        raise CertificateError(
+            f"the LP dual certificate of rate {value} at (Ms, Mp) = "
+            f"({helper_mem}, {private_mem}) does not hold"
+        )
+    return sol
 
 
 def certificate_holds(
@@ -253,114 +244,114 @@ def certificate_holds(
     return y[0] * helper_mem + y[1] * private_mem + y[2] == solution.achieved_rate
 
 
-def scheme2_envelope(
-    config: NetworkConfig, assoc: Association
-) -> Optional[EnvelopeSolution]:
-    """The cheapest mixture of scheme2 corners at the configured memory pair."""
-    return envelope_at(scheme2_corners(config, assoc), config.helper_mem, config.private_mem)
+# ---------------------------------------------------------------------------
+# mixtures: weighted corners, each one direct run of its scheme
 
 
-def scheme2_envelope_rate(
-    config: NetworkConfig, assoc: Association
-) -> Optional[Fraction]:
-    sol = scheme2_envelope(config, assoc)
-    return sol.achieved_rate if sol is not None else None
+def _scheme1_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
+    """The 1-D hull over the scheme1 corners at this Ms, walked along Mp; a corner
+    with fractional helper quota q = Ms*C(K,t)/N runs as two corners at the same t,
+    with quotas floor(q) and floor(q) + 1 weighted to average q."""
+    corners = {c.private_mem: c for c in scheme1_corners(config, assoc)}
+    mix = envelope_mix([(c.private_mem, c.rate) for c in corners.values()], config.private_mem)
+    if mix is None:
+        return None
+    k, n = config.num_users, config.num_files
+    mixture = []
+    for mp, rate, weight in mix:
+        (t,) = corners[mp].params
+        unit = Fraction(n, binom(k, t))  # helper memory of one quota step
+        quota = config.helper_mem / unit
+        low = math.floor(quota)
+        for q, share in ((low, 1 - (quota - low)), (low + 1, quota - low)):
+            if share > 0:
+                corner = CornerPoint(q * unit, Fraction(t * n, k) - q * unit, rate, "scheme1", (t,))
+                mixture.append((corner, weight * share))
+    return mixture
 
 
-def scheme1_envelope_rate(
-    config: NetworkConfig, assoc: Association
-) -> Optional[Fraction]:
-    """Envelope over feasible single-level corners along Mp at this fixed Ms."""
-    corners = scheme1_corners(config, assoc)
-    points = [(c.private_mem, c.rate) for c in corners]
-    return bounds.envelope_interp(points, config.private_mem) if points else None
+def _solution_mixture(
+    solution: EnvelopeSolution, config: NetworkConfig, assoc: Association
+) -> list:
+    """An LP solution with each zero-helper corner run as the oblivious
+    scheme at Ms = 0, which takes two runs between its lattice levels."""
+    mixture = []
+    for corner, weight in solution.weights:
+        if corner.helper_mem == 0:
+            sub = config.with_memories(corner.helper_mem, corner.private_mem)
+            mixture.extend(unknown_mixture(sub, assoc.profile, weight))
+        else:
+            mixture.append((corner, weight))
+    return mixture
+
+
+def scheme_mixture(
+    name: str, config: NetworkConfig, assoc: Association
+) -> Optional[list[tuple[CornerPoint, Fraction]]]:
+    """The weighted corners whose direct runs realize a scheme at the
+    configured memory pair: weights sum to 1 and the corner memories
+    average to (Ms, Mp).  None when no mixture reaches the pair."""
+    if name == "unknown":
+        return unknown_mixture(config, assoc.profile, Fraction(1))
+    if name == "scheme1":
+        return _scheme1_mixture(config, assoc)
+    if name == "scheme2":
+        sol = envelope_at(scheme2_corners(config, assoc), config.helper_mem, config.private_mem)
+        return None if sol is None else _solution_mixture(sol, config, assoc)
+    raise ValueError(f"unknown scheme {name!r}")
 
 
 def scheme_rate(
     name: str, config: NetworkConfig, assoc: Association
 ) -> tuple[Optional[Fraction], str]:
-    """A scheme's rate at the configured memory pair, with its provenance.
+    """The rate of scheme_mixture, labelled "formula" when the mixture is one
+    direct run of the scheme and "envelope" otherwise; (None, reason) when
+    no mixture reaches the pair."""
+    mixture = scheme_mixture(name, config, assoc)
+    if mixture is None:
+        return None, UNREACHABLE.format(name)
+    value = sum((corner.rate * w for corner, w in mixture), Fraction(0))
+    direct = len(mixture) == 1 and mixture[0][0].scheme_tag == name  # weight 1
+    return value, "formula" if direct else "envelope"
 
-    Returns (rate, "formula") when one direct run of the scheme achieves
-    the rate, (rate, "envelope") when it takes a memory-sharing mixture,
-    and (None, reason) when no mixture reaches the pair.  The scheme2 rate
-    is always the LP optimum, the same mixture that verification runs.
-    """
-    if name == "unknown":
-        try:
-            return rate_unknown(config, assoc.profile), "formula"
-        except InfeasibleSchemeError:
-            return rate_unknown_general(config, assoc.profile), "envelope"
-    if name == "scheme1":
-        report = scheme1_feasible(config, assoc)
-        if report.feasible:
-            return rate_scheme1(config), "formula"
-        value = scheme1_envelope_rate(config, assoc)
-        if value is None:
-            return None, "; ".join(report.reasons)
-        return value, "envelope"
-    if name == "scheme2":
-        sol = scheme2_envelope(config, assoc)
-        if sol is None:
-            return None, "no mixture of corner points reaches this memory pair"
-        # a single weight-1 corner sits at the target pair itself
-        direct = len(sol.weights) == 1 and sol.weights[0][0].scheme_tag is SchemeTag.SCHEME2
-        return sol.achieved_rate, "formula" if direct else "envelope"
-    raise ValueError(f"unknown scheme {name!r}")
+
+def scheme2_envelope_rate(
+    config: NetworkConfig, assoc: Association
+) -> Optional[Fraction]:
+    """The LP optimum over the scheme2 corners at the configured memory pair."""
+    return scheme_rate("scheme2", config, assoc)[0]
 
 
 # ---------------------------------------------------------------------------
 # materialization
 
 
-def _unknown_segments(config: NetworkConfig, assoc: Association, weight: Fraction) -> list:
-    """Segments realizing the association-oblivious scheme at config's memory
-    pair, scaled to a total of weight.
+def _segments(mixture, config: NetworkConfig, assoc: Association):
+    return simulator.SegmentedRun(tuple(
+        simulator.build_segment(corner.scheme_tag,
+                                config.with_memories(corner.helper_mem, corner.private_mem),
+                                assoc, weight)
+        for corner, weight in mixture
+    ))
 
-    At lattice-aligned parameters this is a single segment; otherwise the
-    helper share and the private share are each mixed along their own
-    one-parameter lattice, giving up to four pure segments.
-    """
-    try:
-        unknown_params(config)
-        return [simulator.build_segment("unknown", config, assoc, weight)]
-    except InfeasibleSchemeError:
-        pass
-    n, k, lam = config.num_files, config.num_users, config.num_helpers
-    m = config.total_mem
-    alpha = config.helper_mem / m
-    segments = []
-    for share, points, memories in (
-        (alpha, bounds.pue_points(lam, n, assoc.profile), lambda mem: (mem, 0)),
-        (1 - alpha, bounds.man_points(k, n), lambda mem: (0, mem)),
-    ):
-        if share == 0:
-            continue
-        for mem, _rate, w in envelope_mix(points, m):
-            if share * w > 0:
-                sub = config.with_memories(*memories(mem))
-                segments.append(simulator.build_segment("unknown", sub, assoc, weight * share * w))
-    return segments
+
+def scheme_run(name: str, config: NetworkConfig, assoc: Association):
+    """The segments whose rate scheme_rate reports, one per mixture corner;
+    raises InfeasibleSchemeError when no mixture reaches the pair."""
+    mixture = scheme_mixture(name, config, assoc)
+    if mixture is None:
+        raise InfeasibleSchemeError(UNREACHABLE.format(name))
+    return _segments(mixture, config, assoc)
 
 
 def materialize_shared_placement(
     solution: EnvelopeSolution, config: NetworkConfig, assoc: Association
 ):
-    """Split files into one weighted segment per corner and place each segment
-    under its own scheme; returns a simulator-ready SegmentedRun.
-
-    A dedicated corner is the oblivious scheme at zero helper memory, so a
-    point between its subpacketization levels becomes two segments."""
-    segments = []
-    for corner, weight in solution.weights:
-        sub = config.with_memories(corner.helper_mem, corner.private_mem)
-        if corner.scheme_tag in (SchemeTag.SCHEME1, SchemeTag.SCHEME2):
-            segments.append(simulator.build_segment(corner.scheme_tag.value, sub, assoc, weight))
-        else:
-            segments.extend(_unknown_segments(sub, assoc, weight))
-    return simulator.SegmentedRun(tuple(segments))
+    """Split files into one weighted segment per corner of an LP solution;
+    returns a simulator-ready SegmentedRun."""
+    return _segments(_solution_mixture(solution, config, assoc), config, assoc)
 
 
 def unknown_run_segments(config: NetworkConfig, assoc: Association):
     """Segmented realization of the association-oblivious scheme at any memory."""
-    return simulator.SegmentedRun(tuple(_unknown_segments(config, assoc, Fraction(1))))
+    return scheme_run("unknown", config, assoc)

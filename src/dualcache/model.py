@@ -21,8 +21,12 @@ class ConfigError(ValueError):
     """Invalid network configuration, association, or demand."""
 
 
-class InfeasibleSchemeError(Exception):
+class InfeasibleSchemeError(ValueError):
     """A scheme's direct-run preconditions do not hold at this memory point."""
+
+
+class CertificateError(ArithmeticError):
+    """An LP optimum whose dual certificate does not check."""
 
 
 def parse_fraction(value) -> Fraction:
@@ -33,7 +37,7 @@ def parse_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         # Route through the decimal representation so 0.1 means 1/10.
-        return Fraction(repr(value))
+        value = repr(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -233,6 +237,17 @@ class Placement:
 
 
 @dataclass(frozen=True)
+class CornerPoint:
+    """A memory pair with a scheme's rate there; mixtures weight corners."""
+
+    helper_mem: Fraction
+    private_mem: Fraction
+    rate: Fraction
+    scheme_tag: str  # the scheme run at this corner; "unknown" at zero helper memory
+    params: tuple
+
+
+@dataclass(frozen=True)
 class LoadedConfig:
     """A parsed JSON config file: network, association, optional demand/seed."""
 
@@ -252,12 +267,15 @@ def _is_list(value) -> bool:
 
 def load_config(source) -> LoadedConfig:
     """Load a config from a path, JSON text, or an already-parsed dict."""
-    if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    try:
+        if isinstance(source, (str, Path)) and not (isinstance(source, str) and source.lstrip().startswith("{")):
+            data = json.loads(Path(source).read_text())
+        elif isinstance(source, str):
+            data = json.loads(source)
+        else:
+            data = source
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     try:

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import bounds
 from .combin import KSubset, binom, enumerate_ksubsets, rank_ksubset
 from .model import (
     Association,
+    CornerPoint,
     InfeasibleSchemeError,
     NetworkConfig,
     Placement,
@@ -147,36 +149,45 @@ def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
     k, lam = config.num_users, config.num_helpers
     rate = Fraction(0)
     if params.f1 > 0:
-        t_s = params.t_s
-        served = sum(
-            profile[n - 1] * binom(lam - n, t_s) for n in range(1, lam - t_s + 1)
-        )
-        rate += params.f1 * Fraction(served, binom(lam, t_s))
+        served = bounds.pue_profile_sum(lam, params.t_s, profile)
+        rate += params.f1 * Fraction(served, binom(lam, params.t_s))
     if params.f2 > 0:
         t_p = params.t_p
         rate += params.f2 * Fraction(k - t_p, t_p + 1)
     return rate
 
 
-def rate_unknown_general(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
-    """Rate at arbitrary (Ms, Mp): the split-ratio mix of the two envelope curves.
-
-    Each tier's term is the established one-parameter rate-memory envelope
-    (user-subset curve and helper-subset curve), so the mixture at ratio
-    alpha = Ms/(Ms+Mp) is achievable for any memory point.
-    """
-    from . import bounds
-
+def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fraction) -> list:
+    """Weighted corners whose direct runs realize the scheme at config's
+    memory pair, scaled to a total of weight: one corner at integer split
+    parameters, else the helper and private shares each mixed along their
+    own one-parameter lattice, up to four corners."""
     m = config.total_mem
-    if m == 0:
-        return Fraction(config.num_users)
+    try:
+        rate = rate_unknown(config, profile)
+        return [(CornerPoint(config.helper_mem, config.private_mem, rate, "unknown", (m,)), weight)]
+    except InfeasibleSchemeError:
+        pass
+    n, k, lam = config.num_files, config.num_users, config.num_helpers
     alpha = config.helper_mem / m
-    rate = Fraction(0)
-    if alpha > 0:
-        rate += alpha * bounds.pue_rate(config.num_helpers, config.num_files, m, profile)
-    if alpha < 1:
-        rate += (1 - alpha) * bounds.man_rate(config.num_users, config.num_files, m)
-    return rate
+    mixture = []
+    for share, points, memories in (
+        (alpha, bounds.pue_points(lam, n, profile), lambda mem: (mem, Fraction(0))),
+        (1 - alpha, bounds.man_points(k, n), lambda mem: (Fraction(0), mem)),
+    ):
+        if share == 0:
+            continue
+        for mem, rate, w in bounds.envelope_mix(points, m):
+            if share * w > 0:
+                corner = CornerPoint(*memories(mem), rate, "unknown", (mem,))
+                mixture.append((corner, weight * share * w))
+    return mixture
+
+
+def rate_unknown_general(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
+    """Rate at arbitrary (Ms, Mp): the weighted rate of unknown_mixture."""
+    mixture = unknown_mixture(config, profile, Fraction(1))
+    return sum((corner.rate * w for corner, w in mixture), Fraction(0))
 
 
 def layout_unknown(config: NetworkConfig) -> dict:

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .model import (
     Association,
+    InfeasibleSchemeError,
     NetworkConfig,
     Placement,
     SubfileId,
@@ -94,7 +95,7 @@ def choose_file_len(
         raise ValueError(f"segment weights sum to {base}, expected 1")
     length = denom * max(1, -(-min_len // denom))
     if length > cap:
-        raise ValueError(
+        raise InfeasibleSchemeError(
             f"required file length {length} exceeds the cap {cap}; "
             f"pick a coarser grid point"
         )
@@ -124,11 +125,9 @@ def _resolve_segments(
     if isinstance(scheme, SegmentedRun):
         return scheme.segments
     if isinstance(scheme, str):
-        if scheme == "unknown":
-            from .envelope import unknown_run_segments
+        from .envelope import scheme_run
 
-            return unknown_run_segments(config, assoc).segments
-        return (build_segment(scheme, config, assoc, Fraction(1)),)
+        return scheme_run(scheme, config, assoc).segments
     raise TypeError(f"scheme must be a name or a SegmentedRun, got {scheme!r}")
 
 
@@ -140,7 +139,8 @@ def run_end_to_end(
     seed: int = 0,
     min_len: int = 1,
 ) -> DecodeReport:
-    """Full broadcast round: every user must reconstruct its file byte-for-byte."""
+    """Full broadcast round: every user must reconstruct its file byte-for-byte.
+    A scheme name runs envelope.scheme_run, the mixture scheme_rate reports."""
     segments = _resolve_segments(scheme, config, assoc)
     file_len = choose_file_len(segments, min_len=min_len)
     rng = random.Random(seed)
@@ -277,10 +277,11 @@ def adversarial_sweep(
     trials: int = 10,
     seed: int = 0,
 ) -> SweepReport:
-    """Random distinct demands and fresh file bytes each trial; any decode
-    failure fails the sweep."""
+    """Random distinct demands and fresh file bytes each trial over one run,
+    built once; any decode failure fails the sweep."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    run = SegmentedRun(_resolve_segments(scheme, config, assoc))
     rng = random.Random(seed)
     rates = []
     failures = 0
@@ -288,7 +289,7 @@ def adversarial_sweep(
     for trial in range(trials):
         demand = rng.sample(range(1, config.num_files + 1), config.num_users)
         report = run_end_to_end(
-            config, assoc, tuple(demand), scheme=scheme, seed=rng.randrange(2 ** 32)
+            config, assoc, tuple(demand), scheme=run, seed=rng.randrange(2 ** 32)
         )
         rates.append(report.measured_rate)
         if not report.ok:

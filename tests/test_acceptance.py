@@ -21,13 +21,12 @@ from dualcache.cli import main as cli_main
 from dualcache.combin import binom, enumerate_ksubsets, rank_ksubset, unrank_ksubset
 from dualcache.converse import certify
 from dualcache.envelope import (
-    SchemeTag,
     certificate_holds,
     envelope_at,
     materialize_shared_placement,
-    scheme1_envelope_rate,
     scheme2_corners,
     scheme2_envelope_rate,
+    scheme_rate,
 )
 from dualcache.model import NetworkConfig, build_association
 from dualcache.scheme1 import deliver_scheme1, rate_scheme1, scheme1_feasible
@@ -190,7 +189,7 @@ def test_criterion_6_bound_sandwich():
         pue = pue_rate(config.num_helpers, config.num_files, m, assoc.profile)
         cut, _ = cutset_bound(config, assoc)
         unknown = rate_unknown_general(config, assoc.profile)
-        s1 = scheme1_envelope_rate(config, assoc)
+        s1 = scheme_rate("scheme1", config, assoc)[0]
         s2 = scheme2_envelope_rate(config, assoc)
         if not (man <= unknown <= pue and cut <= unknown):
             ok = False

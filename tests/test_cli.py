@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from dualcache import simulator
+from dualcache import envelope, simulator
 from dualcache.cli import main
 
 
@@ -70,9 +70,9 @@ def test_curve_csv_layout(config_path, tmp_path):
         assert values == sorted(values, reverse=True)
 
 
-def _assert_rejected(result):
-    """Exit 1 with a one-line message and no escaped exception."""
-    assert result.exit_code == 1, result.output
+def _assert_rejected(result, code=1):
+    """Exit with code and a one-line message, and no escaped exception."""
+    assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
     assert len(result.output.strip().splitlines()) == 1, result.output
@@ -85,9 +85,10 @@ def test_curve_range_validation(config_path, tmp_path):
         "--mp-range", "0:9:1", "--out", str(out),
     ])
     assert result.exit_code == 1
-    for bad in ("0:3", "2:1:1", "0:1:0"):
+    for ms, bad in (("1", "0:3"), ("1", "2:1:1"), ("1", "0:1:0"),
+                    ("-1", "0:1:1"), ("1", "-1:1:1")):
         result = CliRunner().invoke(main, [
-            "curve", "--config", config_path, "--ms", "1",
+            "curve", "--config", config_path, "--ms", ms,
             "--mp-range", bad, "--out", str(out),
         ])
         _assert_rejected(result)
@@ -124,6 +125,7 @@ MALFORMED = {
     "string demand": {**GOOD, "demand": [1, 2, 3, "4"]},
     "float demand": {**GOOD, "demand": [1.0, 2, 3, 4]},
     "scalar demand": {**GOOD, "demand": 4},
+    "infinite Ms": {**GOOD, "Ms": float("inf")},
 }
 
 
@@ -144,6 +146,23 @@ def test_verify_failure_exit_code(config_path, monkeypatch):
     assert result.exit_code == 3
 
 
+def test_failed_certificate_exits_3(config_path, tmp_path, monkeypatch):
+    solve = envelope.simplex_solve
+
+    def tampered(*args):
+        value, x, (y_ms, y_mp, y_const) = solve(*args)
+        return value, x, [y_ms, y_mp, y_const + 1]
+
+    monkeypatch.setattr(envelope, "simplex_solve", tampered)
+    out = str(tmp_path / "curve.csv")
+    for argv in (["rate", "--scheme", "scheme2"], ["bounds"],
+                 ["curve", "--ms", "1", "--mp-range", "0:1:1", "--out", out],
+                 ["verify", "--scheme", "scheme2"]):
+        result = CliRunner().invoke(main, [*argv, "--config", config_path])
+        _assert_rejected(result, code=3)
+        assert "certificate" in result.output
+
+
 def test_bounds_output(config_path):
     result = CliRunner().invoke(main, ["bounds", "--config", config_path, "--fractions"])
     assert result.exit_code == 0
@@ -156,3 +175,22 @@ def test_converse_output(config_path):
     assert result.exit_code == 0
     assert "alpha_lower = 13/12" in result.output
     assert "tight = True" in result.output
+
+
+def test_zero_memory_point(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({**GOOD, "Ms": 0, "Mp": 0}))
+    result = CliRunner().invoke(main, ["rate", "--config", str(path), "--fractions"])
+    assert result.exit_code == 0
+    assert result.output == "unknown: 4 (formula)\n"
+    # no certificate exists without cache memory: infeasible, not a crash
+    _assert_rejected(CliRunner().invoke(main, ["converse", "--config", str(path)]), code=2)
+
+
+def test_verify_point_too_fine_to_simulate(tmp_path):
+    # the segment weights need a file longer than the simulator's cap
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps({**GOOD, "Ms": "1/997", "Mp": "1/991"}))
+    result = CliRunner().invoke(main, ["verify", "--config", str(path), "--trials", "1"])
+    _assert_rejected(result, code=2)
+    assert "exceeds the cap" in result.output

@@ -2,15 +2,14 @@ from fractions import Fraction
 
 from dualcache.envelope import (
     CornerPoint,
-    SchemeTag,
     certificate_holds,
     envelope_at,
     envelope_mix,
     scheme1_corners,
-    scheme1_envelope_rate,
     scheme2_corners,
     scheme2_envelope_rate,
     materialize_shared_placement,
+    scheme_rate,
     simplex_solve,
     unknown_run_segments,
 )
@@ -31,7 +30,7 @@ def test_two_level_corner_grid(net_4users):
         c.helper_mem == 4 and c.private_mem == 0 and c.rate == 0 for c in corners
     )
     # exactly one zero-helper-memory point, pinned at the target Mp
-    dedicated = [c for c in corners if c.scheme_tag is SchemeTag.DEDICATED]
+    dedicated = [c for c in corners if c.scheme_tag == "unknown"]
     assert [(c.helper_mem, c.private_mem) for c in dedicated] == [
         (Fraction(0), Fraction(1))
     ]
@@ -127,9 +126,9 @@ def test_single_level_envelope_interpolates(net_4users):
     assert [(c.private_mem, c.rate) for c in corners] == [
         (Fraction(2), Fraction(1, 4)), (Fraction(3), Fraction(0)),
     ]
-    assert scheme1_envelope_rate(config, assoc) == Fraction(1, 8)
+    assert scheme_rate("scheme1", config, assoc)[0] == Fraction(1, 8)
     below = config.with_memories(Fraction(1), Fraction(1))
-    assert scheme1_envelope_rate(below, assoc) is None
+    assert scheme_rate("scheme1", below, assoc)[0] is None
 
 
 def test_oblivious_run_off_the_lattice():

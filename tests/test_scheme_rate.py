@@ -1,6 +1,7 @@
 """Differential checks: `rate`, `bounds` and `curve` agree on every scheme's
-value, and a value keeps the `formula` label exactly where a direct run of
-the scheme achieves it."""
+value, a value keeps the `formula` label exactly where a direct run of the
+scheme achieves it, and every value is realized by the segments that
+`verify` runs."""
 
 import csv
 import json
@@ -11,13 +12,15 @@ from click.testing import CliRunner
 
 from dualcache.bounds import bound_report
 from dualcache.cli import main
-from dualcache.envelope import SCHEMES, scheme_rate
+from dualcache.envelope import SCHEMES, scheme_rate, scheme_run
 from dualcache.model import InfeasibleSchemeError, NetworkConfig, build_association
 from dualcache.scheme1 import rate_scheme1, scheme1_feasible
 from dualcache.scheme2 import rate_scheme2
 from dualcache.scheme_unknown import rate_unknown
+from dualcache.simulator import run_end_to_end
 
 QUARTER = Fraction(1, 4)
+HALF = Fraction(1, 2)
 
 NETWORKS = [
     (4, 2, [[1, 2, 3], [4]]),
@@ -100,3 +103,40 @@ def test_scheme2_mixture_below_its_direct_run(tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert result.output == "scheme2: 3/3 trials decoded, worst rate 65/108\n"
+
+
+@pytest.mark.parametrize("n,lam,partition", NETWORKS)
+def test_every_rate_is_realized(n, lam, partition):
+    demand = tuple(range(n, 0, -1))
+    ms = Fraction(0)
+    while ms <= n:
+        mp = Fraction(0)
+        while ms + mp <= n:
+            config = NetworkConfig(n, n, lam, ms, mp)
+            assoc = build_association(config, partition)
+            for name in SCHEMES:
+                value, _ = scheme_rate(name, config, assoc)
+                if value is None:
+                    continue
+                run = scheme_run(name, config, assoc)
+                assert (run.total_helper_mem, run.total_private_mem) == (ms, mp), (name, ms, mp)
+                report = run_end_to_end(config, assoc, demand, scheme=run)
+                assert report.ok, (name, ms, mp, report.failure)
+                assert report.measured_rate == value, (name, ms, mp)
+            mp += HALF
+        ms += HALF
+
+
+def test_scheme1_mixture_with_fractional_quota(tmp_path):
+    # t = 7/2 is not an integer, and the t = 4 corner has helper quota 1/4
+    config_path = _write_config(tmp_path, 4, 2, [[1, 2, 3], [4]], 1, Fraction(5, 2))
+    result = CliRunner().invoke(main, [
+        "rate", "--config", config_path, "--scheme", "scheme1", "--fractions",
+    ])
+    assert result.exit_code == 0
+    assert result.output == "scheme1: 1/8 (envelope)\n"
+    result = CliRunner().invoke(main, [
+        "verify", "--config", config_path, "--scheme", "scheme1", "--trials", "3",
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.output == "scheme1: 3/3 trials decoded, worst rate 1/8\n"
