@@ -8,12 +8,13 @@ agreement certifies the delivery as optimal under this placement.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .combin import binom, enumerate_ksubsets
+from .combin import KSubset, binom
 from .model import Association, InfeasibleSchemeError, NetworkConfig, SubfileId, Tier, validate_demand
 from .scheme_unknown import place_unknown, rate_unknown, unknown_params
 
@@ -46,25 +47,18 @@ def build_h(
     d = validate_demand(config, demand)
     params = unknown_params(config)
     k, lam = config.num_users, config.num_helpers
-    pos = user_positions(assoc)
     ordered = assoc.ordered_users()
-
-    h1 = set()
-    if params.f1 > 0:
-        for user in range(1, k + 1):
-            c = assoc.helper_of(user)
-            for tau in enumerate_ksubsets(lam, params.t_s):
-                if all(helper > c for helper in tau):
-                    h1.add(SubfileId(d[user - 1], Tier.HELPER, tau))
-    h2 = set()
-    if params.f2 > 0:
-        for user in range(1, k + 1):
-            p = pos[user]
-            allowed = {u for u in ordered if pos[u] > p}
-            for rho in enumerate_ksubsets(k, params.t_p):
-                if set(rho.elements) <= allowed:
-                    h2.add(SubfileId(d[user - 1], Tier.PRIVATE, rho))
-    return frozenset(h1), frozenset(h2)
+    h1 = frozenset(
+        SubfileId(d[user - 1], Tier.HELPER, KSubset(lam, tau))
+        for user in range(1, k + 1)
+        for tau in combinations(range(assoc.helper_of(user) + 1, lam + 1), params.t_s)
+    ) if params.f1 > 0 else frozenset()
+    h2 = frozenset(
+        SubfileId(d[user - 1], Tier.PRIVATE, KSubset(k, rho))
+        for p, user in enumerate(ordered)
+        for rho in combinations(sorted(ordered[p + 1:]), params.t_p)
+    ) if params.f2 > 0 else frozenset()
+    return h1, h2
 
 
 def verify_acyclic(
@@ -73,39 +67,43 @@ def verify_acyclic(
     demand: Sequence[int],
     subfiles: Iterable[SubfileId],
 ) -> bool:
-    """Topologically sort the side-information digraph induced on the set.
+    """Whether the side-information digraph induced on the set is acyclic.
 
-    Each wanted subfile is its own receiver (the per-subfile receiver
-    convention); an edge runs from a wanted subfile to every set member in
-    that receiver's caches.
+    A wanted subfile points to every set member its receiver caches.
+    Demands are distinct, so each subfile has at most one receiver, and all
+    subfiles a user wants and lacks share their out-neighbours: the digraph
+    is acyclic exactly when its quotient on users is, where u -> u' when u
+    caches a set member that u' wants and lacks.
     """
     d = validate_demand(config, demand)
-    nodes = set(subfiles)
     placement = place_unknown(config)
-    edges: dict[SubfileId, set[SubfileId]] = {v: set() for v in nodes}
-    for user in range(1, config.num_users + 1):
-        side = placement.private_contents[user - 1] | placement.helper_contents[
-            assoc.helper_of(user) - 1
-        ]
-        known = nodes & side
-        for v in nodes:
-            if v.file == d[user - 1] and v not in side:
-                edges[v] |= known
+    receiver = {n: user for user, n in enumerate(d, start=1)}
 
-    indeg = {v: 0 for v in nodes}
-    for v, outs in edges.items():
-        for w in outs:
-            indeg[w] += 1
-    queue = deque(v for v, deg in indeg.items() if deg == 0)
+    def caches(user: int) -> tuple[frozenset, frozenset]:
+        return (placement.private_contents[user - 1],
+                placement.helper_contents[assoc.helper_of(user) - 1])
+
+    wanted = set()
+    for v in subfiles:
+        user = receiver.get(v.file)
+        if user is not None and not any(v in cache for cache in caches(user)):
+            wanted.add(v)
+    edges: dict[int, set[int]] = {receiver[v.file]: set() for v in wanted}
+    for user, outs in edges.items():
+        for cache in caches(user):
+            outs.update(receiver[w.file] for w in wanted & cache)
+
+    indeg = Counter(other for outs in edges.values() for other in outs)
+    queue = deque(user for user in edges if indeg[user] == 0)
     seen = 0
     while queue:
-        v = queue.popleft()
+        user = queue.popleft()
         seen += 1
-        for w in edges[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(nodes)
+        for other in edges[user]:
+            indeg[other] -= 1
+            if indeg[other] == 0:
+                queue.append(other)
+    return seen == len(edges)
 
 
 def certify(

@@ -1,3 +1,5 @@
+import random
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,7 +7,10 @@ import pytest
 
 from dualcache.combin import KSubset, binom
 from dualcache.converse import build_h, certify, user_positions, verify_acyclic
-from dualcache.model import NetworkConfig, SubfileId, Tier, build_association
+from dualcache.model import (
+    InfeasibleSchemeError, NetworkConfig, SubfileId, Tier, build_association,
+)
+from dualcache.scheme_unknown import place_unknown, unknown_params
 
 
 def _helper_sub(n, tau):
@@ -86,3 +91,109 @@ def test_zero_memory_rejected():
     assoc = build_association(config, [[1, 2, 3], [4]])
     with pytest.raises(ValueError):
         certify(config, assoc, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("k, lam, h_size", [(14, 7, 2072), (16, 4, 4392)])
+def test_certify_ladder(k, lam, h_size):
+    # uniform groups at Ms = Mp = 2, the benchmark's largest certify points
+    config = NetworkConfig(k, k, lam, Fraction(2), Fraction(2))
+    size = k // lam
+    assoc = build_association(
+        config, [list(range(g * size + 1, (g + 1) * size + 1)) for g in range(lam)]
+    )
+    cert = certify(config, assoc, tuple(range(k, 0, -1)))
+    assert len(cert.h1) + len(cert.h2) == h_size
+    assert cert.acyclic and cert.tight
+
+
+def _subfile_graph_acyclic(config, assoc, demand, subfiles):
+    """Reference check: Kahn's algorithm over one node per subfile, with an
+    edge from each wanted subfile to every set member its receiver caches."""
+    nodes = set(subfiles)
+    placement = place_unknown(config)
+    edges = {v: set() for v in nodes}
+    for user in range(1, config.num_users + 1):
+        side = placement.private_contents[user - 1] | placement.helper_contents[
+            assoc.helper_of(user) - 1
+        ]
+        known = nodes & side
+        for v in nodes:
+            if v.file == demand[user - 1] and v not in side:
+                edges[v] |= known
+    indeg = {v: 0 for v in nodes}
+    for outs in edges.values():
+        for w in outs:
+            indeg[w] += 1
+    queue = deque(v for v, deg in indeg.items() if deg == 0)
+    seen = 0
+    while queue:
+        v = queue.popleft()
+        seen += 1
+        for w in edges[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(nodes)
+
+
+def _set_partitions(users, blocks):
+    """Every partition of users into exactly `blocks` nonempty groups."""
+    if not users:
+        if blocks == 0:
+            yield []
+        return
+    first, rest = users[0], users[1:]
+    for partition in _set_partitions(rest, blocks - 1):
+        yield [[first]] + partition
+    for partition in _set_partitions(rest, blocks):
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+
+
+def _direct_memory_pairs(n, k, lam):
+    """Half-step (Ms, Mp) with Ms + Mp > 0 at which the oblivious scheme runs directly."""
+    half = [Fraction(i, 2) for i in range(2 * n + 1)]
+    for ms in half:
+        for mp in half:
+            if 0 < ms + mp <= n:
+                try:
+                    unknown_params(NetworkConfig(n, k, lam, ms, mp))
+                except InfeasibleSchemeError:
+                    continue
+                yield ms, mp
+
+
+def test_receiver_quotient_matches_subfile_graph():
+    # every partition and every direct memory pair of each network, paired
+    # off cyclically; the sets are H, H plus a few placed subfiles, and
+    # random sets of placed subfiles
+    rng = random.Random(2022)
+    outcomes = set()
+    for n, k, lam in [(4, 4, 2), (5, 4, 2), (6, 6, 3), (6, 5, 2)]:
+        pairs = list(_direct_memory_pairs(n, k, lam))
+        partitions = list(_set_partitions(list(range(1, k + 1)), lam))
+        for i in range(max(len(pairs), len(partitions))):
+            ms, mp = pairs[i % len(pairs)]
+            partition = partitions[i % len(partitions)]
+            config = NetworkConfig(n, k, lam, ms, mp)
+            assoc = build_association(config, partition)
+            demand = tuple(rng.sample(range(1, n + 1), k))
+            placement = place_unknown(config)
+            placed = sorted(
+                frozenset().union(*placement.helper_contents, *placement.private_contents),
+                key=lambda v: (v.file, v.tier.value, v.idx_a.elements),
+            )
+            h = frozenset().union(*build_h(config, assoc, demand))
+            candidates = [h] + [
+                h | set(rng.sample(placed, rng.randint(1, 3))) for _ in range(3)
+            ] + [
+                frozenset(rng.sample(placed, rng.randint(1, len(placed) // 3)))
+                for _ in range(3)
+            ]
+            for subfiles in candidates:
+                expected = _subfile_graph_acyclic(config, assoc, demand, subfiles)
+                assert verify_acyclic(config, assoc, demand, subfiles) == expected, (
+                    config, partition, demand, sorted(map(repr, subfiles))
+                )
+                outcomes.add(expected)
+    assert outcomes == {True, False}
