@@ -29,11 +29,6 @@ class ConverseCertificate:
     tight: bool
 
 
-def user_positions(assoc: Association) -> dict[int, int]:
-    """Rank of each user when groups are listed in non-increasing-size order."""
-    return {user: pos for pos, user in enumerate(assoc.ordered_users(), start=1)}
-
-
 def build_h(
     config: NetworkConfig, assoc: Association, demand: Sequence[int]
 ) -> tuple[frozenset, frozenset]:

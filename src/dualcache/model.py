@@ -189,7 +189,6 @@ class Tier(Enum):
     PRIVATE = "private"      # split over user subsets, stored in private caches
     SINGLE = "single"        # one-level split over user subsets (association-known)
     TWO_LEVEL = "two_level"  # helper-subset x intra-group-position split
-    WHOLE = "whole"          # unsplit file (zero-memory uncoded delivery)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bounds
-from .combin import KSubset, binom, enumerate_ksubsets, rank_ksubset
+from .combin import binom, enumerate_ksubsets, rank_ksubset
 from .model import (
     Association,
     CornerPoint,
@@ -30,7 +30,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class UnknownSchemeParams:
-    """Integer split parameters; a side is None when its memory share is zero."""
+    """Integer split parameters; a side is None when its memory share is zero.
+    Zero memory is the private tier at t_p = 0 (F1 = 0, F2 = 1): uncoded."""
 
     t_s: Optional[int]
     t_p: Optional[int]
@@ -42,7 +43,7 @@ def unknown_params(config: NetworkConfig) -> UnknownSchemeParams:
     """Derive (t_s, t_p, F1, F2); raises when a direct run needs memory sharing."""
     m = config.total_mem
     if m == 0:
-        return UnknownSchemeParams(t_s=None, t_p=None, f1=Fraction(0), f2=Fraction(0))
+        return UnknownSchemeParams(t_s=None, t_p=0, f1=Fraction(0), f2=Fraction(1))
     f1 = config.helper_mem / m
     f2 = config.private_mem / m
     t_s: Optional[int] = None
@@ -86,8 +87,6 @@ def place_unknown(config: NetworkConfig) -> Placement:
                 sub = SubfileId(n, Tier.PRIVATE, rho)
                 for user in rho:
                     users[user - 1].add(sub)
-    if config.total_mem == 0:
-        sizes[Tier.WHOLE] = Fraction(1)
 
     return Placement(
         helper_contents=tuple(frozenset(h) for h in helpers),
@@ -106,13 +105,6 @@ def deliver_unknown(
     params = unknown_params(config)
     k, lam = config.num_users, config.num_helpers
     out: list[Transmission] = []
-
-    if config.total_mem == 0:
-        whole = KSubset(k, ())
-        for user in range(1, k + 1):
-            sub = SubfileId(d[user - 1], Tier.WHOLE, whole)
-            out.append(Transmission(("uncoded", user), frozenset([sub]), Fraction(1)))
-        return out
 
     if params.f1 > 0:
         size1 = params.f1 / binom(lam, params.t_s)
@@ -143,8 +135,6 @@ def deliver_unknown(
 
 def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
     """Worst-case rate at integer split parameters for a given profile."""
-    if config.total_mem == 0:
-        return Fraction(config.num_users)
     params = unknown_params(config)
     k, lam = config.num_users, config.num_helpers
     rate = Fraction(0)
@@ -195,9 +185,6 @@ def layout_unknown(config: NetworkConfig) -> dict:
     params = unknown_params(config)
     k, lam = config.num_users, config.num_helpers
     extents: dict = {}
-    if config.total_mem == 0:
-        extents[(Tier.WHOLE, KSubset(k, ()), None)] = (Fraction(0), Fraction(1))
-        return extents
     if params.f1 > 0:
         piece = params.f1 / binom(lam, params.t_s)
         for tau in enumerate_ksubsets(lam, params.t_s):

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 from .model import (
@@ -140,13 +141,20 @@ def run_end_to_end(
     min_len: int = 1,
 ) -> DecodeReport:
     """Full broadcast round: every user must reconstruct its file byte-for-byte.
-    A scheme name runs envelope.scheme_run, the mixture scheme_rate reports."""
+    A scheme name runs envelope.scheme_run, the mixture scheme_rate reports.
+
+    Inside, a piece is named by its byte address in the library, the files
+    laid end to end: (file - 1) * file_len + start.  Pieces have positive
+    length and the segments tile the file, so a start names one (segment,
+    subfile coordinate)."""
     segments = _resolve_segments(scheme, config, assoc)
     file_len = choose_file_len(segments, min_len=min_len)
     rng = random.Random(seed)
-    files = {n: rng.randbytes(file_len) for n in range(1, config.num_files + 1)}
+    library = memoryview(bytearray(config.num_files * file_len))
+    for n in range(config.num_files):
+        library[n * file_len:(n + 1) * file_len] = rng.randbytes(file_len)
 
-    # absolute byte extent of every (segment, subfile-coordinate)
+    # (start, length) in the file of every (segment, subfile-coordinate)
     slots: list[dict] = []
     base = Fraction(0)
     for seg in segments:
@@ -158,84 +166,72 @@ def run_end_to_end(
             seg_slots[key] = (int(start), int(length))
         slots.append(seg_slots)
         base += seg.weight
+    length_at = {start: length for seg_slots in slots for start, length in seg_slots.values()}
 
-    def slice_of(seg_idx: int, sub: SubfileId) -> bytes:
-        start, length = slots[seg_idx][(sub.tier, sub.idx_a, sub.idx_b)]
-        return files[sub.file][start:start + length]
+    def addresses(i: int, subs) -> list[int]:
+        seg_slots = slots[i]
+        return [(s.file - 1) * file_len + seg_slots[s.tier, s.idx_a, s.idx_b][0] for s in subs]
 
-    k = config.num_users
-    known: list[dict] = [dict() for _ in range(k)]
-    private_bytes = [0] * k
-    helper_bytes = [0] * k
-    air_bytes = [0] * k
-    for user in range(1, k + 1):
-        seen_private = set()
-        for i, seg in enumerate(segments):
-            for sub in seg.placement.private_contents[user - 1]:
-                data = slice_of(i, sub)
-                known[user - 1][(i, sub)] = data
-                private_bytes[user - 1] += len(data)
-                seen_private.add((i, sub))
-        helper = assoc.helper_of(user)
-        for i, seg in enumerate(segments):
-            for sub in seg.placement.helper_contents[helper - 1]:
-                if (i, sub) in seen_private:
-                    continue
-                data = slice_of(i, sub)
-                known[user - 1][(i, sub)] = data
-                helper_bytes[user - 1] += len(data)
+    def read(address: int, decoded: dict):
+        """A piece as a user holds it: the bytes it decoded, else the library's."""
+        if address in decoded:
+            return decoded[address]
+        return library[address:address + length_at[address % file_len]]
 
-    payloads: list[tuple[int, Transmission, bytes]] = []
-    total_air = 0
+    helper_cache = [set() for _ in range(config.num_helpers)]
+    for i, seg in enumerate(segments):
+        for cache, subs in zip(helper_cache, seg.placement.helper_contents):
+            cache.update(addresses(i, subs))
+
+    payloads: list[tuple[list[int], bytes]] = []
     for i, seg in enumerate(segments):
         for trans in seg.transmissions(assoc, demand):
-            payload = None
-            for sub in trans.summands:
-                data = slice_of(i, sub)
-                payload = data if payload is None else _xor(payload, data)
-            payloads.append((i, trans, payload))
-            total_air += len(payload)
+            summands = addresses(i, trans.summands)
+            payloads.append((summands, reduce(_xor, (read(a, {}) for a in summands))))
+    total_air = sum(len(payload) for _, payload in payloads)
 
-    for user in range(1, k + 1):
-        mine = known[user - 1]
+    private_bytes, helper_bytes, air_bytes, per_user_ok = [], [], [], []
+    failure = None
+    for user in range(1, config.num_users + 1):
+        private = set()
+        for i, seg in enumerate(segments):
+            private.update(addresses(i, seg.placement.private_contents[user - 1]))
+        helper = helper_cache[assoc.helper_of(user) - 1]
+        private_bytes.append(sum(length_at[a % file_len] for a in private))
+        helper_bytes.append(sum(length_at[a % file_len] for a in helper - private))
+        known = private | helper
+        decoded: dict[int, bytes] = {}
         progress = True
         while progress:
             progress = False
-            for i, trans, payload in payloads:
-                missing = [s for s in trans.summands if (i, s) not in mine]
-                if len(missing) != 1:
-                    continue
-                acc = payload
-                for s in trans.summands:
-                    if s is not missing[0]:
-                        acc = _xor(acc, mine[(i, s)])
-                mine[(i, missing[0])] = acc
-                air_bytes[user - 1] += len(acc)
-                progress = True
+            for summands, payload in payloads:
+                missing = [a for a in summands if a not in known]
+                if len(missing) == 1:
+                    (lost,) = missing
+                    others = (read(a, decoded) for a in summands if a != lost)
+                    decoded[lost] = reduce(_xor, others, payload)
+                    known.add(lost)
+                    progress = True
+        air_bytes.append(sum(map(len, decoded.values())))
 
-    per_user_ok = []
-    failure = None
-    for user in range(1, k + 1):
         wanted = demand[user - 1]
+        file_base = (wanted - 1) * file_len
         rebuilt = bytearray(file_len)
         covered = 0
         user_ok = True
         for i, seg in enumerate(segments):
             for key, (start, length) in slots[i].items():
-                tier, idx_a, idx_b = key
-                sub = SubfileId(wanted, tier, idx_a, idx_b)
-                data = known[user - 1].get((i, sub))
-                if data is None:
+                if file_base + start not in known:
                     user_ok = False
                     if failure is None:
                         failure = (
-                            f"user {user} could not recover {sub} in segment {i} "
-                            f"({seg.tag}); no transmission completed it"
+                            f"user {user} could not recover {SubfileId(wanted, *key)} "
+                            f"in segment {i} ({seg.tag}); no transmission completed it"
                         )
                     continue
-                rebuilt[start:start + length] = data
+                rebuilt[start:start + length] = read(file_base + start, decoded)
                 covered += length
-        if user_ok and (covered != file_len or bytes(rebuilt) != files[wanted]):
+        if user_ok and (covered != file_len or rebuilt != library[file_base:file_base + file_len]):
             user_ok = False
             if failure is None:
                 failure = f"user {user} rebuilt a corrupted copy of file {wanted}"

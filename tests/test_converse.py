@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from dualcache.combin import KSubset, binom
-from dualcache.converse import build_h, certify, user_positions, verify_acyclic
+from dualcache.converse import build_h, certify, verify_acyclic
 from dualcache.model import (
     InfeasibleSchemeError, NetworkConfig, SubfileId, Tier, build_association,
 )
@@ -23,7 +23,7 @@ def _private_sub(n, rho):
 
 def test_positions_follow_group_order(net_4users):
     _, assoc = net_4users
-    assert user_positions(assoc) == {1: 1, 2: 2, 3: 3, 4: 4}
+    assert assoc.ordered_users() == (1, 2, 3, 4)
 
 
 def test_certificate_set_listing(net_4users):
@@ -64,8 +64,8 @@ def test_set_sizes_match_closed_forms(net_4users):
         expected_h1 = sum(
             binom(2 - assoc.helper_of(u), 1) for u in range(1, 5)
         )
-        pos = user_positions(assoc)
-        expected_h2 = sum(binom(4 - pos[u], 2) for u in range(1, 5))
+        ordered = assoc.ordered_users()
+        expected_h2 = sum(binom(3 - ordered.index(u), 2) for u in range(1, 5))
         assert len(h1) == expected_h1
         assert len(h2) == expected_h2
 
