@@ -1,17 +1,16 @@
 """Reference rate curves, cut-set lower bound, and optimality checks.
 
 Holds the two classic single-cache-type curves (dedicated-cache and
-shared-cache), their delivery references used by reduction tests, the
-cut-set bound, and the high-memory optimality verdict.
+shared-cache), the cut-set bound, and the high-memory optimality verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .combin import binom, enumerate_ksubsets
+from .combin import binom
 from .model import Association, NetworkConfig
 
 
@@ -121,39 +120,6 @@ def cutset_bound(config: NetworkConfig, assoc: Association) -> tuple[Fraction, i
     return best, best_u
 
 
-def man_reference_transmissions(
-    k: int, t: int, demand: Sequence[int]
-) -> list[frozenset]:
-    """Dedicated-cache delivery as abstract (file, side-subset) XOR sets."""
-    out = []
-    for big_s in enumerate_ksubsets(k, t + 1):
-        out.append(
-            frozenset(
-                (demand[user - 1], big_s.without(user).elements) for user in big_s
-            )
-        )
-    return out
-
-
-def pue_reference_transmissions(
-    assoc: Association, t_s: int, demand: Sequence[int]
-) -> list[frozenset]:
-    """Shared-cache delivery as abstract (file, helper-subset) XOR sets, per round."""
-    lam = assoc.num_helpers
-    out = []
-    rounds = assoc.profile[0] if assoc.profile else 0
-    for j in range(1, rounds + 1):
-        for big_t in enumerate_ksubsets(lam, t_s + 1):
-            elems = frozenset(
-                (demand[assoc.user_at(helper, j) - 1], big_t.without(helper).elements)
-                for helper in big_t
-                if assoc.profile[helper - 1] >= j
-            )
-            if elems:
-                out.append(elems)
-    return out
-
-
 @dataclass(frozen=True)
 class HighMemoryVerdict:
     """Whether the two-level scheme meets the cut-set bound at this point."""
@@ -170,6 +136,17 @@ def high_memory_optimality(config: NetworkConfig, assoc: Association) -> HighMem
     envelope must equal 1 - (Ms+Mp)/N and match the cut-set bound exactly."""
     from . import envelope
 
+    return _high_memory_verdict(
+        config, assoc, lambda: envelope.scheme2_envelope_rate(config, assoc)
+    )
+
+
+def _high_memory_verdict(
+    config: NetworkConfig,
+    assoc: Association,
+    scheme2_rate: Callable[[], Optional[Fraction]],
+) -> HighMemoryVerdict:
+    """The verdict, asking scheme2_rate for the envelope only inside the region."""
     n = Fraction(config.num_files)
     lam = config.num_helpers
     l1 = assoc.largest_group
@@ -182,7 +159,7 @@ def high_memory_optimality(config: NetworkConfig, assoc: Association) -> HighMem
     if not applicable:
         return HighMemoryVerdict(False, None, cutset, None, False)
     expected = 1 - config.total_mem / n
-    achieved = envelope.scheme2_envelope_rate(config, assoc)
+    achieved = scheme2_rate()
     return HighMemoryVerdict(
         applicable=True,
         envelope_rate=achieved,
@@ -215,10 +192,11 @@ def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
     rates: dict[str, Optional[Fraction]] = {
         name: envelope.scheme_rate(name, config, assoc)[0] for name in envelope.SCHEMES
     }
+    high_memory = _high_memory_verdict(config, assoc, lambda: rates["scheme2"])
     flags = {
         "scheme1_meets_man": rates["scheme1"] is not None and rates["scheme1"] == man,
         "unknown_meets_pue": rates["unknown"] == pue,
-        "high_memory_optimal": high_memory_optimality(config, assoc).optimal,
+        "high_memory_optimal": high_memory.optimal,
     }
     return BoundReport(
         cutset=cutset,

@@ -8,7 +8,7 @@ agreement certifies the delivery as optimal under this placement.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -68,7 +68,8 @@ def verify_acyclic(
     Demands are distinct, so each subfile has at most one receiver, and all
     subfiles a user wants and lacks share their out-neighbours: the digraph
     is acyclic exactly when its quotient on users is, where u -> u' when u
-    caches a set member that u' wants and lacks.
+    caches a set member that u' wants and lacks.  A cache holds the same
+    pieces of every file, so wanted subfiles are grouped by piece key.
     """
     d = validate_demand(config, demand)
     placement = place_unknown(config)
@@ -78,15 +79,16 @@ def verify_acyclic(
         return (placement.private_contents[user - 1],
                 placement.helper_contents[assoc.helper_of(user) - 1])
 
-    wanted = set()
+    wanted: dict[tuple, set[int]] = defaultdict(set)  # piece key -> receivers lacking it
     for v in subfiles:
         user = receiver.get(v.file)
-        if user is not None and not any(v in cache for cache in caches(user)):
-            wanted.add(v)
-    edges: dict[int, set[int]] = {receiver[v.file]: set() for v in wanted}
+        if user is not None and not any(v.piece in cache for cache in caches(user)):
+            wanted[v.piece].add(user)
+    edges: dict[int, set[int]] = {user: set() for users in wanted.values() for user in users}
     for user, outs in edges.items():
         for cache in caches(user):
-            outs.update(receiver[w.file] for w in wanted & cache)
+            for key in cache & wanted.keys():
+                outs.update(wanted[key])
 
     indeg = Counter(other for outs in edges.values() for other in outs)
     queue = deque(user for user in edges if indeg[user] == 0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .combin import KSubset
 
@@ -200,6 +200,11 @@ class SubfileId:
     idx_a: KSubset
     idx_b: Optional[KSubset] = None
 
+    @property
+    def piece(self) -> tuple:
+        """The piece key (tier, idx_a, idx_b): this piece of every file."""
+        return (self.tier, self.idx_a, self.idx_b)
+
 
 @dataclass(frozen=True)
 class Transmission:
@@ -216,23 +221,12 @@ class Transmission:
 
 @dataclass(frozen=True)
 class Placement:
-    """Cache contents for every helper and every user, plus per-tier sizes."""
+    """Cache contents for every helper and every user, as piece keys
+    (SubfileId.piece).  Placement is uncoded and the same for every file,
+    so a key stands for that piece of every file."""
 
     helper_contents: tuple[frozenset, ...]
     private_contents: tuple[frozenset, ...]
-    subfile_size: Mapping[Tier, Fraction]
-
-    def helper_load(self, helper: int) -> Fraction:
-        return sum(
-            (self.subfile_size[s.tier] for s in self.helper_contents[helper - 1]),
-            start=Fraction(0),
-        )
-
-    def user_load(self, user: int) -> Fraction:
-        return sum(
-            (self.subfile_size[s.tier] for s in self.private_contents[user - 1]),
-            start=Fraction(0),
-        )
 
 
 @dataclass(frozen=True)

@@ -74,56 +74,36 @@ def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     report = scheme1_feasible(config, assoc)
     if not report.feasible:
         raise InfeasibleSchemeError("; ".join(report.reasons))
-    k, n_files = config.num_users, config.num_files
-    t = int(report.t)
-    q = int(report.quota)
-    size = Fraction(1, binom(k, t))
-    all_tau = enumerate_ksubsets(k, t)
-
-    helper_tau: list[list] = []
-    for group in assoc.groups:
-        members = set(group)
-        qualifying = [tau for tau in all_tau if members <= set(tau.elements)]
-        helper_tau.append(qualifying[:q])
-
-    helpers = []
-    for taus in helper_tau:
-        helpers.append(
-            frozenset(
-                SubfileId(n, Tier.SINGLE, tau)
-                for tau in taus
-                for n in range(1, n_files + 1)
-            )
-        )
-    users = []
-    for user in range(1, k + 1):
-        helper_set = {tau for tau in helper_tau[assoc.helper_of(user) - 1]}
-        own = [tau for tau in all_tau if user in tau and tau not in helper_set]
-        users.append(
-            frozenset(
-                SubfileId(n, Tier.SINGLE, tau)
-                for tau in own
-                for n in range(1, n_files + 1)
-            )
-        )
-    return Placement(
-        helper_contents=tuple(helpers),
-        private_contents=tuple(users),
-        subfile_size={Tier.SINGLE: size},
+    k, q = config.num_users, int(report.quota)
+    all_tau = enumerate_ksubsets(k, int(report.t))
+    helpers = tuple(
+        frozenset([(Tier.SINGLE, tau, None) for tau in all_tau
+                   if set(group) <= set(tau.elements)][:q])
+        for group in assoc.groups
     )
+    users = tuple(
+        frozenset((Tier.SINGLE, tau, None) for tau in all_tau if user in tau)
+        - helpers[assoc.helper_of(user) - 1]
+        for user in range(1, k + 1)
+    )
+    return Placement(helper_contents=helpers, private_contents=users)
+
+
+def _integer_t(config: NetworkConfig) -> int:
+    """t = K(Ms+Mp)/N; raises when it is not an integer."""
+    t = Fraction(config.num_users) * config.total_mem / config.num_files
+    if t.denominator != 1:
+        raise InfeasibleSchemeError(f"t = {t} is not an integer")
+    return int(t)
 
 
 def deliver_scheme1(config: NetworkConfig, demand: Sequence[int]) -> list[Transmission]:
     """One XOR per (t+1)-subset of users, exactly the dedicated-cache delivery."""
     d = validate_demand(config, demand)
-    k = config.num_users
-    t = Fraction(k) * config.total_mem / config.num_files
-    if t.denominator != 1:
-        raise InfeasibleSchemeError(f"t = {t} is not an integer")
-    t_int = int(t)
-    size = Fraction(1, binom(k, t_int))
+    k, t = config.num_users, _integer_t(config)
+    size = Fraction(1, binom(k, t))
     out = []
-    for big_t in enumerate_ksubsets(k, t_int + 1):
+    for big_t in enumerate_ksubsets(k, t + 1):
         summands = frozenset(
             SubfileId(d[user - 1], Tier.SINGLE, big_t.without(user)) for user in big_t
         )
@@ -132,16 +112,13 @@ def deliver_scheme1(config: NetworkConfig, demand: Sequence[int]) -> list[Transm
 
 
 def rate_scheme1(config: NetworkConfig) -> Fraction:
-    t = Fraction(config.num_users) * config.total_mem / config.num_files
-    if t.denominator != 1:
-        raise InfeasibleSchemeError(f"t = {t} is not an integer")
-    return Fraction(config.num_users - int(t), int(t) + 1)
+    t = _integer_t(config)
+    return Fraction(config.num_users - t, t + 1)
 
 
 def layout_scheme1(config: NetworkConfig) -> dict:
     """Byte layout of one unit file over its t-subset pieces."""
-    k = config.num_users
-    t = int(Fraction(k) * config.total_mem / config.num_files)
+    k, t = config.num_users, _integer_t(config)
     size = Fraction(1, binom(k, t))
     return {
         (Tier.SINGLE, tau, None): (rank_ksubset(tau) * size, size)

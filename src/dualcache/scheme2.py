@@ -68,30 +68,23 @@ def mini_subfile_size(lam: int, l1: int, t_s: int, t_p: int) -> Fraction:
 
 def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
     params = scheme2_params(config, assoc)
-    n_files, lam = config.num_files, config.num_helpers
-    l1, t_s, t_p = params.largest_group, params.t_s, params.t_p
-    size = mini_subfile_size(lam, l1, t_s, t_p)
-    taus = enumerate_ksubsets(lam, t_s)
-    rhos = enumerate_ksubsets(l1, t_p)
-
+    lam = config.num_helpers
     helpers: list[set] = [set() for _ in range(lam)]
     users: list[set] = [set() for _ in range(config.num_users)]
-    for tau in taus:
+    rhos = enumerate_ksubsets(params.largest_group, params.t_p)
+    for tau in enumerate_ksubsets(lam, params.t_s):
         for rho in rhos:
-            for n in range(1, n_files + 1):
-                sub = SubfileId(n, Tier.TWO_LEVEL, tau, rho)
-                for helper in tau:
-                    helpers[helper - 1].add(sub)
-                for helper in range(1, lam + 1):
-                    if helper in tau:
-                        continue
-                    for j in rho:
-                        if j <= assoc.profile[helper - 1]:
-                            users[assoc.user_at(helper, j) - 1].add(sub)
+            key = (Tier.TWO_LEVEL, tau, rho)
+            for helper in range(1, lam + 1):
+                if helper in tau:
+                    helpers[helper - 1].add(key)
+                    continue
+                for j in rho:
+                    if j <= assoc.profile[helper - 1]:
+                        users[assoc.user_at(helper, j) - 1].add(key)
     return Placement(
-        helper_contents=tuple(frozenset(h) for h in helpers),
-        private_contents=tuple(frozenset(u) for u in users),
-        subfile_size={Tier.TWO_LEVEL: size},
+        helper_contents=tuple(map(frozenset, helpers)),
+        private_contents=tuple(map(frozenset, users)),
     )
 
 

@@ -68,30 +68,20 @@ def unknown_params(config: NetworkConfig) -> UnknownSchemeParams:
 def place_unknown(config: NetworkConfig) -> Placement:
     """Fill helper caches over helper subsets and user caches over user subsets."""
     params = unknown_params(config)
-    n_files, k, lam = config.num_files, config.num_users, config.num_helpers
-    sizes: dict[Tier, Fraction] = {}
+    k, lam = config.num_users, config.num_helpers
     helpers: list[set] = [set() for _ in range(lam)]
     users: list[set] = [set() for _ in range(k)]
-
     if params.f1 > 0:
-        sizes[Tier.HELPER] = params.f1 / binom(lam, params.t_s)
         for tau in enumerate_ksubsets(lam, params.t_s):
-            for n in range(1, n_files + 1):
-                sub = SubfileId(n, Tier.HELPER, tau)
-                for helper in tau:
-                    helpers[helper - 1].add(sub)
+            for helper in tau:
+                helpers[helper - 1].add((Tier.HELPER, tau, None))
     if params.f2 > 0:
-        sizes[Tier.PRIVATE] = params.f2 / binom(k, params.t_p)
         for rho in enumerate_ksubsets(k, params.t_p):
-            for n in range(1, n_files + 1):
-                sub = SubfileId(n, Tier.PRIVATE, rho)
-                for user in rho:
-                    users[user - 1].add(sub)
-
+            for user in rho:
+                users[user - 1].add((Tier.PRIVATE, rho, None))
     return Placement(
-        helper_contents=tuple(frozenset(h) for h in helpers),
-        private_contents=tuple(frozenset(u) for u in users),
-        subfile_size=sizes,
+        helper_contents=tuple(map(frozenset, helpers)),
+        private_contents=tuple(map(frozenset, users)),
     )
 
 

@@ -53,14 +53,6 @@ class Segment:
 class SegmentedRun:
     segments: tuple[Segment, ...]
 
-    @property
-    def total_helper_mem(self) -> Fraction:
-        return sum((s.weight * s.config.helper_mem for s in self.segments), Fraction(0))
-
-    @property
-    def total_private_mem(self) -> Fraction:
-        return sum((s.weight * s.config.private_mem for s in self.segments), Fraction(0))
-
 
 def build_segment(
     tag: str, config: NetworkConfig, assoc: Association, weight: Fraction
@@ -146,7 +138,9 @@ def run_end_to_end(
     Inside, a piece is named by its byte address in the library, the files
     laid end to end: (file - 1) * file_len + start.  Pieces have positive
     length and the segments tile the file, so a start names one (segment,
-    subfile coordinate)."""
+    piece key).  A cache holds the same pieces of every file, so it is a set
+    of starts, and a user knows an address when its start is cached or the
+    user decoded that address."""
     segments = _resolve_segments(scheme, config, assoc)
     file_len = choose_file_len(segments, min_len=min_len)
     rng = random.Random(seed)
@@ -154,7 +148,7 @@ def run_end_to_end(
     for n in range(config.num_files):
         library[n * file_len:(n + 1) * file_len] = rng.randbytes(file_len)
 
-    # (start, length) in the file of every (segment, subfile-coordinate)
+    # (start, length) in the file of every (segment, piece key)
     slots: list[dict] = []
     base = Fraction(0)
     for seg in segments:
@@ -168,9 +162,9 @@ def run_end_to_end(
         base += seg.weight
     length_at = {start: length for seg_slots in slots for start, length in seg_slots.values()}
 
-    def addresses(i: int, subs) -> list[int]:
-        seg_slots = slots[i]
-        return [(s.file - 1) * file_len + seg_slots[s.tier, s.idx_a, s.idx_b][0] for s in subs]
+    def starts(contents) -> set[int]:
+        """The in-file starts of one cache's pieces across all segments."""
+        return {slots[i][key][0] for i, keys in enumerate(contents) for key in keys}
 
     def read(address: int, decoded: dict):
         """A piece as a user holds it: the bytes it decoded, else the library's."""
@@ -178,39 +172,36 @@ def run_end_to_end(
             return decoded[address]
         return library[address:address + length_at[address % file_len]]
 
-    helper_cache = [set() for _ in range(config.num_helpers)]
-    for i, seg in enumerate(segments):
-        for cache, subs in zip(helper_cache, seg.placement.helper_contents):
-            cache.update(addresses(i, subs))
+    helper_cache = [
+        starts(contents)
+        for contents in zip(*(seg.placement.helper_contents for seg in segments))
+    ]
 
     payloads: list[tuple[list[int], bytes]] = []
-    for i, seg in enumerate(segments):
+    for seg_slots, seg in zip(slots, segments):
         for trans in seg.transmissions(assoc, demand):
-            summands = addresses(i, trans.summands)
+            summands = [(s.file - 1) * file_len + seg_slots[s.piece][0] for s in trans.summands]
             payloads.append((summands, reduce(_xor, (read(a, {}) for a in summands))))
     total_air = sum(len(payload) for _, payload in payloads)
 
     private_bytes, helper_bytes, air_bytes, per_user_ok = [], [], [], []
     failure = None
     for user in range(1, config.num_users + 1):
-        private = set()
-        for i, seg in enumerate(segments):
-            private.update(addresses(i, seg.placement.private_contents[user - 1]))
+        private = starts(seg.placement.private_contents[user - 1] for seg in segments)
         helper = helper_cache[assoc.helper_of(user) - 1]
-        private_bytes.append(sum(length_at[a % file_len] for a in private))
-        helper_bytes.append(sum(length_at[a % file_len] for a in helper - private))
-        known = private | helper
+        private_bytes.append(config.num_files * sum(length_at[s] for s in private))
+        helper_bytes.append(config.num_files * sum(length_at[s] for s in helper - private))
+        cached = private | helper
         decoded: dict[int, bytes] = {}
         progress = True
         while progress:
             progress = False
             for summands, payload in payloads:
-                missing = [a for a in summands if a not in known]
+                missing = [a for a in summands if a % file_len not in cached and a not in decoded]
                 if len(missing) == 1:
                     (lost,) = missing
                     others = (read(a, decoded) for a in summands if a != lost)
                     decoded[lost] = reduce(_xor, others, payload)
-                    known.add(lost)
                     progress = True
         air_bytes.append(sum(map(len, decoded.values())))
 
@@ -221,7 +212,7 @@ def run_end_to_end(
         user_ok = True
         for i, seg in enumerate(segments):
             for key, (start, length) in slots[i].items():
-                if file_base + start not in known:
+                if start not in cached and file_base + start not in decoded:
                     user_ok = False
                     if failure is None:
                         failure = (

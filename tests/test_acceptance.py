@@ -32,12 +32,14 @@ from dualcache.model import NetworkConfig, build_association
 from dualcache.scheme1 import deliver_scheme1, rate_scheme1, scheme1_feasible
 from dualcache.scheme2 import (
     deliver_scheme2,
+    layout_scheme2,
     place_scheme2,
     rate_scheme2,
     scheme2_params,
 )
 from dualcache.scheme_unknown import (
     deliver_unknown,
+    layout_unknown,
     place_unknown,
     rate_unknown,
     rate_unknown_general,
@@ -301,17 +303,22 @@ def test_criterion_8_property_suite():
     # cache never overlaps its helper's cache
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(4, 3))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
-    for placement in (place_scheme2(config, assoc), place_unknown(
-            NetworkConfig(4, 4, 2, Fraction(1), Fraction(1)))):
+    cfg4 = NetworkConfig(4, 4, 2, Fraction(1), Fraction(1))
+    for placement, extents in ((place_scheme2(config, assoc), layout_scheme2(config, assoc)),
+                               (place_unknown(cfg4), layout_unknown(cfg4))):
         users = len(placement.private_contents)
         helpers = len(placement.helper_contents)
-        cfg = config if users == 6 else NetworkConfig(4, 4, 2, Fraction(1), Fraction(1))
+        cfg = config if users == 6 else cfg4
         asc = assoc if users == 6 else build_association(cfg, [[1, 2, 3], [4]])
+
+        def load(pieces):
+            return cfg.num_files * sum(extents[key][1] for key in pieces)
+
         for helper in range(1, helpers + 1):
-            if placement.helper_load(helper) != cfg.helper_mem:
+            if load(placement.helper_contents[helper - 1]) != cfg.helper_mem:
                 ok = False
         for user in range(1, users + 1):
-            if placement.user_load(user) != cfg.private_mem:
+            if load(placement.private_contents[user - 1]) != cfg.private_mem:
                 ok = False
             shared = placement.helper_contents[asc.helper_of(user) - 1]
             if placement.private_contents[user - 1] & shared:

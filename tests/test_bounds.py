@@ -115,3 +115,28 @@ def test_bound_report_flags(net_4users):
     assert report.scheme_rates["scheme1"] == Fraction(1, 4)
     assert report.optimality_flags["scheme1_meets_man"]
     assert report.man_lower <= report.scheme_rates["unknown"] <= report.pue_upper
+
+
+def test_bound_report_solves_one_lp_per_point(monkeypatch):
+    # the high-memory verdict reads the scheme2 rate the report already holds
+    from dualcache import envelope
+
+    calls = []
+    solve = envelope.envelope_at
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(envelope, "envelope_at", counted)
+    config = NetworkConfig(4, 4, 2, Fraction(2), Fraction(2))
+    assoc = build_association(config, [[1, 2], [3, 4]])
+    for at, scheme2, optimal in ((config, 0, True),
+                                 (config.with_memories(Fraction(1), Fraction(1)),
+                                  Fraction(7, 8), False)):
+        calls.clear()
+        report = bound_report(at, assoc)
+        assert len(calls) == 1
+        assert report.scheme_rates["scheme2"] == scheme2
+        assert report.optimality_flags["high_memory_optimal"] is optimal
+        assert high_memory_optimality(at, assoc).optimal is optimal

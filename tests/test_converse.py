@@ -106,6 +106,13 @@ def test_certify_ladder(k, lam, h_size):
     assert cert.acyclic and cert.tight
 
 
+def _every_file(config, pieces):
+    """Piece keys as that piece of every file."""
+    return frozenset(
+        SubfileId(n, *piece) for piece in pieces for n in range(1, config.num_files + 1)
+    )
+
+
 def _subfile_graph_acyclic(config, assoc, demand, subfiles):
     """Reference check: Kahn's algorithm over one node per subfile, with an
     edge from each wanted subfile to every set member its receiver caches."""
@@ -113,9 +120,8 @@ def _subfile_graph_acyclic(config, assoc, demand, subfiles):
     placement = place_unknown(config)
     edges = {v: set() for v in nodes}
     for user in range(1, config.num_users + 1):
-        side = placement.private_contents[user - 1] | placement.helper_contents[
-            assoc.helper_of(user) - 1
-        ]
+        side = _every_file(config, placement.private_contents[user - 1]
+                           | placement.helper_contents[assoc.helper_of(user) - 1])
         known = nodes & side
         for v in nodes:
             if v.file == demand[user - 1] and v not in side:
@@ -180,7 +186,8 @@ def test_receiver_quotient_matches_subfile_graph():
             demand = tuple(rng.sample(range(1, n + 1), k))
             placement = place_unknown(config)
             placed = sorted(
-                frozenset().union(*placement.helper_contents, *placement.private_contents),
+                _every_file(config, frozenset().union(
+                    *placement.helper_contents, *placement.private_contents)),
                 key=lambda v: (v.file, v.tier.value, v.idx_a.elements),
             )
             h = frozenset().union(*build_h(config, assoc, demand))

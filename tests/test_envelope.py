@@ -57,8 +57,8 @@ def test_mixture_decodes_at_its_rate(net_4users):
     config, assoc = net_4users
     sol = envelope_at(scheme2_corners(config, assoc), Fraction(1), Fraction(1))
     run = materialize_shared_placement(sol, config, assoc)
-    assert run.total_helper_mem == 1
-    assert run.total_private_mem == 1
+    assert sum(seg.weight * seg.config.helper_mem for seg in run.segments) == 1
+    assert sum(seg.weight * seg.config.private_mem for seg in run.segments) == 1
     report = run_end_to_end(config, assoc, (1, 2, 3, 4), scheme=run, seed=6)
     assert report.ok, report.failure
     assert report.measured_rate == Fraction(11, 12)
@@ -136,8 +136,8 @@ def test_oblivious_run_off_the_lattice():
     assoc = build_association(config, [[1, 2, 3], [4]])
     run = unknown_run_segments(config, assoc)
     assert len(run.segments) > 1
-    assert run.total_helper_mem == Fraction(3, 4)
-    assert run.total_private_mem == Fraction(3, 4)
+    assert sum(seg.weight * seg.config.helper_mem for seg in run.segments) == Fraction(3, 4)
+    assert sum(seg.weight * seg.config.private_mem for seg in run.segments) == Fraction(3, 4)
     report = run_end_to_end(config, assoc, (1, 2, 3, 4), scheme=run, seed=8)
     assert report.ok, report.failure
     assert report.measured_rate == rate_unknown_general(config, assoc.profile)

@@ -11,6 +11,9 @@ from dualcache.model import (
     parse_fraction,
     validate_demand,
 )
+from dualcache.scheme1 import place_scheme1
+from dualcache.scheme2 import place_scheme2
+from dualcache.scheme_unknown import place_unknown
 
 
 def test_parse_fraction_forms():
@@ -105,3 +108,22 @@ def test_load_config_from_json(tmp_path):
 def test_load_config_missing_key():
     with pytest.raises(ConfigError):
         load_config({"N": 4, "K": 4, "Lambda": 2, "Ms": 1})
+
+
+@pytest.mark.parametrize("place, partition, small, large", [
+    (lambda config, _: place_unknown(config), [[1, 2], [3, 4]],
+     (4, 4, 2, Fraction(1), Fraction(1)), (8, 4, 2, Fraction(2), Fraction(2))),
+    (place_scheme2, [[1, 2, 3], [4, 5], [6]],
+     (6, 6, 3, Fraction(2), Fraction(4, 3)), (12, 6, 3, Fraction(4), Fraction(8, 3))),
+    (place_scheme1, [[1, 2, 3], [4, 5], [6]],
+     (6, 6, 3, Fraction(6, 5), Fraction(14, 5)), (12, 6, 3, Fraction(12, 5), Fraction(28, 5))),
+], ids=["unknown", "scheme2", "scheme1"])
+def test_placement_does_not_depend_on_n(place, partition, small, large):
+    # the same split parameters at twice the library: a placement names
+    # pieces, each standing for that piece of every file
+    placements = []
+    for params in (small, large):
+        config = NetworkConfig(*params)
+        placements.append(place(config, build_association(config, partition)))
+    assert placements[0] == placements[1]
+    assert any(placements[0].helper_contents) and any(placements[0].private_contents)

@@ -7,13 +7,13 @@ from dualcache.combin import KSubset, binom, enumerate_ksubsets
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
-    SubfileId,
     Tier,
     build_association,
 )
 from dualcache.scheme1 import (
     corner_feasible,
     deliver_scheme1,
+    layout_scheme1,
     place_scheme1,
     rate_scheme1,
     scheme1_feasible,
@@ -56,28 +56,29 @@ def test_helpers_take_lex_smallest_covering_subsets(net_6users_deep):
         3: [(1, 2, 3, 6), (1, 2, 4, 6), (1, 2, 5, 6)],
     }
     for helper, taus in expected.items():
-        want = frozenset(
-            SubfileId(n, Tier.SINGLE, _tau(t)) for t in taus for n in range(1, 7)
-        )
+        want = frozenset((Tier.SINGLE, _tau(t), None) for t in taus)
         assert placement.helper_contents[helper - 1] == want
 
 
 def test_placement_memory_and_coverage(net_6users_deep):
     config, assoc = net_6users_deep
     placement = place_scheme1(config, assoc)
+    extents = layout_scheme1(config)
+
+    def load(pieces):
+        return config.num_files * sum(extents[key][1] for key in pieces)
+
     for helper in (1, 2, 3):
-        assert placement.helper_load(helper) == config.helper_mem
+        assert load(placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 7):
-        assert placement.user_load(user) == config.private_mem
+        assert load(placement.private_contents[user - 1]) == config.private_mem
         # the user's own and its helper's contents tile {tau : user in tau}
         helper = assoc.helper_of(user)
-        own = {
-            s.idx_a for s in placement.private_contents[user - 1] if s.file == 1
-        }
+        own = {idx_a for _, idx_a, _ in placement.private_contents[user - 1]}
         shared = {
-            s.idx_a
-            for s in placement.helper_contents[helper - 1]
-            if s.file == 1 and user in s.idx_a
+            idx_a
+            for _, idx_a, _ in placement.helper_contents[helper - 1]
+            if user in idx_a
         }
         assert own.isdisjoint(shared)
         assert own | shared == {
@@ -122,6 +123,15 @@ def test_one_below_full_memory():
     sim = run_end_to_end(config, assoc, (4, 3, 2, 1), scheme="scheme1", seed=2)
     assert sim.ok, sim.failure
     assert sim.measured_rate == Fraction(1, 4)
+
+
+def test_layout_rejects_fractional_t():
+    # t = K(Ms+Mp)/N = 3/2; the layout used to truncate it to the t = 1 layout
+    config = NetworkConfig(4, 4, 2, Fraction(1), Fraction(1, 2))
+    with pytest.raises(InfeasibleSchemeError, match="t = 3/2 is not an integer"):
+        layout_scheme1(config)
+    with pytest.raises(InfeasibleSchemeError, match="t = 3/2 is not an integer"):
+        rate_scheme1(config)
 
 
 def test_place_rejects_infeasible_points():

@@ -12,6 +12,7 @@ from dualcache.model import (
 )
 from dualcache.scheme2 import (
     deliver_scheme2,
+    layout_scheme2,
     mini_subfile_size,
     place_scheme2,
     rate_scheme2,
@@ -58,9 +59,7 @@ def test_placement_matches_known_listing(net_6users_two_level):
     config, assoc = net_6users_two_level
     placement = place_scheme2(config, assoc)
     for helper in (1, 2, 3):
-        want = frozenset(
-            _sub(n, (helper,), (j,)) for n in range(1, 7) for j in (1, 2, 3)
-        )
+        want = frozenset(_sub(1, (helper,), (j,)).piece for j in (1, 2, 3))
         assert placement.helper_contents[helper - 1] == want
     expected_users = {
         1: [((2,), (1,)), ((3,), (1,))],
@@ -71,19 +70,22 @@ def test_placement_matches_known_listing(net_6users_two_level):
         6: [((1,), (1,)), ((2,), (1,))],
     }
     for user, pairs in expected_users.items():
-        want = frozenset(
-            _sub(n, tau, rho) for n in range(1, 7) for tau, rho in pairs
-        )
+        want = frozenset(_sub(1, tau, rho).piece for tau, rho in pairs)
         assert placement.private_contents[user - 1] == want
 
 
 def test_placement_memory(net_6users_two_level):
     config, assoc = net_6users_two_level
     placement = place_scheme2(config, assoc)
+    extents = layout_scheme2(config, assoc)
+
+    def load(pieces):
+        return config.num_files * sum(extents[key][1] for key in pieces)
+
     for helper in (1, 2, 3):
-        assert placement.helper_load(helper) == config.helper_mem
+        assert load(placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 7):
-        assert placement.user_load(user) == config.private_mem
+        assert load(placement.private_contents[user - 1]) == config.private_mem
 
 
 def test_delivery_listing_and_rate(net_6users_two_level):

@@ -119,7 +119,9 @@ def test_every_rate_is_realized(n, lam, partition):
                 if value is None:
                     continue
                 run = scheme_run(name, config, assoc)
-                assert (run.total_helper_mem, run.total_private_mem) == (ms, mp), (name, ms, mp)
+                memories = (sum(seg.weight * seg.config.helper_mem for seg in run.segments),
+                            sum(seg.weight * seg.config.private_mem for seg in run.segments))
+                assert memories == (ms, mp), (name, ms, mp)
                 report = run_end_to_end(config, assoc, demand, scheme=run)
                 assert report.ok, (name, ms, mp, report.failure)
                 assert report.measured_rate == value, (name, ms, mp)

@@ -3,28 +3,52 @@ from itertools import permutations
 
 import pytest
 
-from dualcache.bounds import (
-    man_rate,
-    man_reference_transmissions,
-    pue_rate,
-    pue_reference_transmissions,
-)
-from dualcache.combin import KSubset, binom
+from dualcache.bounds import man_rate, pue_rate
+from dualcache.combin import KSubset, binom, enumerate_ksubsets
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
-    SubfileId,
     Tier,
     build_association,
 )
 from dualcache.scheme_unknown import (
     deliver_unknown,
+    layout_unknown,
     place_unknown,
     rate_unknown,
     rate_unknown_general,
     unknown_params,
 )
 from dualcache.simulator import run_end_to_end
+
+
+def man_reference_transmissions(k, t, demand):
+    """Dedicated-cache delivery as abstract (file, side-subset) XOR sets."""
+    out = []
+    for big_s in enumerate_ksubsets(k, t + 1):
+        out.append(
+            frozenset(
+                (demand[user - 1], big_s.without(user).elements) for user in big_s
+            )
+        )
+    return out
+
+
+def pue_reference_transmissions(assoc, t_s, demand):
+    """Shared-cache delivery as abstract (file, helper-subset) XOR sets, per round."""
+    lam = assoc.num_helpers
+    out = []
+    rounds = assoc.profile[0] if assoc.profile else 0
+    for j in range(1, rounds + 1):
+        for big_t in enumerate_ksubsets(lam, t_s + 1):
+            elems = frozenset(
+                (demand[assoc.user_at(helper, j) - 1], big_t.without(helper).elements)
+                for helper in big_t
+                if assoc.profile[helper - 1] >= j
+            )
+            if elems:
+                out.append(elems)
+    return out
 
 
 def test_params_split_evenly(net_4users):
@@ -44,16 +68,12 @@ def test_placement_matches_known_listing(net_4users):
     config, _ = net_4users
     placement = place_unknown(config)
     for helper in (1, 2):
-        expected = frozenset(
-            SubfileId(n, Tier.HELPER, KSubset(2, (helper,))) for n in range(1, 5)
-        )
+        expected = frozenset({(Tier.HELPER, KSubset(2, (helper,)), None)})
         assert placement.helper_contents[helper - 1] == expected
     # user 1 keeps the user-subset pieces whose index contains 1
     rho_of_user1 = [(1, 2), (1, 3), (1, 4)]
     expected = frozenset(
-        SubfileId(n, Tier.PRIVATE, KSubset(4, rho))
-        for n in range(1, 5)
-        for rho in rho_of_user1
+        (Tier.PRIVATE, KSubset(4, rho), None) for rho in rho_of_user1
     )
     assert placement.private_contents[0] == expected
 
@@ -61,10 +81,15 @@ def test_placement_matches_known_listing(net_4users):
 def test_placement_fills_memory_exactly(net_4users):
     config, _ = net_4users
     placement = place_unknown(config)
+    extents = layout_unknown(config)
+
+    def load(pieces):
+        return config.num_files * sum(extents[key][1] for key in pieces)
+
     for helper in (1, 2):
-        assert placement.helper_load(helper) == config.helper_mem
+        assert load(placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 5):
-        assert placement.user_load(user) == config.private_mem
+        assert load(placement.private_contents[user - 1]) == config.private_mem
 
 
 def test_delivery_counts_and_rate(net_4users):

@@ -132,6 +132,11 @@ def _reference_run(config, assoc, demand, run, seed):
         start, length = slots[seg_idx][(sub.tier, sub.idx_a, sub.idx_b)]
         return files[sub.file][start:start + length]
 
+    def subfiles(pieces):
+        """A cache's piece keys as that piece of every file."""
+        return [SubfileId(n, *piece) for piece in pieces
+                for n in range(1, config.num_files + 1)]
+
     k = config.num_users
     known: list[dict] = [dict() for _ in range(k)]
     private_bytes = [0] * k
@@ -140,14 +145,14 @@ def _reference_run(config, assoc, demand, run, seed):
     for user in range(1, k + 1):
         seen_private = set()
         for i, seg in enumerate(segments):
-            for sub in seg.placement.private_contents[user - 1]:
+            for sub in subfiles(seg.placement.private_contents[user - 1]):
                 data = slice_of(i, sub)
                 known[user - 1][(i, sub)] = data
                 private_bytes[user - 1] += len(data)
                 seen_private.add((i, sub))
         helper = assoc.helper_of(user)
         for i, seg in enumerate(segments):
-            for sub in seg.placement.helper_contents[helper - 1]:
+            for sub in subfiles(seg.placement.helper_contents[helper - 1]):
                 if (i, sub) in seen_private:
                     continue
                 data = slice_of(i, sub)
