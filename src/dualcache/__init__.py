@@ -3,7 +3,7 @@ user caches: placements, XOR delivery, rate formulas, memory-sharing
 envelopes, lower bounds, an index-coding converse, and a bit-exact
 simulator."""
 
-from .combin import KSubset, binom, enumerate_ksubsets, rank_ksubset, unrank_ksubset
+from .combin import binom, enumerate_ksubsets, rank_ksubset, unrank_ksubset
 from .model import (
     Association,
     CertificateError,
@@ -25,7 +25,6 @@ __all__ = [
     "CertificateError",
     "ConfigError",
     "InfeasibleSchemeError",
-    "KSubset",
     "NetworkConfig",
     "Placement",
     "SubfileId",

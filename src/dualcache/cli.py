@@ -126,15 +126,15 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
 @click.option("--scheme", type=click.Choice(envelope_mod.SCHEMES),
               default="unknown", show_default=True)
 @click.option("--trials", default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-def verify(config_path: str, scheme: str, trials: int, seed: int) -> None:
+@click.option("--seed", type=int, show_default="the config's seed")
+def verify(config_path: str, scheme: str, trials: int, seed: Optional[int]) -> None:
     """Bit-exact decode sweep over random distinct demands, run on the mixture `rate` prints."""
     if trials < 1:
         _fail(EXIT_VALIDATION, f"error: --trials must be at least 1, got {trials}")
     loaded = load_config(config_path)
     report = simulator_mod.adversarial_sweep(
         loaded.config, loaded.association, scheme=scheme, trials=trials,
-        seed=seed if seed else loaded.seed,
+        seed=loaded.seed if seed is None else seed,
     )
     click.echo(
         f"{scheme}: {report.trials - report.failures}/{report.trials} trials decoded, "

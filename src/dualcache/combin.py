@@ -1,14 +1,14 @@
 """Exact combinatorics: binomials and lexicographic k-subsets of [1..n].
 
 Every placement and delivery routine indexes file pieces by k-subsets,
-so subset enumeration order must be deterministic.  The canonical order
-used throughout is lexicographic on the sorted element tuples.
+so subset enumeration order must be deterministic.  A subset is the
+sorted tuple of its elements, as itertools.combinations yields it, and
+the canonical order used throughout is lexicographic on those tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -19,62 +19,33 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True, order=True)
-class KSubset:
-    """A subset of [1..ground_size] with strictly increasing elements."""
-
-    ground_size: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.ground_size < 0:
-            raise ValueError(f"ground size must be non-negative, got {self.ground_size}")
-        prev = 0
-        for e in self.elements:
-            if not prev < e <= self.ground_size:
-                raise ValueError(
-                    f"elements must be strictly increasing in [1..{self.ground_size}], "
-                    f"got {self.elements}"
-                )
-            prev = e
-
-    @property
-    def k(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def without(self, element: int) -> "KSubset":
-        """The subset with one element removed (element must be present)."""
-        if element not in self.elements:
-            raise ValueError(f"{element} not in {self.elements}")
-        return KSubset(self.ground_size, tuple(e for e in self.elements if e != element))
-
-
-def enumerate_ksubsets(n: int, k: int) -> list[KSubset]:
+def enumerate_ksubsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of [1..n] in lexicographic order; empty when k > n."""
     if k < 0 or k > n:
         return []
-    return [KSubset(n, elems) for elems in combinations(range(1, n + 1), k)]
+    return list(combinations(range(1, n + 1), k))
 
 
-def rank_ksubset(s: KSubset) -> int:
-    """Position of s in the lexicographic enumeration of its (n, k) class."""
-    n, k = s.ground_size, s.k
+def without(subset: tuple[int, ...], element: int) -> tuple[int, ...]:
+    """The subset with one element removed (element must be present)."""
+    i = subset.index(element)
+    return subset[:i] + subset[i + 1:]
+
+
+def rank_ksubset(n: int, s: tuple[int, ...]) -> int:
+    """Position of the subset s of [1..n] in the lexicographic enumeration
+    of its (n, len(s)) class."""
+    k = len(s)
     rank = 0
     prev = 0
-    for i, e in enumerate(s.elements):
+    for i, e in enumerate(s):
         for v in range(prev + 1, e):
             rank += binom(n - v, k - i - 1)
         prev = e
     return rank
 
 
-def unrank_ksubset(n: int, k: int, rank: int) -> KSubset:
+def unrank_ksubset(n: int, k: int, rank: int) -> tuple[int, ...]:
     """Inverse of rank_ksubset for the (n, k) class."""
     total = binom(n, k)
     if not 0 <= rank < total:
@@ -90,4 +61,4 @@ def unrank_ksubset(n: int, k: int, rank: int) -> KSubset:
         else:
             rank -= block
         v += 1
-    return KSubset(n, tuple(elems))
+    return tuple(elems)

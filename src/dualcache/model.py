@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
-
-from .combin import KSubset
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class ConfigError(ValueError):
@@ -191,14 +189,13 @@ class Tier(Enum):
     TWO_LEVEL = "two_level"  # helper-subset x intra-group-position split
 
 
-@dataclass(frozen=True)
-class SubfileId:
+class SubfileId(NamedTuple):
     """Coordinate of one mini-subfile: file index, tier, and its subset indices."""
 
     file: int
     tier: Tier
-    idx_a: KSubset
-    idx_b: Optional[KSubset] = None
+    idx_a: tuple[int, ...]
+    idx_b: Optional[tuple[int, ...]] = None
 
     @property
     def piece(self) -> tuple:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combin import binom, enumerate_ksubsets, rank_ksubset
+from .combin import binom, enumerate_ksubsets, without
 from .model import (
     Association,
     InfeasibleSchemeError,
@@ -34,16 +34,18 @@ class FeasibilityReport:
     reasons: tuple[str, ...]
 
 
+def _helper_cap(k: int, n: int, largest_group: int, t: int) -> Fraction:
+    """Scheme1's helper memory cap at t: N·C(K−L1, t−L1)/C(K, t)."""
+    return Fraction(n * binom(k - largest_group, t - largest_group), binom(k, t))
+
+
 def corner_feasible(k: int, n: int, largest_group: int, t: int, helper_mem: Fraction) -> bool:
     """Envelope-corner gate: t covers the largest group and Ms fits the cap.
 
     Quota integrality is not required here; fractional quotas only block a
     direct single-run placement, not a memory-sharing corner.
     """
-    if not largest_group <= t <= k:
-        return False
-    cap = Fraction(n * binom(k - largest_group, t - largest_group), binom(k, t))
-    return helper_mem <= cap
+    return largest_group <= t <= k and helper_mem <= _helper_cap(k, n, largest_group, t)
 
 
 def scheme1_feasible(config: NetworkConfig, assoc: Association) -> FeasibilityReport:
@@ -59,7 +61,7 @@ def scheme1_feasible(config: NetworkConfig, assoc: Association) -> FeasibilityRe
     if t_int < l1:
         reasons.append(f"t = {t_int} is below the largest group size {l1}")
     else:
-        cap = Fraction(n * binom(k - l1, t_int - l1), binom(k, t_int))
+        cap = _helper_cap(k, n, l1, t_int)
         if config.helper_mem > cap:
             reasons.append(f"Ms = {config.helper_mem} exceeds the helper cap {cap}")
     quota = config.helper_mem * binom(k, t_int) / n
@@ -78,7 +80,7 @@ def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     all_tau = enumerate_ksubsets(k, int(report.t))
     helpers = tuple(
         frozenset([(Tier.SINGLE, tau, None) for tau in all_tau
-                   if set(group) <= set(tau.elements)][:q])
+                   if set(group) <= set(tau)][:q])
         for group in assoc.groups
     )
     users = tuple(
@@ -105,7 +107,7 @@ def deliver_scheme1(config: NetworkConfig, demand: Sequence[int]) -> list[Transm
     out = []
     for big_t in enumerate_ksubsets(k, t + 1):
         summands = frozenset(
-            SubfileId(d[user - 1], Tier.SINGLE, big_t.without(user)) for user in big_t
+            SubfileId(d[user - 1], Tier.SINGLE, without(big_t, user)) for user in big_t
         )
         out.append(Transmission(("T", big_t), summands, size))
     return out
@@ -121,6 +123,6 @@ def layout_scheme1(config: NetworkConfig) -> dict:
     k, t = config.num_users, _integer_t(config)
     size = Fraction(1, binom(k, t))
     return {
-        (Tier.SINGLE, tau, None): (rank_ksubset(tau) * size, size)
-        for tau in enumerate_ksubsets(k, t)
+        (Tier.SINGLE, tau, None): (i * size, size)
+        for i, tau in enumerate(enumerate_ksubsets(k, t))
     }

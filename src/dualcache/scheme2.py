@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combin import binom, enumerate_ksubsets, rank_ksubset
+from .combin import binom, enumerate_ksubsets, without
 from .model import (
     Association,
     InfeasibleSchemeError,
@@ -104,14 +104,9 @@ def deliver_scheme2(
                 for j in big_s:
                     if j <= assoc.profile[helper - 1]:
                         user = assoc.user_at(helper, j)
-                        summands.add(
-                            SubfileId(
-                                d[user - 1],
-                                Tier.TWO_LEVEL,
-                                big_t.without(helper),
-                                big_s.without(j),
-                            )
-                        )
+                        summands.add(SubfileId(
+                            d[user - 1], Tier.TWO_LEVEL, without(big_t, helper), without(big_s, j)
+                        ))
             if summands:
                 out.append(Transmission(("M", big_t, big_s), frozenset(summands), size))
     return out
@@ -141,8 +136,7 @@ def layout_scheme2(config: NetworkConfig, assoc: Association) -> dict:
     size = mini_subfile_size(lam, l1, params.t_s, params.t_p)
     n_rho = binom(l1, params.t_p)
     extents = {}
-    for tau in enumerate_ksubsets(lam, params.t_s):
-        for rho in enumerate_ksubsets(l1, params.t_p):
-            idx = rank_ksubset(tau) * n_rho + rank_ksubset(rho)
-            extents[(Tier.TWO_LEVEL, tau, rho)] = (idx * size, size)
+    for i, tau in enumerate(enumerate_ksubsets(lam, params.t_s)):
+        for j, rho in enumerate(enumerate_ksubsets(l1, params.t_p)):
+            extents[(Tier.TWO_LEVEL, tau, rho)] = ((i * n_rho + j) * size, size)
     return extents

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bounds
-from .combin import binom, enumerate_ksubsets, rank_ksubset
+from .combin import binom, enumerate_ksubsets, without
 from .model import (
     Association,
     CornerPoint,
@@ -106,7 +106,7 @@ def deliver_unknown(
                     if assoc.profile[helper - 1] >= j:
                         user = assoc.user_at(helper, j)
                         summands.add(
-                            SubfileId(d[user - 1], Tier.HELPER, big_t.without(helper))
+                            SubfileId(d[user - 1], Tier.HELPER, without(big_t, helper))
                         )
                 if summands:
                     out.append(Transmission(("T", big_t, j), frozenset(summands), size1))
@@ -115,7 +115,7 @@ def deliver_unknown(
         size2 = params.f2 / binom(k, params.t_p)
         for big_s in enumerate_ksubsets(k, params.t_p + 1):
             summands = frozenset(
-                SubfileId(d[user - 1], Tier.PRIVATE, big_s.without(user))
+                SubfileId(d[user - 1], Tier.PRIVATE, without(big_s, user))
                 for user in big_s
             )
             out.append(Transmission(("S", big_s), summands, size2))
@@ -177,13 +177,10 @@ def layout_unknown(config: NetworkConfig) -> dict:
     extents: dict = {}
     if params.f1 > 0:
         piece = params.f1 / binom(lam, params.t_s)
-        for tau in enumerate_ksubsets(lam, params.t_s):
-            extents[(Tier.HELPER, tau, None)] = (rank_ksubset(tau) * piece, piece)
+        for i, tau in enumerate(enumerate_ksubsets(lam, params.t_s)):
+            extents[(Tier.HELPER, tau, None)] = (i * piece, piece)
     if params.f2 > 0:
         piece = params.f2 / binom(k, params.t_p)
-        for rho in enumerate_ksubsets(k, params.t_p):
-            extents[(Tier.PRIVATE, rho, None)] = (
-                params.f1 + rank_ksubset(rho) * piece,
-                piece,
-            )
+        for i, rho in enumerate(enumerate_ksubsets(k, params.t_p)):
+            extents[(Tier.PRIVATE, rho, None)] = (params.f1 + i * piece, piece)
     return extents

@@ -72,11 +72,9 @@ def build_segment(
                    placement=placement, extents=extents)
 
 
-def choose_file_len(
-    segments: Sequence[Segment], min_len: int = 1, cap: int = FILE_LEN_CAP
-) -> int:
+def choose_file_len(segments: Sequence[Segment], min_len: int = 1) -> int:
     """Smallest byte length making every mini-subfile slice a whole number of
-    bytes, scaled up to min_len; errors past the cap."""
+    bytes, scaled up to min_len; errors past FILE_LEN_CAP."""
     denom = 1
     base = Fraction(0)
     for seg in segments:
@@ -87,9 +85,9 @@ def choose_file_len(
     if base != 1:
         raise ValueError(f"segment weights sum to {base}, expected 1")
     length = denom * max(1, -(-min_len // denom))
-    if length > cap:
+    if length > FILE_LEN_CAP:
         raise InfeasibleSchemeError(
-            f"required file length {length} exceeds the cap {cap}; "
+            f"required file length {length} exceeds the cap {FILE_LEN_CAP}; "
             f"pick a coarser grid point"
         )
     return length

@@ -290,7 +290,7 @@ def test_criterion_8_property_suite():
     for n in range(0, 9):
         for kk in range(0, n + 1):
             for rank, s in enumerate(enumerate_ksubsets(n, kk)):
-                if rank_ksubset(s) != rank or unrank_ksubset(n, kk, rank) != s:
+                if rank_ksubset(n, s) != rank or unrank_ksubset(n, kk, rank) != s:
                     ok = False
 
     # hockey-stick identity up to 12 helpers

@@ -146,6 +146,21 @@ def test_verify_failure_exit_code(config_path, monkeypatch):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("flag, expected", [([], 3), (["--seed", "0"], 0), (["--seed", "5"], 5)])
+def test_verify_seed_flag_overrides_config(config_path, monkeypatch, flag, expected):
+    seeds = []
+    sweep = simulator.adversarial_sweep
+
+    def spy(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "adversarial_sweep", spy)
+    result = CliRunner().invoke(main, ["verify", "--config", config_path, "--trials", "1", *flag])
+    assert result.exit_code == 0
+    assert seeds == [expected]
+
+
 def test_failed_certificate_exits_3(config_path, tmp_path, monkeypatch):
     solve = envelope.simplex_solve
 

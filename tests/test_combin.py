@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dualcache.combin import (
-    KSubset,
     binom,
     enumerate_ksubsets,
     rank_ksubset,
     unrank_ksubset,
+    without,
 )
 
 
@@ -32,41 +32,28 @@ def test_binom_pascal_recurrence():
             assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
 
 
-def test_ksubset_validation():
-    s = KSubset(5, (2, 4))
-    assert s.k == 2
-    assert 2 in s and 3 not in s
-    assert list(s) == [2, 4]
-    with pytest.raises(ValueError):
-        KSubset(3, (1, 4))
-    with pytest.raises(ValueError):
-        KSubset(3, (2, 1))
-    with pytest.raises(ValueError):
-        KSubset(3, (2, 2))
-
-
 def test_without_drops_one_element():
-    s = KSubset(6, (1, 3, 5))
-    assert s.without(3) == KSubset(6, (1, 5))
+    s = (1, 3, 5)
+    assert without(s, 3) == (1, 5)
     with pytest.raises(ValueError):
-        s.without(2)
+        without(s, 2)
 
 
 def test_enumeration_is_lexicographic():
     subs = enumerate_ksubsets(5, 3)
     assert len(subs) == 10
-    assert [s.elements for s in subs] == [
+    assert subs == [
         tuple(c) for c in combinations(range(1, 6), 3)
     ]
     assert enumerate_ksubsets(3, 4) == []
-    assert enumerate_ksubsets(4, 0) == [KSubset(4, ())]
+    assert enumerate_ksubsets(4, 0) == [()]
 
 
 def test_rank_unrank_round_trip_exhaustive():
     for n in range(0, 9):
         for k in range(0, n + 1):
             for rank, s in enumerate(enumerate_ksubsets(n, k)):
-                assert rank_ksubset(s) == rank
+                assert rank_ksubset(n, s) == rank
                 assert unrank_ksubset(n, k, rank) == s
 
 
@@ -97,5 +84,4 @@ def test_rank_of_random_subset(n, data):
     elements = tuple(sorted(data.draw(
         st.sets(st.integers(min_value=1, max_value=max(n, 1)), min_size=k, max_size=k)
     ))) if n else ()
-    s = KSubset(n, elements)
-    assert unrank_ksubset(n, k, rank_ksubset(s)) == s
+    assert unrank_ksubset(n, k, rank_ksubset(n, elements)) == elements

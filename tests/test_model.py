@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from dualcache.converse import build_h
 from dualcache.model import (
     ConfigError,
     NetworkConfig,
+    Tier,
     build_association,
     load_config,
     parse_fraction,
     validate_demand,
 )
-from dualcache.scheme1 import place_scheme1
-from dualcache.scheme2 import place_scheme2
-from dualcache.scheme_unknown import place_unknown
+from dualcache.scheme1 import deliver_scheme1, layout_scheme1, place_scheme1
+from dualcache.scheme2 import deliver_scheme2, layout_scheme2, place_scheme2
+from dualcache.scheme_unknown import deliver_unknown, layout_unknown, place_unknown
 
 
 def test_parse_fraction_forms():
@@ -127,3 +129,28 @@ def test_placement_does_not_depend_on_n(place, partition, small, large):
         placements.append(place(config, build_association(config, partition)))
     assert placements[0] == placements[1]
     assert any(placements[0].helper_contents) and any(placements[0].private_contents)
+
+
+def _plain(value) -> bool:
+    """Built only from int, tuple, None and Tier (a named tuple is a tuple)."""
+    if isinstance(value, tuple):
+        return all(map(_plain, value))
+    return value is None or type(value) in (int, Tier)
+
+
+def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two_level):
+    deep, two_level = net_6users_deep, net_6users_two_level
+    runs = [
+        (place_unknown(net_4users[0]), layout_unknown(net_4users[0]),
+         deliver_unknown(*net_4users, (1, 2, 3, 4))),
+        (place_scheme1(*deep), layout_scheme1(deep[0]), deliver_scheme1(deep[0], range(1, 7))),
+        (place_scheme2(*two_level), layout_scheme2(*two_level),
+         deliver_scheme2(*two_level, range(1, 7))),
+    ]
+    for placement, extents, transmissions in runs:
+        keys = set(extents).union(*placement.helper_contents, *placement.private_contents)
+        pieces = {s.piece for t in transmissions for s in t.summands}
+        assert keys == set(extents) and pieces <= keys
+        assert all(type(key) is tuple and _plain(key) for key in keys)
+    h1, h2 = build_h(*net_4users, (1, 2, 3, 4))
+    assert h1 and h2 and all(map(_plain, h1 | h2))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dualcache.bounds import man_rate
-from dualcache.combin import KSubset, binom, enumerate_ksubsets
+from dualcache.combin import binom, enumerate_ksubsets
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
@@ -43,10 +43,6 @@ def test_feasibility_failures():
     assert any("not an integer" in r for r in report.reasons)
 
 
-def _tau(elements):
-    return KSubset(6, elements)
-
-
 def test_helpers_take_lex_smallest_covering_subsets(net_6users_deep):
     config, assoc = net_6users_deep
     placement = place_scheme1(config, assoc)
@@ -56,7 +52,7 @@ def test_helpers_take_lex_smallest_covering_subsets(net_6users_deep):
         3: [(1, 2, 3, 6), (1, 2, 4, 6), (1, 2, 5, 6)],
     }
     for helper, taus in expected.items():
-        want = frozenset((Tier.SINGLE, _tau(t), None) for t in taus)
+        want = frozenset((Tier.SINGLE, t, None) for t in taus)
         assert placement.helper_contents[helper - 1] == want
 
 

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from dualcache.combin import KSubset
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
@@ -52,7 +51,7 @@ def test_full_helper_memory_means_zero_private_levels():
 
 
 def _sub(n, tau, rho):
-    return SubfileId(n, Tier.TWO_LEVEL, KSubset(3, tau), KSubset(3, rho))
+    return SubfileId(n, Tier.TWO_LEVEL, tau, rho)
 
 
 def test_placement_matches_known_listing(net_6users_two_level):
@@ -94,7 +93,7 @@ def test_delivery_listing_and_rate(net_6users_two_level):
     assert len(out) == 9
     assert all(t.size == Fraction(1, 9) for t in out)
     assert rate_scheme2(config, assoc) == 1
-    by_label = {(t.label[1].elements, t.label[2].elements): t.summands for t in out}
+    by_label = {(t.label[1], t.label[2]): t.summands for t in out}
     assert by_label[((2, 3), (2, 3))] == frozenset({_sub(5, (3,), (3,))})
     assert by_label[((1, 2), (1, 2))] == frozenset({
         _sub(1, (2,), (2,)), _sub(2, (2,), (1,)),

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from dualcache.bounds import man_rate, pue_rate
-from dualcache.combin import KSubset, binom, enumerate_ksubsets
+from dualcache.combin import binom, enumerate_ksubsets, without
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
@@ -28,7 +28,7 @@ def man_reference_transmissions(k, t, demand):
     for big_s in enumerate_ksubsets(k, t + 1):
         out.append(
             frozenset(
-                (demand[user - 1], big_s.without(user).elements) for user in big_s
+                (demand[user - 1], without(big_s, user)) for user in big_s
             )
         )
     return out
@@ -42,7 +42,7 @@ def pue_reference_transmissions(assoc, t_s, demand):
     for j in range(1, rounds + 1):
         for big_t in enumerate_ksubsets(lam, t_s + 1):
             elems = frozenset(
-                (demand[assoc.user_at(helper, j) - 1], big_t.without(helper).elements)
+                (demand[assoc.user_at(helper, j) - 1], without(big_t, helper))
                 for helper in big_t
                 if assoc.profile[helper - 1] >= j
             )
@@ -68,12 +68,12 @@ def test_placement_matches_known_listing(net_4users):
     config, _ = net_4users
     placement = place_unknown(config)
     for helper in (1, 2):
-        expected = frozenset({(Tier.HELPER, KSubset(2, (helper,)), None)})
+        expected = frozenset({(Tier.HELPER, (helper,), None)})
         assert placement.helper_contents[helper - 1] == expected
     # user 1 keeps the user-subset pieces whose index contains 1
     rho_of_user1 = [(1, 2), (1, 3), (1, 4)]
     expected = frozenset(
-        (Tier.PRIVATE, KSubset(4, rho), None) for rho in rho_of_user1
+        (Tier.PRIVATE, rho, None) for rho in rho_of_user1
     )
     assert placement.private_contents[0] == expected
 
@@ -127,7 +127,7 @@ def test_private_only_reduces_to_dedicated_delivery():
     demand = (3, 1, 2, 4)
     out = deliver_unknown(config, assoc, demand)
     got = [
-        frozenset((s.file, s.idx_a.elements) for s in t.summands) for t in out
+        frozenset((s.file, s.idx_a) for s in t.summands) for t in out
     ]
     expected = man_reference_transmissions(4, 2, demand)
     assert sorted(got, key=sorted) == sorted(expected, key=sorted)
@@ -140,7 +140,7 @@ def test_helper_only_reduces_to_shared_delivery():
     demand = (4, 2, 1, 3)
     out = deliver_unknown(config, assoc, demand)
     got = [
-        frozenset((s.file, s.idx_a.elements) for s in t.summands) for t in out
+        frozenset((s.file, s.idx_a) for s in t.summands) for t in out
     ]
     expected = pue_reference_transmissions(assoc, 1, demand)
     assert sorted(got, key=sorted) == sorted(expected, key=sorted)

@@ -35,11 +35,12 @@ def test_file_length_for_mixtures(net_4users):
     assert 48 % choose_file_len(run.segments) == 0
 
 
-def test_file_length_cap(net_4users):
+def test_file_length_cap(net_4users, monkeypatch):
     config, assoc = net_4users
     seg = build_segment("unknown", config, assoc, Fraction(1))
+    monkeypatch.setattr(simulator, "FILE_LEN_CAP", 11)
     with pytest.raises(ValueError):
-        choose_file_len([seg], cap=11)
+        choose_file_len([seg])
 
 
 def test_weights_must_tile_the_file(net_4users):
