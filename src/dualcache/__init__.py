@@ -12,7 +12,6 @@ from .model import (
     NetworkConfig,
     Placement,
     SubfileId,
-    Tier,
     Transmission,
     build_association,
     load_config,
@@ -28,7 +27,6 @@ __all__ = [
     "NetworkConfig",
     "Placement",
     "SubfileId",
-    "Tier",
     "Transmission",
     "binom",
     "build_association",

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .combin import binom
-from .model import Association, InfeasibleSchemeError, NetworkConfig, SubfileId, Tier, validate_demand
+from .model import Association, InfeasibleSchemeError, NetworkConfig, SubfileId, validate_demand
 from .scheme_unknown import place_unknown, rate_unknown, unknown_params
 
 
@@ -44,12 +44,12 @@ def build_h(
     k, lam = config.num_users, config.num_helpers
     ordered = assoc.ordered_users()
     h1 = frozenset(
-        SubfileId(d[user - 1], Tier.HELPER, tau)
+        SubfileId(d[user - 1], tau, ())
         for user in range(1, k + 1)
         for tau in combinations(range(assoc.helper_of(user) + 1, lam + 1), params.t_s)
     ) if params.f1 > 0 else frozenset()
     h2 = frozenset(
-        SubfileId(d[user - 1], Tier.PRIVATE, rho)
+        SubfileId(d[user - 1], rho, None)
         for p, user in enumerate(ordered)
         for rho in combinations(sorted(ordered[p + 1:]), params.t_p)
     ) if params.f2 > 0 else frozenset()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -180,27 +179,44 @@ def validate_demand(config: NetworkConfig, demand: Sequence[int]) -> tuple[int, 
     return d
 
 
-class Tier(Enum):
-    """Which subpacketization family a subfile belongs to."""
-
-    HELPER = "helper"        # split over helper subsets, stored in helper caches
-    PRIVATE = "private"      # split over user subsets, stored in private caches
-    SINGLE = "single"        # one-level split over user subsets (association-known)
-    TWO_LEVEL = "two_level"  # helper-subset x intra-group-position split
-
-
 class SubfileId(NamedTuple):
-    """Coordinate of one mini-subfile: file index, tier, and its subset indices."""
+    """One piece of one file: the file index and the piece key (idx_a, idx_b).
+
+    idx_b names the split: in the helper split it is a position subset rho,
+    empty at t_p = 0, and idx_a a helper subset tau; in the user split it is
+    None and idx_a a user subset.  So an oblivious segment's shares never collide."""
 
     file: int
-    tier: Tier
     idx_a: tuple[int, ...]
     idx_b: Optional[tuple[int, ...]] = None
 
     @property
     def piece(self) -> tuple:
-        """The piece key (tier, idx_a, idx_b): this piece of every file."""
-        return (self.tier, self.idx_a, self.idx_b)
+        """The piece key (idx_a, idx_b): this piece of every file."""
+        return (self.idx_a, self.idx_b)
+
+
+def stored_by(keys: Sequence[tuple], n: int) -> tuple[frozenset, ...]:
+    """Per cache i in [1..n], the piece keys whose idx_a holds i."""
+    caches: list[set] = [set() for _ in range(n)]
+    for key in keys:
+        for i in key[0]:
+            caches[i - 1].add(key)
+    return tuple(map(frozenset, caches))
+
+
+def tile(*parts: tuple[Sequence, Fraction]) -> dict:
+    """Byte layout of one unit file, key -> (offset, size): each part
+    (keys, share) is cut into equal pieces laid end to end, and the parts
+    follow one another."""
+    extents: dict = {}
+    base = Fraction(0)
+    for keys, share in parts:
+        if keys:
+            size = Fraction(share, len(keys))
+            extents.update((key, (base + i * size, size)) for i, key in enumerate(keys))
+        base += share
+    return extents
 
 
 @dataclass(frozen=True)

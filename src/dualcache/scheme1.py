@@ -1,10 +1,10 @@
 """Association-known scheme 1: capacity-limited helper placement with
 dedicated-cache-style delivery at rate (K-t)/(t+1).
 
-Each file is split over t-subsets of users.  A helper may only store
-subfiles covering the whole of its user group; the per-helper quota q is
-what Ms buys, and whatever a user's helper could not hold lands in that
-user's private cache.
+Each file is split over t-subsets of users (the user split, which the
+oblivious scheme also runs).  A helper may only store subfiles covering
+the whole of its user group; the per-helper quota q is what Ms buys, and
+whatever a user's helper could not hold lands in that user's private cache.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from .model import (
     NetworkConfig,
     Placement,
     SubfileId,
-    Tier,
     Transmission,
+    stored_by,
+    tile,
     validate_demand,
 )
 
@@ -70,6 +71,20 @@ def scheme1_feasible(config: NetworkConfig, assoc: Association) -> FeasibilityRe
     return FeasibilityReport(not reasons, t, quota, tuple(reasons))
 
 
+def user_split_keys(k: int, t: int) -> list[tuple]:
+    """User-split piece keys (rho, None), rho a t-subset of [K], in lexicographic order."""
+    return [(rho, None) for rho in enumerate_ksubsets(k, t)]
+
+
+def user_split_delivery(demand: Sequence[int], k: int, t: int, size: Fraction) -> list:
+    """One XOR per (t+1)-subset S of users, exactly the dedicated-cache delivery."""
+    out = []
+    for big_s in enumerate_ksubsets(k, t + 1):
+        summands = frozenset(SubfileId(demand[user - 1], without(big_s, user)) for user in big_s)
+        out.append(Transmission(("S", big_s), summands, size))
+    return out
+
+
 def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     """Helpers take the q lexicographically smallest group-covering subsets;
     users absorb the rest of their own subsets."""
@@ -77,17 +92,12 @@ def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     if not report.feasible:
         raise InfeasibleSchemeError("; ".join(report.reasons))
     k, q = config.num_users, int(report.quota)
-    all_tau = enumerate_ksubsets(k, int(report.t))
+    keys = user_split_keys(k, int(report.t))
     helpers = tuple(
-        frozenset([(Tier.SINGLE, tau, None) for tau in all_tau
-                   if set(group) <= set(tau)][:q])
+        frozenset([key for key in keys if set(group) <= set(key[0])][:q])
         for group in assoc.groups
     )
-    users = tuple(
-        frozenset((Tier.SINGLE, tau, None) for tau in all_tau if user in tau)
-        - helpers[assoc.helper_of(user) - 1]
-        for user in range(1, k + 1)
-    )
+    users = tuple(own - helpers[h - 1] for own, h in zip(stored_by(keys, k), assoc.cache_of))
     return Placement(helper_contents=helpers, private_contents=users)
 
 
@@ -100,17 +110,10 @@ def _integer_t(config: NetworkConfig) -> int:
 
 
 def deliver_scheme1(config: NetworkConfig, demand: Sequence[int]) -> list[Transmission]:
-    """One XOR per (t+1)-subset of users, exactly the dedicated-cache delivery."""
+    """The user split at t over the whole file."""
     d = validate_demand(config, demand)
     k, t = config.num_users, _integer_t(config)
-    size = Fraction(1, binom(k, t))
-    out = []
-    for big_t in enumerate_ksubsets(k, t + 1):
-        summands = frozenset(
-            SubfileId(d[user - 1], Tier.SINGLE, without(big_t, user)) for user in big_t
-        )
-        out.append(Transmission(("T", big_t), summands, size))
-    return out
+    return user_split_delivery(d, k, t, Fraction(1, binom(k, t)))
 
 
 def rate_scheme1(config: NetworkConfig) -> Fraction:
@@ -120,9 +123,4 @@ def rate_scheme1(config: NetworkConfig) -> Fraction:
 
 def layout_scheme1(config: NetworkConfig) -> dict:
     """Byte layout of one unit file over its t-subset pieces."""
-    k, t = config.num_users, _integer_t(config)
-    size = Fraction(1, binom(k, t))
-    return {
-        (Tier.SINGLE, tau, None): (i * size, size)
-        for i, tau in enumerate(enumerate_ksubsets(k, t))
-    }
+    return tile((user_split_keys(config.num_users, _integer_t(config)), 1))

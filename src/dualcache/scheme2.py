@@ -4,7 +4,8 @@ Files are split over (helper subset tau, intra-group position subset rho)
 pairs with t_s = Lambda*Ms/N and t_p = L1*Mp/(N - Ms).  A helper stores
 everything indexed by its own tau; the j-th user of a helper stores the
 pieces its helper misses whose position subset contains j.  Delivery XORs
-over the cartesian products T x S of (t_s+1)- and (t_p+1)-subsets.
+over the cartesian products T x S of (t_s+1)- and (t_p+1)-subsets.  At
+t_p = 0 this helper split is the shared-cache scheme the oblivious scheme runs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .model import (
     NetworkConfig,
     Placement,
     SubfileId,
-    Tier,
     Transmission,
+    stored_by,
+    tile,
     validate_demand,
 )
 
@@ -66,50 +68,56 @@ def mini_subfile_size(lam: int, l1: int, t_s: int, t_p: int) -> Fraction:
     return Fraction(1, binom(lam, t_s) * binom(l1, t_p))
 
 
-def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
-    params = scheme2_params(config, assoc)
-    lam = config.num_helpers
-    helpers: list[set] = [set() for _ in range(lam)]
-    users: list[set] = [set() for _ in range(config.num_users)]
-    rhos = enumerate_ksubsets(params.largest_group, params.t_p)
-    for tau in enumerate_ksubsets(lam, params.t_s):
-        for rho in rhos:
-            key = (Tier.TWO_LEVEL, tau, rho)
-            for helper in range(1, lam + 1):
-                if helper in tau:
-                    helpers[helper - 1].add(key)
-                    continue
-                for j in rho:
-                    if j <= assoc.profile[helper - 1]:
-                        users[assoc.user_at(helper, j) - 1].add(key)
-    return Placement(
-        helper_contents=tuple(map(frozenset, helpers)),
-        private_contents=tuple(map(frozenset, users)),
-    )
+def helper_split_keys(lam: int, l1: int, t_s: int, t_p: int) -> list[tuple]:
+    """Helper-split piece keys (tau, rho), tau a t_s-subset of [Lambda] and
+    rho a t_p-subset of [L1], in lexicographic (tau, rho) order."""
+    rhos = enumerate_ksubsets(l1, t_p)
+    return [(tau, rho) for tau in enumerate_ksubsets(lam, t_s) for rho in rhos]
 
 
-def deliver_scheme2(
-    config: NetworkConfig, assoc: Association, demand: Sequence[int]
-) -> list[Transmission]:
+def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int, size: Fraction) -> list:
     """One XOR per T x S pair with at least one present (helper, position) slot."""
-    d = validate_demand(config, demand)
-    params = scheme2_params(config, assoc)
-    lam, l1 = config.num_helpers, params.largest_group
-    size = mini_subfile_size(lam, l1, params.t_s, params.t_p)
+    big_ss = enumerate_ksubsets(assoc.largest_group, t_p + 1)
     out = []
-    for big_t in enumerate_ksubsets(lam, params.t_s + 1):
-        for big_s in enumerate_ksubsets(l1, params.t_p + 1):
+    for big_t in enumerate_ksubsets(assoc.num_helpers, t_s + 1):
+        for big_s in big_ss:
             summands = set()
             for helper in big_t:
                 for j in big_s:
                     if j <= assoc.profile[helper - 1]:
                         user = assoc.user_at(helper, j)
                         summands.add(SubfileId(
-                            d[user - 1], Tier.TWO_LEVEL, without(big_t, helper), without(big_s, j)
+                            demand[user - 1], without(big_t, helper), without(big_s, j)
                         ))
             if summands:
-                out.append(Transmission(("M", big_t, big_s), frozenset(summands), size))
+                out.append(Transmission(("T", big_t, big_s), frozenset(summands), size))
     return out
+
+
+def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
+    """A helper stores the keys whose tau holds it; the j-th user of a
+    helper outside tau stores those whose rho holds j."""
+    params = scheme2_params(config, assoc)
+    keys = helper_split_keys(config.num_helpers, params.largest_group, params.t_s, params.t_p)
+    users: list[set] = [set() for _ in range(config.num_users)]
+    for key in keys:
+        tau, rho = key
+        for helper, group in enumerate(assoc.groups, start=1):
+            if helper not in tau:
+                for j in rho:
+                    if j <= len(group):
+                        users[group[j - 1] - 1].add(key)
+    return Placement(stored_by(keys, config.num_helpers), tuple(map(frozenset, users)))
+
+
+def deliver_scheme2(
+    config: NetworkConfig, assoc: Association, demand: Sequence[int]
+) -> list[Transmission]:
+    """The helper split at (t_s, t_p) over the whole file."""
+    d = validate_demand(config, demand)
+    params = scheme2_params(config, assoc)
+    size = mini_subfile_size(config.num_helpers, params.largest_group, params.t_s, params.t_p)
+    return helper_split_delivery(assoc, d, params.t_s, params.t_p, size)
 
 
 def rate_scheme2_formula(
@@ -132,11 +140,5 @@ def rate_scheme2(config: NetworkConfig, assoc: Association) -> Fraction:
 def layout_scheme2(config: NetworkConfig, assoc: Association) -> dict:
     """Byte layout of one unit file over its (tau, rho) grid."""
     params = scheme2_params(config, assoc)
-    lam, l1 = config.num_helpers, params.largest_group
-    size = mini_subfile_size(lam, l1, params.t_s, params.t_p)
-    n_rho = binom(l1, params.t_p)
-    extents = {}
-    for i, tau in enumerate(enumerate_ksubsets(lam, params.t_s)):
-        for j, rho in enumerate(enumerate_ksubsets(l1, params.t_p)):
-            extents[(Tier.TWO_LEVEL, tau, rho)] = ((i * n_rho + j) * size, size)
-    return extents
+    return tile((helper_split_keys(
+        config.num_helpers, params.largest_group, params.t_s, params.t_p), 1))

@@ -1,10 +1,10 @@
 """Association-oblivious scheme: two-tier placement, delivery, and rate.
 
 Each file is split into a helper part (fraction F1 = Ms/(Ms+Mp)) and a
-private part (F2 = Mp/(Ms+Mp)).  The helper part is subpacketized over
-t_s-subsets of helpers, the private part over t_p-subsets of users, with
-t_s = Lambda*(Ms+Mp)/N and t_p = K*(Ms+Mp)/N.  Delivery XORs across the
-helper subsets round by round and across the user subsets directly.
+private part (F2 = Mp/(Ms+Mp)), with t_s = Lambda*(Ms+Mp)/N and
+t_p = K*(Ms+Mp)/N.  The helper part runs scheme2's helper split at
+(t_s, 0), the shared-cache scheme; the private part runs scheme1's user
+split at t_p, the dedicated-cache scheme.
 """
 
 from __future__ import annotations
@@ -14,18 +14,20 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bounds
-from .combin import binom, enumerate_ksubsets, without
+from .combin import binom
 from .model import (
     Association,
     CornerPoint,
     InfeasibleSchemeError,
     NetworkConfig,
     Placement,
-    SubfileId,
-    Tier,
     Transmission,
+    stored_by,
+    tile,
     validate_demand,
 )
+from .scheme1 import user_split_delivery, user_split_keys
+from .scheme2 import helper_split_delivery, helper_split_keys
 
 
 @dataclass(frozen=True)
@@ -65,61 +67,37 @@ def unknown_params(config: NetworkConfig) -> UnknownSchemeParams:
     return UnknownSchemeParams(t_s=t_s, t_p=t_p, f1=f1, f2=f2)
 
 
-def place_unknown(config: NetworkConfig) -> Placement:
-    """Fill helper caches over helper subsets and user caches over user subsets."""
+def _splits(config: NetworkConfig) -> tuple[tuple[list, Fraction], tuple[list, Fraction]]:
+    """(keys, share) of the helper split at (t_s, 0) and of the user split at t_p,
+    no keys for a zero share; at t_p = 0 the position count does not matter."""
     params = unknown_params(config)
-    k, lam = config.num_users, config.num_helpers
-    helpers: list[set] = [set() for _ in range(lam)]
-    users: list[set] = [set() for _ in range(k)]
-    if params.f1 > 0:
-        for tau in enumerate_ksubsets(lam, params.t_s):
-            for helper in tau:
-                helpers[helper - 1].add((Tier.HELPER, tau, None))
-    if params.f2 > 0:
-        for rho in enumerate_ksubsets(k, params.t_p):
-            for user in rho:
-                users[user - 1].add((Tier.PRIVATE, rho, None))
-    return Placement(
-        helper_contents=tuple(map(frozenset, helpers)),
-        private_contents=tuple(map(frozenset, users)),
-    )
+    helper = helper_split_keys(config.num_helpers, 0, params.t_s, 0) if params.f1 > 0 else []
+    user = user_split_keys(config.num_users, params.t_p) if params.f2 > 0 else []
+    return (helper, params.f1), (user, params.f2)
+
+
+def place_unknown(config: NetworkConfig) -> Placement:
+    """Fill helper caches over helper subsets and user caches over user subsets;
+    at t_p = 0 no user stores a helper-split piece."""
+    (helper_keys, _), (user_keys, _) = _splits(config)
+    return Placement(stored_by(helper_keys, config.num_helpers),
+                     stored_by(user_keys, config.num_users))
 
 
 def deliver_unknown(
     config: NetworkConfig, assoc: Association, demand: Sequence[int]
 ) -> list[Transmission]:
-    """Round-by-round helper-tier XORs followed by user-tier XORs."""
+    """The helper split at (t_s, 0) on F1, then the user split at t_p on F2."""
     d = validate_demand(config, demand)
     if assoc.num_users != config.num_users or assoc.num_helpers != config.num_helpers:
         raise ValueError("association does not match the configuration")
     params = unknown_params(config)
     k, lam = config.num_users, config.num_helpers
     out: list[Transmission] = []
-
     if params.f1 > 0:
-        size1 = params.f1 / binom(lam, params.t_s)
-        rounds = assoc.profile[0] if assoc.profile else 0
-        for j in range(1, rounds + 1):
-            for big_t in enumerate_ksubsets(lam, params.t_s + 1):
-                summands = set()
-                for helper in big_t:
-                    if assoc.profile[helper - 1] >= j:
-                        user = assoc.user_at(helper, j)
-                        summands.add(
-                            SubfileId(d[user - 1], Tier.HELPER, without(big_t, helper))
-                        )
-                if summands:
-                    out.append(Transmission(("T", big_t, j), frozenset(summands), size1))
-
+        out += helper_split_delivery(assoc, d, params.t_s, 0, params.f1 / binom(lam, params.t_s))
     if params.f2 > 0:
-        size2 = params.f2 / binom(k, params.t_p)
-        for big_s in enumerate_ksubsets(k, params.t_p + 1):
-            summands = frozenset(
-                SubfileId(d[user - 1], Tier.PRIVATE, without(big_s, user))
-                for user in big_s
-            )
-            out.append(Transmission(("S", big_s), summands, size2))
-
+        out += user_split_delivery(d, k, params.t_p, params.f2 / binom(k, params.t_p))
     return out
 
 
@@ -132,8 +110,7 @@ def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
         served = bounds.pue_profile_sum(lam, params.t_s, profile)
         rate += params.f1 * Fraction(served, binom(lam, params.t_s))
     if params.f2 > 0:
-        t_p = params.t_p
-        rate += params.f2 * Fraction(k - t_p, t_p + 1)
+        rate += params.f2 * Fraction(k - params.t_p, params.t_p + 1)
     return rate
 
 
@@ -171,16 +148,6 @@ def rate_unknown_general(config: NetworkConfig, profile: Sequence[int]) -> Fract
 
 
 def layout_unknown(config: NetworkConfig) -> dict:
-    """Byte layout of one unit file: (tier, idx_a, idx_b) -> (offset, size)."""
-    params = unknown_params(config)
-    k, lam = config.num_users, config.num_helpers
-    extents: dict = {}
-    if params.f1 > 0:
-        piece = params.f1 / binom(lam, params.t_s)
-        for i, tau in enumerate(enumerate_ksubsets(lam, params.t_s)):
-            extents[(Tier.HELPER, tau, None)] = (i * piece, piece)
-    if params.f2 > 0:
-        piece = params.f2 / binom(k, params.t_p)
-        for i, rho in enumerate(enumerate_ksubsets(k, params.t_p)):
-            extents[(Tier.PRIVATE, rho, None)] = (params.f1 + i * piece, piece)
-    return extents
+    """Byte layout of one unit file: the helper keys over [0, F1), then the
+    user keys over [F1, 1)."""
+    return tile(*_splits(config))

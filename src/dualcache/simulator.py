@@ -39,7 +39,7 @@ class Segment:
     weight: Fraction
     config: NetworkConfig
     placement: Placement
-    extents: dict  # (tier, idx_a, idx_b) -> (offset, size), relative to a unit segment
+    extents: dict  # (idx_a, idx_b) -> (offset, size), relative to a unit segment
 
     def transmissions(self, assoc: Association, demand: Sequence[int]) -> list[Transmission]:
         if self.tag == "scheme1":

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualcache import envelope, simulator
 from dualcache.cli import main
@@ -209,3 +210,64 @@ def test_verify_point_too_fine_to_simulate(tmp_path):
     result = CliRunner().invoke(main, ["verify", "--config", str(path), "--trials", "1"])
     _assert_rejected(result, code=2)
     assert "exceeds the cap" in result.output
+
+
+def _stderr_runner() -> CliRunner:
+    """A runner that keeps stderr apart (click < 8.2 needs mix_stderr=False)."""
+    try:
+        return CliRunner(mix_stderr=False)
+    except TypeError:
+        return CliRunner()
+
+
+def _mostly(draw, valid, malformed):
+    """valid three times in four, else one of the malformed values."""
+    return draw(st.sampled_from(malformed)) if draw(st.integers(0, 3)) == 3 else valid
+
+
+@st.composite
+def _configs(draw):
+    k = draw(st.integers(1, 5))
+    n = _mostly(draw, draw(st.integers(k, 5)), [k - 1, 0, 2.5, "5", True])
+    lam = draw(st.integers(1, k))
+    cache_of = draw(st.lists(st.integers(0, lam - 1), min_size=k, max_size=k))
+    groups = [[u for u, h in enumerate(cache_of, start=1) if h == g] for g in range(lam)]
+    flat = [u for group in groups for u in group]
+    association = _mostly(draw, groups, [
+        groups[:-1], [flat], flat, [groups], "1", [[str(u) for u in flat]],
+        [*groups[:-1], groups[-1] + [k + 1]], [*groups[:-1], groups[-1] + [flat[0]]],
+    ])
+    memory = st.one_of(
+        st.integers(0, 3),
+        st.builds(lambda a, b: f"{a}/{b}", st.integers(0, 12), st.integers(1, 4)),
+        st.sampled_from([0.5, 1.25, 2.0, 0.1]),
+    )
+    invalid = [-1, -2.5, "-1/2", 99, "abc", "", "1/0", True, None, [1]]
+    payload = {"N": n, "K": k, "Lambda": lam, "Ms": _mostly(draw, draw(memory), invalid),
+               "Mp": _mostly(draw, draw(memory), invalid), "association": association}
+    if draw(st.booleans()):
+        demand = list(draw(st.permutations(range(1, max(n, k) + 1 if type(n) is int else k + 1))))
+        payload["demand"] = _mostly(draw, demand[:k], [
+            demand[:k - 1], demand[:1] * k, [0] * k, [str(d) for d in demand[:k]],
+            [float(d) for d in demand[:k]], 4, [[1]],
+        ])
+    if draw(st.booleans()):
+        payload["seed"] = _mostly(draw, draw(st.integers(0, 9)), ["1", 1.5, -1])
+    return payload
+
+
+_COMMANDS = [["rate", "--scheme", "all"], ["bounds"], ["converse"], ["verify", "--trials", "1"]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_configs(), command=st.sampled_from(_COMMANDS))
+def test_cli_survives_fuzzed_configs(tmp_path, payload, command):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    result = _stderr_runner().invoke(main, [*command, "--config", str(path)])
+    assert result.exit_code in (0, 1, 2, 3), (payload, command, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        payload, command, result.exception)
+    if result.exit_code != 0:
+        assert len(result.stderr.strip().splitlines()) == 1, (payload, command, result.stderr)

@@ -8,17 +8,17 @@ import pytest
 from dualcache.combin import binom
 from dualcache.converse import build_h, certify, verify_acyclic
 from dualcache.model import (
-    InfeasibleSchemeError, NetworkConfig, SubfileId, Tier, build_association,
+    InfeasibleSchemeError, NetworkConfig, SubfileId, build_association,
 )
 from dualcache.scheme_unknown import place_unknown, unknown_params
 
 
 def _helper_sub(n, tau):
-    return SubfileId(n, Tier.HELPER, tau)
+    return SubfileId(n, tau, ())
 
 
 def _private_sub(n, rho):
-    return SubfileId(n, Tier.PRIVATE, rho)
+    return SubfileId(n, rho, None)
 
 
 def test_positions_follow_group_order(net_4users):
@@ -188,7 +188,7 @@ def test_receiver_quotient_matches_subfile_graph():
             placed = sorted(
                 _every_file(config, frozenset().union(
                     *placement.helper_contents, *placement.private_contents)),
-                key=lambda v: (v.file, v.tier.value, v.idx_a),
+                key=lambda v: (v.file, v.idx_b is None, v.idx_a),
             )
             h = frozenset().union(*build_h(config, assoc, demand))
             candidates = [h] + [

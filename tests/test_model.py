@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from dualcache.converse import build_h
+from dualcache.envelope import SCHEMES, scheme_run
 from dualcache.model import (
     ConfigError,
+    InfeasibleSchemeError,
     NetworkConfig,
-    Tier,
     build_association,
     load_config,
     parse_fraction,
@@ -132,10 +133,10 @@ def test_placement_does_not_depend_on_n(place, partition, small, large):
 
 
 def _plain(value) -> bool:
-    """Built only from int, tuple, None and Tier (a named tuple is a tuple)."""
+    """Built only from int, tuple and None (a named tuple is a tuple)."""
     if isinstance(value, tuple):
         return all(map(_plain, value))
-    return value is None or type(value) in (int, Tier)
+    return value is None or type(value) is int
 
 
 def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two_level):
@@ -154,3 +155,21 @@ def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two
         assert all(type(key) is tuple and _plain(key) for key in keys)
     h1, h2 = build_h(*net_4users, (1, 2, 3, 4))
     assert h1 and h2 and all(map(_plain, h1 | h2))
+
+
+def test_transmission_sizes_match_the_layout(net_4users, net_6users_deep, net_6users_two_level):
+    # a piece's size is written twice, by the layout and by the delivery's
+    # size argument; the simulator reads only the layout
+    checked = set()
+    for config, assoc in (net_4users, net_6users_deep, net_6users_two_level):
+        demand = tuple(range(config.num_users, 0, -1))
+        for name in SCHEMES:
+            try:
+                run = scheme_run(name, config, assoc)
+            except InfeasibleSchemeError:
+                continue
+            for seg in run.segments:
+                for trans in seg.transmissions(assoc, demand):
+                    assert {seg.extents[s.piece][1] for s in trans.summands} == {trans.size}
+                checked.add(seg.tag)
+    assert checked == set(SCHEMES)

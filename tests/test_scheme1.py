@@ -7,7 +7,6 @@ from dualcache.combin import binom, enumerate_ksubsets
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
-    Tier,
     build_association,
 )
 from dualcache.scheme1 import (
@@ -52,7 +51,7 @@ def test_helpers_take_lex_smallest_covering_subsets(net_6users_deep):
         3: [(1, 2, 3, 6), (1, 2, 4, 6), (1, 2, 5, 6)],
     }
     for helper, taus in expected.items():
-        want = frozenset((Tier.SINGLE, t, None) for t in taus)
+        want = frozenset((t, None) for t in taus)
         assert placement.helper_contents[helper - 1] == want
 
 
@@ -70,10 +69,10 @@ def test_placement_memory_and_coverage(net_6users_deep):
         assert load(placement.private_contents[user - 1]) == config.private_mem
         # the user's own and its helper's contents tile {tau : user in tau}
         helper = assoc.helper_of(user)
-        own = {idx_a for _, idx_a, _ in placement.private_contents[user - 1]}
+        own = {idx_a for idx_a, _ in placement.private_contents[user - 1]}
         shared = {
             idx_a
-            for _, idx_a, _ in placement.helper_contents[helper - 1]
+            for idx_a, _ in placement.helper_contents[helper - 1]
             if user in idx_a
         }
         assert own.isdisjoint(shared)

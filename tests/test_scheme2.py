@@ -6,7 +6,6 @@ from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
     SubfileId,
-    Tier,
     build_association,
 )
 from dualcache.scheme2 import (
@@ -51,7 +50,7 @@ def test_full_helper_memory_means_zero_private_levels():
 
 
 def _sub(n, tau, rho):
-    return SubfileId(n, Tier.TWO_LEVEL, tau, rho)
+    return SubfileId(n, tau, rho)
 
 
 def test_placement_matches_known_listing(net_6users_two_level):

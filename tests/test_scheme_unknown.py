@@ -8,9 +8,10 @@ from dualcache.combin import binom, enumerate_ksubsets, without
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
-    Tier,
     build_association,
 )
+from dualcache.scheme1 import deliver_scheme1, layout_scheme1
+from dualcache.scheme2 import deliver_scheme2, layout_scheme2, place_scheme2
 from dualcache.scheme_unknown import (
     deliver_unknown,
     layout_unknown,
@@ -68,12 +69,12 @@ def test_placement_matches_known_listing(net_4users):
     config, _ = net_4users
     placement = place_unknown(config)
     for helper in (1, 2):
-        expected = frozenset({(Tier.HELPER, (helper,), None)})
+        expected = frozenset({((helper,), ())})
         assert placement.helper_contents[helper - 1] == expected
     # user 1 keeps the user-subset pieces whose index contains 1
     rho_of_user1 = [(1, 2), (1, 3), (1, 4)]
     expected = frozenset(
-        (Tier.PRIVATE, rho, None) for rho in rho_of_user1
+        (rho, None) for rho in rho_of_user1
     )
     assert placement.private_contents[0] == expected
 
@@ -196,3 +197,27 @@ def test_simulated_rate_equals_formula(lam, k, partition):
             report = run_end_to_end(config, assoc, tuple(range(1, k + 1)), seed=t)
             assert report.ok, report.failure
             assert report.measured_rate == rate_unknown(config, assoc.profile)
+
+
+@pytest.mark.parametrize("n,lam,partition", [
+    (4, 2, [[1, 2, 3], [4]]),
+    (6, 3, [[1, 2, 3], [4, 5], [6]]),
+    (6, 2, [[1, 2, 3, 4], [5, 6]]),
+    (6, 3, [[1, 2], [3, 4], [5, 6]]),
+])
+def test_extreme_points_run_the_component_schemes(n, lam, partition):
+    # helper-only, the oblivious scheme is the helper split at t_p = 0, which
+    # is scheme2 there; private-only, it is the user split, which is scheme1
+    k = n
+    demand = tuple(range(k, 0, -1))
+    for t_s in range(1, lam + 1):
+        config = NetworkConfig(n, k, lam, Fraction(t_s * n, lam), Fraction(0))
+        assoc = build_association(config, partition)
+        assert deliver_unknown(config, assoc, demand) == deliver_scheme2(config, assoc, demand)
+        assert layout_unknown(config) == layout_scheme2(config, assoc)
+        assert place_unknown(config) == place_scheme2(config, assoc)
+    for t in range(k + 1):
+        config = NetworkConfig(n, k, lam, Fraction(0), Fraction(t * n, k))
+        assoc = build_association(config, partition)
+        assert deliver_unknown(config, assoc, demand) == deliver_scheme1(config, demand)
+        assert layout_unknown(config) == layout_scheme1(config)

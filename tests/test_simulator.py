@@ -130,7 +130,7 @@ def _reference_run(config, assoc, demand, run, seed):
         base += seg.weight
 
     def slice_of(seg_idx, sub):
-        start, length = slots[seg_idx][(sub.tier, sub.idx_a, sub.idx_b)]
+        start, length = slots[seg_idx][sub.piece]
         return files[sub.file][start:start + length]
 
     def subfiles(pieces):
@@ -197,8 +197,7 @@ def _reference_run(config, assoc, demand, run, seed):
         user_ok = True
         for i, seg in enumerate(segments):
             for key, (start, length) in slots[i].items():
-                tier, idx_a, idx_b = key
-                sub = SubfileId(wanted, tier, idx_a, idx_b)
+                sub = SubfileId(wanted, *key)
                 data = known[user - 1].get((i, sub))
                 if data is None:
                     user_ok = False
