@@ -26,6 +26,13 @@ class CertificateError(ArithmeticError):
     """An LP optimum whose dual certificate does not check."""
 
 
+def integral(name: str, value: Fraction) -> int:
+    """A scheme's split parameter as an int: a direct run needs an integer."""
+    if value.denominator != 1:
+        raise InfeasibleSchemeError(f"{name} = {value} is not an integer")
+    return int(value)
+
+
 def parse_fraction(value) -> Fraction:
     """Parse an exact rational from an int, a decimal number, or an 'a/b' string."""
     if isinstance(value, bool):
@@ -221,11 +228,12 @@ def tile(*parts: tuple[Sequence, Fraction]) -> dict:
 
 @dataclass(frozen=True)
 class Transmission:
-    """One XOR broadcast: a generating label, its summands, and its size."""
+    """One XOR broadcast: a generating label and its summands.  The summands
+    have one layout size, which is the broadcast's size; only the layout
+    sizes a piece."""
 
     label: tuple
     summands: frozenset
-    size: Fraction
 
     def __post_init__(self) -> None:
         if not self.summands:

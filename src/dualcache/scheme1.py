@@ -9,7 +9,6 @@ whatever a user's helper could not hold lands in that user's private cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,18 +20,11 @@ from .model import (
     Placement,
     SubfileId,
     Transmission,
+    integral,
     stored_by,
     tile,
     validate_demand,
 )
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    t: Fraction
-    quota: Fraction
-    reasons: tuple[str, ...]
 
 
 def _helper_cap(k: int, n: int, largest_group: int, t: int) -> Fraction:
@@ -49,26 +41,22 @@ def corner_feasible(k: int, n: int, largest_group: int, t: int, helper_mem: Frac
     return largest_group <= t <= k and helper_mem <= _helper_cap(k, n, largest_group, t)
 
 
-def scheme1_feasible(config: NetworkConfig, assoc: Association) -> FeasibilityReport:
-    """Direct-run gate: integer t, t >= L1, Ms under the cap, integer quota."""
-    k, n = config.num_users, config.num_files
-    l1 = assoc.largest_group
-    t = Fraction(k) * config.total_mem / n
-    reasons: list[str] = []
-    if t.denominator != 1:
-        reasons.append(f"t = {t} is not an integer")
-        return FeasibilityReport(False, t, Fraction(0), tuple(reasons))
-    t_int = int(t)
-    if t_int < l1:
-        reasons.append(f"t = {t_int} is below the largest group size {l1}")
-    else:
-        cap = _helper_cap(k, n, l1, t_int)
-        if config.helper_mem > cap:
-            reasons.append(f"Ms = {config.helper_mem} exceeds the helper cap {cap}")
-    quota = config.helper_mem * binom(k, t_int) / n
-    if quota.denominator != 1:
-        reasons.append(f"helper quota q = {quota} is not an integer")
-    return FeasibilityReport(not reasons, t, quota, tuple(reasons))
+def _integer_t(config: NetworkConfig) -> int:
+    """The user split's level t = K(Ms+Mp)/N."""
+    return integral("t", Fraction(config.num_users) * config.total_mem / config.num_files)
+
+
+def scheme1_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]:
+    """Direct-run gate: integer t >= L1, Ms under the cap and an integer
+    helper quota q; returns (t, q)."""
+    k, n, l1 = config.num_users, config.num_files, assoc.largest_group
+    t = _integer_t(config)
+    if t < l1:
+        raise InfeasibleSchemeError(f"t = {t} is below the largest group size {l1}")
+    cap = _helper_cap(k, n, l1, t)
+    if config.helper_mem > cap:
+        raise InfeasibleSchemeError(f"Ms = {config.helper_mem} exceeds the helper cap {cap}")
+    return t, integral("helper quota q", config.helper_mem * binom(k, t) / n)
 
 
 def user_split_keys(k: int, t: int) -> list[tuple]:
@@ -76,23 +64,21 @@ def user_split_keys(k: int, t: int) -> list[tuple]:
     return [(rho, None) for rho in enumerate_ksubsets(k, t)]
 
 
-def user_split_delivery(demand: Sequence[int], k: int, t: int, size: Fraction) -> list:
+def user_split_delivery(demand: Sequence[int], k: int, t: int) -> list:
     """One XOR per (t+1)-subset S of users, exactly the dedicated-cache delivery."""
     out = []
     for big_s in enumerate_ksubsets(k, t + 1):
         summands = frozenset(SubfileId(demand[user - 1], without(big_s, user)) for user in big_s)
-        out.append(Transmission(("S", big_s), summands, size))
+        out.append(Transmission(("S", big_s), summands))
     return out
 
 
 def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     """Helpers take the q lexicographically smallest group-covering subsets;
     users absorb the rest of their own subsets."""
-    report = scheme1_feasible(config, assoc)
-    if not report.feasible:
-        raise InfeasibleSchemeError("; ".join(report.reasons))
-    k, q = config.num_users, int(report.quota)
-    keys = user_split_keys(k, int(report.t))
+    t, q = scheme1_params(config, assoc)
+    k = config.num_users
+    keys = user_split_keys(k, t)
     helpers = tuple(
         frozenset([key for key in keys if set(group) <= set(key[0])][:q])
         for group in assoc.groups
@@ -101,19 +87,10 @@ def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     return Placement(helper_contents=helpers, private_contents=users)
 
 
-def _integer_t(config: NetworkConfig) -> int:
-    """t = K(Ms+Mp)/N; raises when it is not an integer."""
-    t = Fraction(config.num_users) * config.total_mem / config.num_files
-    if t.denominator != 1:
-        raise InfeasibleSchemeError(f"t = {t} is not an integer")
-    return int(t)
-
-
 def deliver_scheme1(config: NetworkConfig, demand: Sequence[int]) -> list[Transmission]:
     """The user split at t over the whole file."""
     d = validate_demand(config, demand)
-    k, t = config.num_users, _integer_t(config)
-    return user_split_delivery(d, k, t, Fraction(1, binom(k, t)))
+    return user_split_delivery(d, config.num_users, _integer_t(config))
 
 
 def rate_scheme1(config: NetworkConfig) -> Fraction:

@@ -10,7 +10,6 @@ t_p = 0 this helper split is the shared-cache scheme the oblivious scheme runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,50 +21,25 @@ from .model import (
     Placement,
     SubfileId,
     Transmission,
+    integral,
     stored_by,
     tile,
     validate_demand,
 )
 
 
-@dataclass(frozen=True)
-class Scheme2Params:
-    t_s: int
-    t_p: int
-    largest_group: int
-
-
-def scheme2_params(config: NetworkConfig, assoc: Association) -> Scheme2Params:
-    """Derive integer (t_s, t_p); t_s = 0 points belong to the dedicated-cache
-    engine, and fractional parameters route through the envelope."""
-    n, lam = config.num_files, config.num_helpers
-    l1 = assoc.largest_group
-    ts = Fraction(lam) * config.helper_mem / n
-    if ts.denominator != 1:
-        raise InfeasibleSchemeError(
-            f"t_s = {ts} is not an integer; use the memory-sharing envelope"
-        )
-    t_s = int(ts)
+def scheme2_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]:
+    """Direct-run gate: integer (t_s, t_p); t_s = 0 points belong to the
+    dedicated-cache engine."""
+    n = config.num_files
+    t_s = integral("t_s", Fraction(config.num_helpers) * config.helper_mem / n)
     if t_s == 0:
         raise InfeasibleSchemeError(
             "t_s = 0 (no helper memory): this point is served by the dedicated-cache scheme"
         )
     if config.helper_mem == n:
-        t_p = 0
-    else:
-        tp = Fraction(l1) * config.private_mem / (n - config.helper_mem)
-        if tp.denominator != 1:
-            raise InfeasibleSchemeError(
-                f"t_p = {tp} is not an integer; use the memory-sharing envelope"
-            )
-        t_p = int(tp)
-    if not 0 <= t_p <= l1:
-        raise InfeasibleSchemeError(f"t_p = {t_p} outside [0, {l1}]")
-    return Scheme2Params(t_s=t_s, t_p=t_p, largest_group=l1)
-
-
-def mini_subfile_size(lam: int, l1: int, t_s: int, t_p: int) -> Fraction:
-    return Fraction(1, binom(lam, t_s) * binom(l1, t_p))
+        return t_s, 0
+    return t_s, integral("t_p", assoc.largest_group * config.private_mem / (n - config.helper_mem))
 
 
 def helper_split_keys(lam: int, l1: int, t_s: int, t_p: int) -> list[tuple]:
@@ -75,7 +49,7 @@ def helper_split_keys(lam: int, l1: int, t_s: int, t_p: int) -> list[tuple]:
     return [(tau, rho) for tau in enumerate_ksubsets(lam, t_s) for rho in rhos]
 
 
-def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int, size: Fraction) -> list:
+def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> list:
     """One XOR per T x S pair with at least one present (helper, position) slot."""
     big_ss = enumerate_ksubsets(assoc.largest_group, t_p + 1)
     out = []
@@ -90,15 +64,15 @@ def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int, size: 
                             demand[user - 1], without(big_t, helper), without(big_s, j)
                         ))
             if summands:
-                out.append(Transmission(("T", big_t, big_s), frozenset(summands), size))
+                out.append(Transmission(("T", big_t, big_s), frozenset(summands)))
     return out
 
 
 def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
     """A helper stores the keys whose tau holds it; the j-th user of a
     helper outside tau stores those whose rho holds j."""
-    params = scheme2_params(config, assoc)
-    keys = helper_split_keys(config.num_helpers, params.largest_group, params.t_s, params.t_p)
+    t_s, t_p = scheme2_params(config, assoc)
+    keys = helper_split_keys(config.num_helpers, assoc.largest_group, t_s, t_p)
     users: list[set] = [set() for _ in range(config.num_users)]
     for key in keys:
         tau, rho = key
@@ -115,9 +89,7 @@ def deliver_scheme2(
 ) -> list[Transmission]:
     """The helper split at (t_s, t_p) over the whole file."""
     d = validate_demand(config, demand)
-    params = scheme2_params(config, assoc)
-    size = mini_subfile_size(config.num_helpers, params.largest_group, params.t_s, params.t_p)
-    return helper_split_delivery(assoc, d, params.t_s, params.t_p, size)
+    return helper_split_delivery(assoc, d, *scheme2_params(config, assoc))
 
 
 def rate_scheme2_formula(
@@ -133,12 +105,10 @@ def rate_scheme2_formula(
 
 
 def rate_scheme2(config: NetworkConfig, assoc: Association) -> Fraction:
-    params = scheme2_params(config, assoc)
-    return rate_scheme2_formula(config.num_helpers, params.t_s, params.t_p, assoc.profile)
+    return rate_scheme2_formula(config.num_helpers, *scheme2_params(config, assoc), assoc.profile)
 
 
 def layout_scheme2(config: NetworkConfig, assoc: Association) -> dict:
     """Byte layout of one unit file over its (tau, rho) grid."""
-    params = scheme2_params(config, assoc)
-    return tile((helper_split_keys(
-        config.num_helpers, params.largest_group, params.t_s, params.t_p), 1))
+    t_s, t_p = scheme2_params(config, assoc)
+    return tile((helper_split_keys(config.num_helpers, assoc.largest_group, t_s, t_p), 1))

@@ -22,6 +22,7 @@ from .model import (
     NetworkConfig,
     Placement,
     Transmission,
+    integral,
     stored_by,
     tile,
     validate_demand,
@@ -51,19 +52,9 @@ def unknown_params(config: NetworkConfig) -> UnknownSchemeParams:
     t_s: Optional[int] = None
     t_p: Optional[int] = None
     if f1 > 0:
-        ts = Fraction(config.num_helpers) * m / config.num_files
-        if ts.denominator != 1:
-            raise InfeasibleSchemeError(
-                f"t_s = {ts} is not an integer; use the memory-sharing envelope"
-            )
-        t_s = int(ts)
+        t_s = integral("t_s", Fraction(config.num_helpers) * m / config.num_files)
     if f2 > 0:
-        tp = Fraction(config.num_users) * m / config.num_files
-        if tp.denominator != 1:
-            raise InfeasibleSchemeError(
-                f"t_p = {tp} is not an integer; use the memory-sharing envelope"
-            )
-        t_p = int(tp)
+        t_p = integral("t_p", Fraction(config.num_users) * m / config.num_files)
     return UnknownSchemeParams(t_s=t_s, t_p=t_p, f1=f1, f2=f2)
 
 
@@ -92,12 +83,11 @@ def deliver_unknown(
     if assoc.num_users != config.num_users or assoc.num_helpers != config.num_helpers:
         raise ValueError("association does not match the configuration")
     params = unknown_params(config)
-    k, lam = config.num_users, config.num_helpers
     out: list[Transmission] = []
     if params.f1 > 0:
-        out += helper_split_delivery(assoc, d, params.t_s, 0, params.f1 / binom(lam, params.t_s))
+        out += helper_split_delivery(assoc, d, params.t_s, 0)
     if params.f2 > 0:
-        out += user_split_delivery(d, k, params.t_p, params.f2 / binom(k, params.t_p))
+        out += user_split_delivery(d, config.num_users, params.t_p)
     return out
 
 

@@ -29,7 +29,7 @@ from dualcache.envelope import (
     scheme_rate,
 )
 from dualcache.model import NetworkConfig, build_association
-from dualcache.scheme1 import deliver_scheme1, rate_scheme1, scheme1_feasible
+from dualcache.scheme1 import deliver_scheme1, layout_scheme1, rate_scheme1, scheme1_params
 from dualcache.scheme2 import (
     deliver_scheme2,
     layout_scheme2,
@@ -78,14 +78,15 @@ def test_criterion_1_four_user_reference():
 def test_criterion_2_single_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(6, 5), Fraction(14, 5))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
-    feas = scheme1_feasible(config, assoc)
+    params = scheme1_params(config, assoc)
     out = deliver_scheme1(config, (1, 2, 3, 4, 5, 6))
+    extents = layout_scheme1(config)
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=0)
     ok = (
-        feas.feasible
+        params == (4, 3)
         and rate_scheme1(config) == Fraction(2, 5)
         and len(out) == 6
-        and all(t.size == Fraction(1, 15) for t in out)
+        and all({extents[s.piece][1] for s in t.summands} == {Fraction(1, 15)} for t in out)
         and sim.ok and sim.measured_rate == Fraction(2, 5)
     )
     _report("criterion-2 single-level reference run", ok)
@@ -95,16 +96,17 @@ def test_criterion_3_two_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(4, 3))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
+    extents = layout_scheme2(config, assoc)
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme2", seed=0)
     uniform = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
     uni_assoc = build_association(uniform, [[1, 4], [2, 5], [3, 6]])
-    params = scheme2_params(uniform, uni_assoc)
-    gain = (params.t_s + 1) * (params.t_p + 1)
+    t_s, t_p = scheme2_params(uniform, uni_assoc)
+    gain = (t_s + 1) * (t_p + 1)
     uni_out = deliver_scheme2(uniform, uni_assoc, (1, 2, 3, 4, 5, 6))
     ok = (
         rate_scheme2(config, assoc) == 1
         and len(out) == 9
-        and all(t.size == Fraction(1, 9) for t in out)
+        and all({extents[s.piece][1] for s in t.summands} == {Fraction(1, 9)} for t in out)
         and sim.ok and sim.measured_rate == 1
         and gain == 4
         and all(len(t.summands) == gain for t in uni_out)

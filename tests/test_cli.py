@@ -271,3 +271,13 @@ def test_cli_survives_fuzzed_configs(tmp_path, payload, command):
         payload, command, result.exception)
     if result.exit_code != 0:
         assert len(result.stderr.strip().splitlines()) == 1, (payload, command, result.stderr)
+
+
+def test_converse_names_the_fractional_parameter(tmp_path):
+    # the converse has no memory-sharing path, so the message gives no such advice
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps({"N": 5, "K": 4, "Lambda": 4, "Ms": "5/4", "Mp": "1/3",
+                                "association": [[1], [2], [3], [4]]}))
+    result = _stderr_runner().invoke(main, ["converse", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr == "infeasible: t_s = 19/15 is not an integer\n"

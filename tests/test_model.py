@@ -14,9 +14,9 @@ from dualcache.model import (
     parse_fraction,
     validate_demand,
 )
-from dualcache.scheme1 import deliver_scheme1, layout_scheme1, place_scheme1
-from dualcache.scheme2 import deliver_scheme2, layout_scheme2, place_scheme2
-from dualcache.scheme_unknown import deliver_unknown, layout_unknown, place_unknown
+from dualcache.scheme1 import deliver_scheme1, layout_scheme1, place_scheme1, scheme1_params
+from dualcache.scheme2 import deliver_scheme2, layout_scheme2, place_scheme2, scheme2_params
+from dualcache.scheme_unknown import deliver_unknown, layout_unknown, place_unknown, unknown_params
 
 
 def test_parse_fraction_forms():
@@ -157,9 +157,12 @@ def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two
     assert h1 and h2 and all(map(_plain, h1 | h2))
 
 
-def test_transmission_sizes_match_the_layout(net_4users, net_6users_deep, net_6users_two_level):
-    # a piece's size is written twice, by the layout and by the delivery's
-    # size argument; the simulator reads only the layout
+def test_transmission_summands_share_one_layout_size(
+    net_4users, net_6users_deep, net_6users_two_level
+):
+    # a transmission's size is its summands' one layout size: the simulator's
+    # _xor left-pads a shorter operand, so unequal summands would show up
+    # only later, as a corrupted rebuild
     checked = set()
     for config, assoc in (net_4users, net_6users_deep, net_6users_two_level):
         demand = tuple(range(config.num_users, 0, -1))
@@ -170,6 +173,37 @@ def test_transmission_sizes_match_the_layout(net_4users, net_6users_deep, net_6u
                 continue
             for seg in run.segments:
                 for trans in seg.transmissions(assoc, demand):
-                    assert {seg.extents[s.piece][1] for s in trans.summands} == {trans.size}
+                    assert len({seg.extents[s.piece][1] for s in trans.summands}) == 1
                 checked.add(seg.tag)
     assert checked == set(SCHEMES)
+
+
+_GROUPS_4 = (4, 2, [[1, 2, 3], [4]])
+_GROUPS_6 = (6, 3, [[1, 2, 3], [4, 5], [6]])
+_SKEWED_20 = (20, 4, [list(range(1, 11)), list(range(11, 16)), [16, 17, 18], [19, 20]])
+_GATES = {
+    "unknown": lambda config, assoc: unknown_params(config),
+    "scheme1": scheme1_params,
+    "scheme2": scheme2_params,
+}
+
+
+@pytest.mark.parametrize("gate,network,ms,mp,message", [
+    ("unknown", _GROUPS_4, "1/2", "1", "t_s = 3/4 is not an integer"),
+    ("unknown", _GROUPS_4, "0", "1/2", "t_p = 1/2 is not an integer"),
+    ("scheme2", _GROUPS_6, "1", "1", "t_s = 1/2 is not an integer"),
+    ("scheme2", _GROUPS_6, "0", "2",
+     "t_s = 0 (no helper memory): this point is served by the dedicated-cache scheme"),
+    ("scheme2", _GROUPS_6, "2", "1", "t_p = 3/4 is not an integer"),
+    ("scheme1", _GROUPS_6, "1", "1/2", "t = 3/2 is not an integer"),
+    ("scheme1", _GROUPS_6, "1", "1", "t = 2 is below the largest group size 3"),
+    ("scheme1", _GROUPS_6, "2", "2", "Ms = 2 exceeds the helper cap 6/5"),
+    ("scheme1", _SKEWED_20, "5", "15", "helper quota q = 1/4 is not an integer"),
+], ids=["unknown-t_s", "unknown-t_p", "scheme2-t_s", "scheme2-t_s-zero", "scheme2-t_p",
+        "scheme1-t", "scheme1-below-L1", "scheme1-over-cap", "scheme1-quota"])
+def test_direct_run_gates_name_the_parameter(gate, network, ms, mp, message):
+    n, lam, partition = network
+    config = NetworkConfig(n, n, lam, Fraction(ms), Fraction(mp))
+    with pytest.raises(InfeasibleSchemeError) as exc:
+        _GATES[gate](config, build_association(config, partition))
+    assert str(exc.value) == message

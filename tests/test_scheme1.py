@@ -15,31 +15,14 @@ from dualcache.scheme1 import (
     layout_scheme1,
     place_scheme1,
     rate_scheme1,
-    scheme1_feasible,
+    scheme1_params,
 )
 from dualcache.simulator import run_end_to_end
 
 
-def test_feasibility_report(net_6users_deep):
+def test_params(net_6users_deep):
     config, assoc = net_6users_deep
-    report = scheme1_feasible(config, assoc)
-    assert report.feasible
-    assert report.t == 4
-    assert report.quota == 3
-
-
-def test_feasibility_failures():
-    config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
-    assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
-    report = scheme1_feasible(config, assoc)
-    assert not report.feasible
-    # t = 4 but Ms = 2 exceeds the helper cap 6/5
-    assert any("cap" in r for r in report.reasons)
-
-    bad_t = NetworkConfig(6, 6, 3, Fraction(1), Fraction(1, 2))
-    report = scheme1_feasible(bad_t, assoc)
-    assert not report.feasible
-    assert any("not an integer" in r for r in report.reasons)
+    assert scheme1_params(config, assoc) == (4, 3)
 
 
 def test_helpers_take_lex_smallest_covering_subsets(net_6users_deep):
@@ -85,7 +68,8 @@ def test_delivery_and_rate(net_6users_deep):
     config, assoc = net_6users_deep
     out = deliver_scheme1(config, (1, 2, 3, 4, 5, 6))
     assert len(out) == 6
-    assert all(t.size == Fraction(1, 15) for t in out)
+    extents = layout_scheme1(config)
+    assert all({extents[s.piece][1] for s in t.summands} == {Fraction(1, 15)} for t in out)
     assert rate_scheme1(config) == Fraction(2, 5)
     report = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=3)
     assert report.ok, report.failure
@@ -100,7 +84,7 @@ def test_rate_matches_dedicated_curve(net_6users_deep):
 def test_full_memory_needs_no_transmissions():
     config = NetworkConfig(4, 4, 2, Fraction(4), Fraction(0))
     assoc = build_association(config, [[1, 2, 3], [4]])
-    assert scheme1_feasible(config, assoc).feasible
+    assert scheme1_params(config, assoc) == (4, 1)
     assert rate_scheme1(config) == 0
     assert deliver_scheme1(config, (1, 2, 3, 4)) == []
     report = run_end_to_end(config, assoc, (1, 2, 3, 4), scheme="scheme1", seed=9)
@@ -111,8 +95,7 @@ def test_full_memory_needs_no_transmissions():
 def test_one_below_full_memory():
     config = NetworkConfig(4, 4, 2, Fraction(1), Fraction(2))
     assoc = build_association(config, [[1, 2, 3], [4]])
-    report = scheme1_feasible(config, assoc)
-    assert report.feasible and report.t == 3 and report.quota == 1
+    assert scheme1_params(config, assoc) == (3, 1)
     assert rate_scheme1(config) == Fraction(1, 4)
     assert len(deliver_scheme1(config, (1, 2, 3, 4))) == 1
     sim = run_end_to_end(config, assoc, (4, 3, 2, 1), scheme="scheme1", seed=2)
@@ -157,6 +140,5 @@ def test_corner_gate_ignores_quota_integrality():
     assoc = build_association(
         config, [list(range(1, 11)), list(range(11, 16)), [16, 17, 18], [19, 20]]
     )
-    report = scheme1_feasible(config, assoc)
-    assert not report.feasible
-    assert any("quota" in r for r in report.reasons)
+    with pytest.raises(InfeasibleSchemeError, match="helper quota q = 1/4 is not an integer"):
+        scheme1_params(config, assoc)

@@ -11,7 +11,6 @@ from dualcache.model import (
 from dualcache.scheme2 import (
     deliver_scheme2,
     layout_scheme2,
-    mini_subfile_size,
     place_scheme2,
     rate_scheme2,
     rate_scheme2_formula,
@@ -23,9 +22,9 @@ from dualcache.simulator import run_end_to_end
 
 def test_params(net_6users_two_level):
     config, assoc = net_6users_two_level
-    params = scheme2_params(config, assoc)
-    assert (params.t_s, params.t_p) == (1, 1)
-    assert mini_subfile_size(3, 3, 1, 1) == Fraction(1, 9)
+    assert scheme2_params(config, assoc) == (1, 1)
+    assert set(layout_scheme2(config, assoc).values()) == {
+        (Fraction(i, 9), Fraction(1, 9)) for i in range(9)}
 
 
 def test_params_rejections():
@@ -44,13 +43,22 @@ def test_params_rejections():
 def test_full_helper_memory_means_zero_private_levels():
     config = NetworkConfig(6, 6, 3, Fraction(6), Fraction(0))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
-    params = scheme2_params(config, assoc)
-    assert (params.t_s, params.t_p) == (3, 0)
+    assert scheme2_params(config, assoc) == (3, 0)
     assert rate_scheme2(config, assoc) == 0
 
 
 def _sub(n, tau, rho):
     return SubfileId(n, tau, rho)
+
+
+def _air(extents, transmissions):
+    """Total broadcast size: each transmission is as large as its summands,
+    which have one layout size."""
+    total = Fraction(0)
+    for t in transmissions:
+        (size,) = {extents[s.piece][1] for s in t.summands}
+        total += size
+    return total
 
 
 def test_placement_matches_known_listing(net_6users_two_level):
@@ -90,7 +98,8 @@ def test_delivery_listing_and_rate(net_6users_two_level):
     config, assoc = net_6users_two_level
     out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
     assert len(out) == 9
-    assert all(t.size == Fraction(1, 9) for t in out)
+    extents = layout_scheme2(config, assoc)
+    assert all({extents[s.piece][1] for s in t.summands} == {Fraction(1, 9)} for t in out)
     assert rate_scheme2(config, assoc) == 1
     by_label = {(t.label[1], t.label[2]): t.summands for t in out}
     assert by_label[((2, 3), (2, 3))] == frozenset({_sub(5, (3,), (3,))})
@@ -107,9 +116,9 @@ def test_uniform_association_gain_is_constant():
     # every transmission serves (t_s+1)(t_p+1) users when groups are equal
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
     assoc = build_association(config, [[1, 4], [2, 5], [3, 6]])
-    params = scheme2_params(config, assoc)
+    t_s, t_p = scheme2_params(config, assoc)
     out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
-    gain = (params.t_s + 1) * (params.t_p + 1)
+    gain = (t_s + 1) * (t_p + 1)
     assert all(len(t.summands) == gain for t in out)
     expected = Fraction(6, gain) * (1 - config.total_mem / 6)
     assert rate_scheme2(config, assoc) == expected
@@ -132,7 +141,7 @@ def test_formula_counts_nonempty_slots():
                     continue
                 config = NetworkConfig(6, 6, 3, ms, mp)
                 out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
-                total = sum((t.size for t in out), Fraction(0))
+                total = _air(layout_scheme2(config, assoc), out)
                 assert total == rate_scheme2_formula(3, ms_level, tp_level, assoc.profile)
 
 

@@ -14,7 +14,7 @@ from dualcache.bounds import bound_report
 from dualcache.cli import main
 from dualcache.envelope import SCHEMES, scheme_rate, scheme_run
 from dualcache.model import InfeasibleSchemeError, NetworkConfig, build_association
-from dualcache.scheme1 import rate_scheme1, scheme1_feasible
+from dualcache.scheme1 import rate_scheme1, scheme1_params
 from dualcache.scheme2 import rate_scheme2
 from dualcache.scheme_unknown import rate_unknown
 from dualcache.simulator import run_end_to_end
@@ -37,7 +37,8 @@ def _direct_rate(name, config, assoc):
         if name == "unknown":
             return rate_unknown(config, assoc.profile)
         if name == "scheme1":
-            return rate_scheme1(config) if scheme1_feasible(config, assoc).feasible else None
+            scheme1_params(config, assoc)  # raises where no direct run exists
+            return rate_scheme1(config)
         return rate_scheme2(config, assoc)
     except InfeasibleSchemeError:
         return None

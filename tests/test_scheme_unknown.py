@@ -52,6 +52,16 @@ def pue_reference_transmissions(assoc, t_s, demand):
     return out
 
 
+def _air(extents, transmissions):
+    """Total broadcast size: each transmission is as large as its summands,
+    which have one layout size."""
+    total = Fraction(0)
+    for t in transmissions:
+        (size,) = {extents[s.piece][1] for s in t.summands}
+        total += size
+    return total
+
+
 def test_params_split_evenly(net_4users):
     config, _ = net_4users
     params = unknown_params(config)
@@ -99,16 +109,15 @@ def test_delivery_counts_and_rate(net_4users):
     tier1 = [t for t in out if t.label[0] == "T"]
     tier2 = [t for t in out if t.label[0] == "S"]
     assert len(tier1) == 3 and len(tier2) == 4
-    total = sum((t.size for t in out), Fraction(0))
-    assert total == Fraction(13, 12)
+    assert _air(layout_unknown(config), out) == Fraction(13, 12)
     assert rate_unknown(config, assoc.profile) == Fraction(13, 12)
 
 
 def test_rate_is_demand_permutation_invariant(net_4users):
     config, assoc = net_4users
+    extents = layout_unknown(config)
     sizes = {
-        sum((t.size for t in deliver_unknown(config, assoc, d)), Fraction(0))
-        for d in permutations((1, 2, 3, 4))
+        _air(extents, deliver_unknown(config, assoc, d)) for d in permutations((1, 2, 3, 4))
     }
     assert sizes == {Fraction(13, 12)}
 
@@ -119,7 +128,8 @@ def test_zero_memory_sends_whole_files():
     assert rate_unknown(config, assoc.profile) == 4
     out = deliver_unknown(config, assoc, (2, 1, 4, 3))
     assert len(out) == 4
-    assert all(t.size == 1 for t in out)
+    extents = layout_unknown(config)
+    assert all({extents[s.piece][1] for s in t.summands} == {1} for t in out)
 
 
 def test_private_only_reduces_to_dedicated_delivery():
