@@ -1,14 +1,15 @@
-"""Reference rate curves, cut-set lower bound, and optimality checks.
+"""Reference rate curves and the cut-set lower bound.
 
 Holds the two classic single-cache-type curves (dedicated-cache and
-shared-cache), the cut-set bound, and the high-memory optimality verdict.
+shared-cache), their convex-envelope helpers, and the cut-set bound.
+Nothing here knows a scheme; envelope.bound_report sets the schemes
+against these curves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .combin import binom
 from .model import Association, NetworkConfig
@@ -118,91 +119,3 @@ def cutset_bound(config: NetworkConfig, assoc: Association) -> tuple[Fraction, i
         if term > best:
             best, best_u = term, u
     return best, best_u
-
-
-@dataclass(frozen=True)
-class HighMemoryVerdict:
-    """Whether the two-level scheme meets the cut-set bound at this point."""
-
-    applicable: bool
-    envelope_rate: Optional[Fraction]
-    cutset_rate: Fraction
-    expected_rate: Optional[Fraction]
-    optimal: bool
-
-
-def high_memory_optimality(config: NetworkConfig, assoc: Association) -> HighMemoryVerdict:
-    """In the region Ms >= N(1-1/Lambda), Mp >= N(1-1/L1), the two-level
-    envelope must equal 1 - (Ms+Mp)/N and match the cut-set bound exactly."""
-    from . import envelope
-
-    return _high_memory_verdict(
-        config, assoc, lambda: envelope.scheme2_envelope_rate(config, assoc)
-    )
-
-
-def _high_memory_verdict(
-    config: NetworkConfig,
-    assoc: Association,
-    scheme2_rate: Callable[[], Optional[Fraction]],
-) -> HighMemoryVerdict:
-    """The verdict, asking scheme2_rate for the envelope only inside the region."""
-    n = Fraction(config.num_files)
-    lam = config.num_helpers
-    l1 = assoc.largest_group
-    cutset, _ = cutset_bound(config, assoc)
-    applicable = (
-        l1 >= 1
-        and config.helper_mem >= n * (1 - Fraction(1, lam))
-        and config.private_mem >= n * (1 - Fraction(1, l1))
-    )
-    if not applicable:
-        return HighMemoryVerdict(False, None, cutset, None, False)
-    expected = 1 - config.total_mem / n
-    achieved = scheme2_rate()
-    return HighMemoryVerdict(
-        applicable=True,
-        envelope_rate=achieved,
-        cutset_rate=cutset,
-        expected_rate=expected,
-        optimal=achieved is not None and achieved == expected == cutset,
-    )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Bounds and scheme rates at one memory point, with equality flags."""
-
-    cutset: Fraction
-    cutset_u: int
-    man_lower: Fraction
-    pue_upper: Fraction
-    scheme_rates: dict
-    optimality_flags: dict
-
-
-def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
-    from . import envelope
-
-    m = config.total_mem
-    man = man_rate(config.num_users, config.num_files, m)
-    pue = pue_rate(config.num_helpers, config.num_files, m, assoc.profile)
-    cutset, u = cutset_bound(config, assoc)
-
-    rates: dict[str, Optional[Fraction]] = {
-        name: envelope.scheme_rate(name, config, assoc)[0] for name in envelope.SCHEMES
-    }
-    high_memory = _high_memory_verdict(config, assoc, lambda: rates["scheme2"])
-    flags = {
-        "scheme1_meets_man": rates["scheme1"] is not None and rates["scheme1"] == man,
-        "unknown_meets_pue": rates["unknown"] == pue,
-        "high_memory_optimal": high_memory.optimal,
-    }
-    return BoundReport(
-        cutset=cutset,
-        cutset_u=u,
-        man_lower=man,
-        pue_upper=pue,
-        scheme_rates=rates,
-        optimality_flags=flags,
-    )

@@ -14,7 +14,6 @@ from typing import Optional
 
 import click
 
-from . import bounds as bounds_mod
 from . import converse as converse_mod
 from . import envelope as envelope_mod
 from . import simulator as simulator_mod
@@ -102,7 +101,7 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
     rows = []
     mp = start
     while mp <= stop:
-        report = bounds_mod.bound_report(base.with_memories(ms, mp), assoc)
+        report = envelope_mod.bound_report(base.with_memories(ms, mp), assoc)
         rows.append((mp, *report.scheme_rates.values(),
                      report.man_lower, report.pue_upper, report.cutset))
         mp += step
@@ -150,7 +149,7 @@ def verify(config_path: str, scheme: str, trials: int, seed: Optional[int]) -> N
 def bounds_cmd(config_path: str, fractions: bool) -> None:
     """Lower bounds, reference curves, and scheme rates at this point."""
     loaded = load_config(config_path)
-    report = bounds_mod.bound_report(loaded.config, loaded.association)
+    report = envelope_mod.bound_report(loaded.config, loaded.association)
     click.echo(f"cutset: {fmt(report.cutset, fractions)} (u = {report.cutset_u})")
     click.echo(f"dedicated lower: {fmt(report.man_lower, fractions)}")
     click.echo(f"shared upper: {fmt(report.pue_upper, fractions)}")

@@ -1,5 +1,6 @@
 """Memory sharing: corner grids, an exact-rational LP over convex mixtures,
-and the mixtures of direct runs that realize each scheme's rate.
+the mixtures of direct runs that realize each scheme's rate, and the bound
+report that sets those rates against the reference curves.
 
 A corner point is a memory pair where some scheme's integer parameters
 line up; arbitrary (Ms, Mp) targets are met by splitting files into
@@ -320,6 +321,47 @@ def scheme2_envelope_rate(
 ) -> Optional[Fraction]:
     """The LP optimum over the scheme2 corners at the configured memory pair."""
     return scheme_rate("scheme2", config, assoc)[0]
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Bounds and scheme rates at one memory point, with equality flags."""
+
+    cutset: Fraction
+    cutset_u: int
+    man_lower: Fraction
+    pue_upper: Fraction
+    scheme_rates: dict
+    optimality_flags: dict
+
+
+def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
+    """Every scheme's rate at this point against the reference curves and the
+    cut-set bound.  high_memory_optimal: in the region Ms >= N(1-1/Lambda),
+    Mp >= N(1-1/L1) the two-level rate is 1 - (Ms+Mp)/N and meets the cut-set
+    bound exactly."""
+    n, m = config.num_files, config.total_mem
+    man = bounds.man_rate(config.num_users, n, m)
+    pue = bounds.pue_rate(config.num_helpers, n, m, assoc.profile)
+    cutset, u = bounds.cutset_bound(config, assoc)
+    rates = {name: scheme_rate(name, config, assoc)[0] for name in SCHEMES}
+    flags = {
+        "scheme1_meets_man": rates["scheme1"] is not None and rates["scheme1"] == man,
+        "unknown_meets_pue": rates["unknown"] == pue,
+        "high_memory_optimal": (
+            config.helper_mem >= n * (1 - Fraction(1, config.num_helpers))
+            and config.private_mem >= n * (1 - Fraction(1, assoc.largest_group))
+            and rates["scheme2"] == 1 - m / n == cutset
+        ),
+    }
+    return BoundReport(
+        cutset=cutset,
+        cutset_u=u,
+        man_lower=man,
+        pue_upper=pue,
+        scheme_rates=rates,
+        optimality_flags=flags,
+    )
 
 
 # ---------------------------------------------------------------------------

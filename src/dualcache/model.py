@@ -93,14 +93,12 @@ class NetworkConfig:
 class Association:
     """Partition of users into helper groups, relabeled so sizes are non-increasing.
 
-    groups[i] holds the users of internal helper i+1, sorted ascending;
-    original_label[i] is the caller-supplied 1-based label of that helper.
+    groups[i] holds the users of internal helper i+1, sorted ascending.
     """
 
     groups: tuple[tuple[int, ...], ...]
     profile: tuple[int, ...]
     cache_of: tuple[int, ...]          # user k -> internal helper index (1-based)
-    original_label: tuple[int, ...]
 
     @property
     def num_helpers(self) -> int:
@@ -125,13 +123,6 @@ class Association:
     def ordered_users(self) -> tuple[int, ...]:
         """Users listed group by group in internal helper order."""
         return tuple(u for group in self.groups for u in group)
-
-    def original_partition(self) -> list[list[int]]:
-        """Reconstruct the caller's partition in its original helper labeling."""
-        out: list[list[int]] = [[] for _ in self.groups]
-        for internal, label in enumerate(self.original_label):
-            out[label - 1] = list(self.groups[internal])
-        return out
 
 
 def build_association(config: NetworkConfig, partition: Sequence[Iterable[int]]) -> Association:
@@ -167,7 +158,6 @@ def build_association(config: NetworkConfig, partition: Sequence[Iterable[int]])
         groups=sorted_groups,
         profile=profile,
         cache_of=tuple(cache_of),
-        original_label=tuple(i + 1 for i in order),
     )
 
 

@@ -13,7 +13,6 @@ from click.testing import CliRunner
 
 from dualcache.bounds import (
     cutset_bound,
-    high_memory_optimality,
     man_rate,
     pue_rate,
 )
@@ -21,6 +20,7 @@ from dualcache.cli import main as cli_main
 from dualcache.combin import binom, enumerate_ksubsets, rank_ksubset, unrank_ksubset
 from dualcache.converse import certify
 from dualcache.envelope import (
+    bound_report,
     certificate_holds,
     envelope_at,
     materialize_shared_placement,
@@ -225,9 +225,10 @@ def test_criterion_6_bound_sandwich():
         assoc = build_association(config0, [[u] for u in range(1, n + 1)])
         for ms, mp in points:
             config = NetworkConfig(n, n, n, ms, mp)
-            verdict = high_memory_optimality(config, assoc)
-            if not (verdict.applicable and verdict.optimal
-                    and verdict.envelope_rate == 1 - config.total_mem / n == verdict.cutset_rate):
+            report = bound_report(config, assoc)
+            if not (report.optimality_flags["high_memory_optimal"]
+                    and report.scheme_rates["scheme2"] == 1 - config.total_mem / n
+                    == report.cutset):
                 ok = False
     _report("criterion-6 bound sandwich grid", ok)
 

@@ -3,10 +3,8 @@ from fractions import Fraction
 import pytest
 
 from dualcache.bounds import (
-    bound_report,
     cutset_bound,
     envelope_interp,
-    high_memory_optimality,
     lower_convex_points,
     man_points,
     man_rate,
@@ -14,6 +12,7 @@ from dualcache.bounds import (
     pue_profile_sum,
     pue_rate,
 )
+from dualcache.envelope import bound_report
 from dualcache.model import NetworkConfig, build_association
 
 
@@ -97,13 +96,16 @@ def test_cutset_uses_group_ordering():
 def test_high_memory_region():
     config = NetworkConfig(2, 2, 2, Fraction(3, 2), Fraction(1, 4))
     assoc = build_association(config, [[1], [2]])
-    verdict = high_memory_optimality(config, assoc)
-    assert verdict.applicable and verdict.optimal
-    assert verdict.envelope_rate == verdict.cutset_rate == Fraction(1, 8)
+    report = bound_report(config, assoc)
+    assert report.optimality_flags["high_memory_optimal"] is True
+    assert report.scheme_rates["scheme2"] == report.cutset == Fraction(1, 8)
 
-    low = NetworkConfig(2, 2, 2, Fraction(1, 2), Fraction(1, 4))
-    verdict = high_memory_optimality(low, assoc)
-    assert not verdict.applicable and not verdict.optimal
+    # outside the region (Ms < N(1 - 1/Lambda)) the rates still meet, but
+    # the flag only speaks for the region
+    outside = config.with_memories(Fraction(0), Fraction(2))
+    report = bound_report(outside, assoc)
+    assert report.scheme_rates["scheme2"] == 1 - outside.total_mem / 2 == report.cutset == 0
+    assert report.optimality_flags["high_memory_optimal"] is False
 
 
 def test_bound_report_flags(net_4users):
@@ -139,4 +141,3 @@ def test_bound_report_solves_one_lp_per_point(monkeypatch):
         assert len(calls) == 1
         assert report.scheme_rates["scheme2"] == scheme2
         assert report.optimality_flags["high_memory_optimal"] is optimal
-        assert high_memory_optimality(at, assoc).optimal is optimal

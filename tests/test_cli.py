@@ -179,11 +179,38 @@ def test_failed_certificate_exits_3(config_path, tmp_path, monkeypatch):
         assert "certificate" in result.output
 
 
-def test_bounds_output(config_path):
+def test_bounds_output(config_path, tmp_path):
     result = CliRunner().invoke(main, ["bounds", "--config", config_path, "--fractions"])
     assert result.exit_code == 0
-    assert "cutset: 1/2" in result.output
-    assert "scheme2: 11/12" in result.output
+    assert result.output.splitlines() == [
+        "cutset: 1/2 (u = 1)",
+        "dedicated lower: 2/3",
+        "shared upper: 3/2",
+        "unknown: 13/12",
+        "scheme1: -",
+        "scheme2: 11/12",
+        "scheme1_meets_man: False",
+        "unknown_meets_pue: False",
+        "high_memory_optimal: False",
+    ]
+
+    # the high-memory region: Ms >= N(1 - 1/Lambda), Mp >= N(1 - 1/L1)
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({"N": 2, "K": 2, "Lambda": 2, "Ms": "3/2", "Mp": "1/4",
+                                "association": [[1], [2]]}))
+    result = CliRunner().invoke(main, ["bounds", "--config", str(path), "--fractions"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "cutset: 1/8 (u = 1)",
+        "dedicated lower: 1/8",
+        "shared upper: 1/8",
+        "unknown: 1/8",
+        "scheme1: -",
+        "scheme2: 1/8",
+        "scheme1_meets_man: False",
+        "unknown_meets_pue: True",
+        "high_memory_optimal: True",
+    ]
 
 
 def test_converse_output(config_path):

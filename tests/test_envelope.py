@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from dualcache.envelope import (
-    CornerPoint,
     certificate_holds,
     envelope_at,
     envelope_mix,

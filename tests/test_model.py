@@ -49,18 +49,15 @@ def test_association_relabels_by_group_size():
     assoc = build_association(config, [[6], [1, 2, 3], [4, 5]])
     assert assoc.profile == (3, 2, 1)
     assert assoc.groups == ((1, 2, 3), (4, 5), (6,))
-    assert assoc.original_label == (2, 3, 1)
     assert assoc.helper_of(6) == 3
     assert assoc.user_at(1, 2) == 2
     assert assoc.ordered_users() == (1, 2, 3, 4, 5, 6)
-    assert assoc.original_partition() == [[6], [1, 2, 3], [4, 5]]
 
 
 def test_association_tie_break_keeps_original_order():
     config = NetworkConfig(4, 4, 2, Fraction(1), Fraction(1))
     assoc = build_association(config, [[3, 4], [1, 2]])
     assert assoc.groups == ((3, 4), (1, 2))
-    assert assoc.original_label == (1, 2)
 
 
 def test_association_allows_empty_groups():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dualcache.bounds import man_rate
-from dualcache.combin import binom, enumerate_ksubsets
+from dualcache.combin import enumerate_ksubsets
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,

@@ -10,9 +10,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from dualcache.bounds import bound_report
 from dualcache.cli import main
-from dualcache.envelope import SCHEMES, scheme_rate, scheme_run
+from dualcache.envelope import SCHEMES, bound_report, scheme_rate, scheme_run
 from dualcache.model import InfeasibleSchemeError, NetworkConfig, build_association
 from dualcache.scheme1 import rate_scheme1, scheme1_params
 from dualcache.scheme2 import rate_scheme2

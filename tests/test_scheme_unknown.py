@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from dualcache.bounds import man_rate, pue_rate
-from dualcache.combin import binom, enumerate_ksubsets, without
+from dualcache.combin import enumerate_ksubsets, without
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
