@@ -11,6 +11,7 @@ both read scheme_mixture, so a printed rate is the rate of the run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -117,44 +118,59 @@ def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
 
 
 # ---------------------------------------------------------------------------
-# exact-rational simplex (equality form, Bland's rule)
+# exact simplex (equality form, Bland's rule) on an integer-scaled system
 
 
-def _pivot(tableau, basis, row: int, col: int) -> None:
-    """Make column col basic in row: scale the row, clear the column elsewhere."""
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            factor = tableau[i][col]
-            tableau[i] = [x - factor * y for x, y in zip(tableau[i], tableau[row])]
-    basis[row] = col
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
 
 
-def _pivot_loop(tableau, basis, costs, blocked) -> None:
-    m = len(tableau)
-    while True:
-        entering = None
-        width = len(tableau[0]) - 1
-        for j in range(width):
-            if j in blocked or j in basis:
-                continue
-            reduced = costs[j] - sum(costs[basis[i]] * tableau[i][j] for i in range(m))
-            if reduced < 0:
-                entering = j
-                break
-        if entering is None:
-            return
-        leaving = None
-        best = None
-        for i in range(m):
-            if tableau[i][entering] > 0:
-                ratio = tableau[i][-1] / tableau[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best, leaving = ratio, i
-        if leaving is None:
-            raise ArithmeticError("LP unbounded; mixture problems are always bounded")
-        _pivot(tableau, basis, leaving, entering)
+class _Basis:
+    """A simplex basis over integer columns, held as the adjugate inv = det * B^-1
+    and beta = inv . b; fraction-free (Bareiss) pivots keep both integer.  It
+    starts on the artificial columns, B = diag(scale)."""
+
+    def __init__(self, cols, b, scale, n: int):
+        self.cols, self.det, m = cols, math.prod(scale), len(b)
+        self.inv = [[self.det // scale[i] if r == i else 0 for r in range(m)] for i in range(m)]
+        self.beta = [self.det // scale[i] * b[i] for i in range(m)]
+        self.basis = list(range(n, n + m))
+
+    def column(self, j: int) -> list[int]:
+        """det times tableau column j, B^-1 . A_j."""
+        return [_dot(row, self.cols[j]) for row in self.inv]
+
+    def prices(self, costs) -> list[int]:
+        """pi = c_B . inv: column j has reduced cost (c_j * det - pi . A_j) / det."""
+        return [_dot([costs[k] for k in self.basis], col) for col in zip(*self.inv)]
+
+    def pivot(self, row: int, col: int, alpha: list[int]) -> None:
+        """Make col basic in row, given alpha = self.column(col)."""
+        piv, inv, beta = alpha[row], self.inv, self.beta
+        for i, a in enumerate(alpha):
+            if i != row:
+                inv[i] = [(piv * x - a * y) // self.det for x, y in zip(inv[i], inv[row])]
+                beta[i] = (piv * beta[i] - a * beta[row]) // self.det
+        self.det, self.basis[row] = piv, col
+
+    def run(self, costs, candidates) -> None:
+        """Bland's rule: the first candidate with a negative reduced cost enters;
+        the smallest ratio beta_i / alpha_i leaves, ties to the smallest basic index."""
+        while True:
+            pi, sgn = self.prices(costs), (1 if self.det > 0 else -1)
+            entering = next((j for j in candidates if j not in self.basis
+                             and (costs[j] * self.det - _dot(pi, self.cols[j])) * sgn < 0), None)
+            if entering is None:
+                return
+            alpha, leaving = self.column(entering), None
+            for i, a in enumerate(alpha):
+                # a and alpha[leaving] share the sign of det, so cross-multiplying keeps the order
+                if a * sgn > 0 and (leaving is None or (self.beta[i] * alpha[leaving], self.basis[i])
+                                    < (self.beta[leaving] * a, self.basis[leaving])):
+                    leaving = i
+            if leaving is None:
+                raise ArithmeticError("LP unbounded; mixture problems are always bounded")
+            self.pivot(leaving, entering, alpha)
 
 
 def simplex_solve(
@@ -164,43 +180,42 @@ def simplex_solve(
 ) -> Optional[tuple[Fraction, list[Fraction], list[Fraction]]]:
     """Minimize costs.x subject to columns.x = rhs, x >= 0.
 
-    Returns (value, x, duals) or None when infeasible.
+    Returns (value, x, duals) or None when infeasible.  Two phases from an
+    artificial basis, as in the textbook tableau, but revised and in integers:
+    each row is flipped to a nonnegative rhs and multiplied by the lcm of its
+    denominators (its artificial column with it), and the costs by theirs.
+    Positive scaling changes no reduced cost's sign and no ratio, so the
+    solver visits the bases the tableau visits and returns the same optimum.
     """
-    m = len(rhs)
-    n = len(columns)
-    sign = [Fraction(-1) if rhs[i] < 0 else Fraction(1) for i in range(m)]
-    tableau = [
-        [sign[i] * columns[j][i] for j in range(n)]
-        + [Fraction(1) if r == i else Fraction(0) for r in range(m)]
-        + [sign[i] * rhs[i]]
-        for i in range(m)
-    ]
-    basis = [n + i for i in range(m)]
+    m, n = len(rhs), len(columns)
+    sign = [-1 if b < 0 else 1 for b in rhs]
+    rows = [[*(c[i] for c in columns), rhs[i]] for i in range(m)]
+    scale = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    *cols, b = zip(*([sign[i] * v.numerator * (scale[i] // v.denominator) for v in row]
+                     for i, row in enumerate(rows)))
+    cols += [[scale[i] if r == i else 0 for r in range(m)] for i in range(m)]
+    basis = _Basis(cols, b, scale, n)
 
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    _pivot_loop(tableau, basis, phase1, blocked=set())
-    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) > 0:
+    basis.run([0] * n + [1] * m, range(n + m))
+    if any(beta for beta, j in zip(basis.beta, basis.basis) if j >= n):
         return None
     # drive leftover zero-level artificials out of the basis where possible
     for i in range(m):
-        if basis[i] >= n:
+        if basis.basis[i] >= n:
             for j in range(n):
-                if tableau[i][j] != 0:
-                    _pivot(tableau, basis, i, j)
+                if _dot(basis.inv[i], cols[j]) != 0:
+                    basis.pivot(i, j, basis.column(j))
                     break
 
-    phase2 = list(costs) + [Fraction(0)] * m
-    _pivot_loop(tableau, basis, phase2, blocked=set(range(n, n + m)))
+    unit = math.lcm(*(c.denominator for c in costs))
+    phase2 = [c.numerator * (unit // c.denominator) for c in costs] + [0] * m
+    basis.run(phase2, range(n))
 
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][-1]
+    level = dict(zip(basis.basis, basis.beta))
+    x = [Fraction(level.get(j, 0), basis.det) for j in range(n)]
     value = sum(costs[j] * x[j] for j in range(n))
-    duals = [
-        sign[i] * sum(phase2[basis[r]] * tableau[r][n + i] for r in range(m))
-        for i in range(m)
-    ]
+    duals = [Fraction(sign[i] * p * scale[i], basis.det * unit)
+             for i, p in enumerate(basis.prices(phase2))]
     return value, x, duals
 
 
@@ -208,7 +223,7 @@ def envelope_at(
     corners: Sequence[CornerPoint], helper_mem: Fraction, private_mem: Fraction
 ) -> Optional[EnvelopeSolution]:
     """Cheapest convex mixture of corners hitting both memory targets exactly;
-    raises CertificateError if its dual certificate does not check."""
+    raises CertificateError if its optimality certificate does not check."""
     if not corners:
         return None
     columns = [
@@ -220,12 +235,12 @@ def envelope_at(
         return None
     value, x, duals = result
     weights = tuple(
-        (corner, w) for corner, w in zip(corners, x) if w > 0
+        (corner, w) for corner, w in zip(corners, x) if w != 0
     )
     sol = EnvelopeSolution(weights=weights, achieved_rate=value, duals=tuple(duals))
     if not certificate_holds(corners, sol, helper_mem, private_mem):
         raise CertificateError(
-            f"the LP dual certificate of rate {value} at (Ms, Mp) = "
+            f"the LP certificate of rate {value} at (Ms, Mp) = "
             f"({helper_mem}, {private_mem}) does not hold"
         )
     return sol
@@ -237,12 +252,23 @@ def certificate_holds(
     helper_mem: Fraction,
     private_mem: Fraction,
 ) -> bool:
-    """LP-duality check: the duals support every corner and price the target."""
+    """LP optimality check.  Primal: positive weights sum to 1, their corners
+    average to the memory target and cost achieved_rate.  Dual: the duals
+    support every corner and price the target at achieved_rate."""
+    weights = solution.weights
+    primal = (
+        all(w > 0 for _, w in weights)
+        and sum(w for _, w in weights) == 1
+        and sum(w * c.helper_mem for c, w in weights) == helper_mem
+        and sum(w * c.private_mem for c, w in weights) == private_mem
+        and sum(w * c.rate for c, w in weights) == solution.achieved_rate
+    )
     y = solution.duals
-    for c in corners:
-        if y[0] * c.helper_mem + y[1] * c.private_mem + y[2] > c.rate:
-            return False
-    return y[0] * helper_mem + y[1] * private_mem + y[2] == solution.achieved_rate
+    return (
+        primal
+        and all(y[0] * c.helper_mem + y[1] * c.private_mem + y[2] <= c.rate for c in corners)
+        and y[0] * helper_mem + y[1] * private_mem + y[2] == solution.achieved_rate
+    )
 
 
 # ---------------------------------------------------------------------------

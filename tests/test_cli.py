@@ -179,6 +179,38 @@ def test_failed_certificate_exits_3(config_path, tmp_path, monkeypatch):
         assert "certificate" in result.output
 
 
+def _extra_weight(x):
+    """Half a unit more on the first corner of the support: the weights sum to 3/2."""
+    j = next(j for j, w in enumerate(x) if w > 0)
+    return [w + Fraction(1, 2) if i == j else w for i, w in enumerate(x)]
+
+
+def _moved_weight(x):
+    """The first support corner's weight moved to the first corner outside the
+    support: the weights still sum to 1, but the memories average elsewhere."""
+    j = next(j for j, w in enumerate(x) if w > 0)
+    k = next(k for k, w in enumerate(x) if w == 0)
+    return [x[j] if i == k else 0 if i == j else w for i, w in enumerate(x)]
+
+
+@pytest.mark.parametrize("tamper", [_extra_weight, _moved_weight])
+def test_failed_primal_certificate_exits_3(config_path, tmp_path, monkeypatch, tamper):
+    solve = envelope.simplex_solve
+
+    def tampered(*args):
+        value, x, duals = solve(*args)
+        return value, tamper(x), duals
+
+    monkeypatch.setattr(envelope, "simplex_solve", tampered)
+    out = str(tmp_path / "curve.csv")
+    for argv in (["rate", "--scheme", "scheme2"], ["bounds"],
+                 ["curve", "--ms", "1", "--mp-range", "0:1:1", "--out", out],
+                 ["verify", "--scheme", "scheme2"]):
+        result = CliRunner().invoke(main, [*argv, "--config", config_path])
+        _assert_rejected(result, code=3)
+        assert "certificate" in result.output
+
+
 def test_bounds_output(config_path, tmp_path):
     result = CliRunner().invoke(main, ["bounds", "--config", config_path, "--fractions"])
     assert result.exit_code == 0
