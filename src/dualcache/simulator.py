@@ -2,9 +2,13 @@
 payloads, and check that every user reconstructs its demanded file.
 
 A run is a list of weighted segments; each segment covers a contiguous
-slice of every file and is placed and delivered by one scheme.  Decoding
-is a fixpoint: a transmission releases its one unknown summand to any
-user that already holds the rest.
+slice of every file and is placed and delivered by one scheme.  A piece is
+held as one big-endian int and a payload is the int XOR of its summands.
+Decoding is a fixpoint over piece addresses only: a transmission releases
+its one unknown summand to any user that already holds the rest, and the
+user records which payload released it.  The rebuild then XORs only the
+released pieces of the user's own file, through the decoded summands
+each was built from, and compares them with the library's.
 """
 
 from __future__ import annotations
@@ -106,8 +110,8 @@ class DecodeReport:
     failure: Optional[str]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+def _xor(a: int, b: int) -> int:
+    return a ^ b
 
 
 def _resolve_segments(
@@ -137,14 +141,13 @@ def run_end_to_end(
     laid end to end: (file - 1) * file_len + start.  Pieces have positive
     length and the segments tile the file, so a start names one (segment,
     piece key).  A cache holds the same pieces of every file, so it is a set
-    of starts, and a user knows an address when its start is cached or the
-    user decoded that address."""
+    of starts, and a user knows an address when its start is cached or a
+    transmission released it.  The fixpoint records only which payload
+    released each address; the rebuild then XORs, as ints, just the
+    released pieces of the user's own file and compares each with the
+    library's piece."""
     segments = _resolve_segments(scheme, config, assoc)
     file_len = choose_file_len(segments, min_len=min_len)
-    rng = random.Random(seed)
-    library = memoryview(bytearray(config.num_files * file_len))
-    for n in range(config.num_files):
-        library[n * file_len:(n + 1) * file_len] = rng.randbytes(file_len)
 
     # (start, length) in the file of every (segment, piece key)
     slots: list[dict] = []
@@ -159,28 +162,43 @@ def run_end_to_end(
         slots.append(seg_slots)
         base += seg.weight
     length_at = {start: length for seg_slots in slots for start, length in seg_slots.values()}
+    tiled = sum(length for seg_slots in slots for _, length in seg_slots.values()) == file_len
 
     def starts(contents) -> set[int]:
         """The in-file starts of one cache's pieces across all segments."""
         return {slots[i][key][0] for i, keys in enumerate(contents) for key in keys}
-
-    def read(address: int, decoded: dict):
-        """A piece as a user holds it: the bytes it decoded, else the library's."""
-        if address in decoded:
-            return decoded[address]
-        return library[address:address + length_at[address % file_len]]
 
     helper_cache = [
         starts(contents)
         for contents in zip(*(seg.placement.helper_contents for seg in segments))
     ]
 
-    payloads: list[tuple[list[int], bytes]] = []
-    for seg_slots, seg in zip(slots, segments):
-        for trans in seg.transmissions(assoc, demand):
-            summands = [(s.file - 1) * file_len + seg_slots[s.piece][0] for s in trans.summands]
-            payloads.append((summands, reduce(_xor, (read(a, {}) for a in summands))))
-    total_air = sum(len(payload) for _, payload in payloads)
+    sent = [
+        [(s.file - 1) * file_len + seg_slots[s.piece][0] for s in trans.summands]
+        for seg_slots, seg in zip(slots, segments)
+        for trans in seg.transmissions(assoc, demand)
+    ]
+    # every file is drawn, but only the pieces some payload carries are kept
+    needed = {a for summands in sent for a in summands}
+    rng = random.Random(seed)
+    piece: dict[int, int] = {}
+    for n in range(config.num_files):
+        data = memoryview(rng.randbytes(file_len))
+        for start, length in length_at.items():
+            if n * file_len + start in needed:
+                piece[n * file_len + start] = int.from_bytes(data[start:start + length], "big")
+    payloads = [(summands, reduce(_xor, (piece[a] for a in summands))) for summands in sent]
+    total_air = sum(length_at[summands[0] % file_len] for summands, _ in payloads)
+
+    def materialize(address: int, released: dict, decoded: dict) -> int:
+        """A released piece: its payload XOR the other summands as the user
+        holds them, rebuilding a decoded summand first."""
+        if address not in decoded:
+            summands, payload = payloads[released[address]]
+            others = (materialize(a, released, decoded) if a in released else piece[a]
+                      for a in summands if a != address)
+            decoded[address] = reduce(_xor, others, payload)
+        return decoded[address]
 
     private_bytes, helper_bytes, air_bytes, per_user_ok = [], [], [], []
     failure = None
@@ -190,27 +208,27 @@ def run_end_to_end(
         private_bytes.append(config.num_files * sum(length_at[s] for s in private))
         helper_bytes.append(config.num_files * sum(length_at[s] for s in helper - private))
         cached = private | helper
-        decoded: dict[int, bytes] = {}
+        released: dict[int, int] = {}  # address -> index of the payload that released it
         progress = True
         while progress:
             progress = False
-            for summands, payload in payloads:
-                missing = [a for a in summands if a % file_len not in cached and a not in decoded]
+            for j, (summands, _) in enumerate(payloads):
+                missing = [a for a in summands if a % file_len not in cached and a not in released]
                 if len(missing) == 1:
-                    (lost,) = missing
-                    others = (read(a, decoded) for a in summands if a != lost)
-                    decoded[lost] = reduce(_xor, others, payload)
+                    released[missing[0]] = j
                     progress = True
-        air_bytes.append(sum(map(len, decoded.values())))
-
+        air_bytes.append(sum(length_at[a % file_len] for a in released))
+        decoded: dict[int, int] = {}
         wanted = demand[user - 1]
         file_base = (wanted - 1) * file_len
-        rebuilt = bytearray(file_len)
-        covered = 0
         user_ok = True
+        intact = tiled
         for i, seg in enumerate(segments):
-            for key, (start, length) in slots[i].items():
-                if start not in cached and file_base + start not in decoded:
+            for key, (start, _) in slots[i].items():
+                address = file_base + start
+                if start in cached:
+                    continue
+                if address not in released:
                     user_ok = False
                     if failure is None:
                         failure = (
@@ -218,9 +236,8 @@ def run_end_to_end(
                             f"in segment {i} ({seg.tag}); no transmission completed it"
                         )
                     continue
-                rebuilt[start:start + length] = read(file_base + start, decoded)
-                covered += length
-        if user_ok and (covered != file_len or rebuilt != library[file_base:file_base + file_len]):
+                intact = intact and materialize(address, released, decoded) == piece[address]
+        if user_ok and not intact:
             user_ok = False
             if failure is None:
                 failure = f"user {user} rebuilt a corrupted copy of file {wanted}"

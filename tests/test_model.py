@@ -157,9 +157,9 @@ def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two
 def test_transmission_summands_share_one_layout_size(
     net_4users, net_6users_deep, net_6users_two_level
 ):
-    # a transmission's size is its summands' one layout size: the simulator's
-    # _xor left-pads a shorter operand, so unequal summands would show up
-    # only later, as a corrupted rebuild
+    # a transmission's size is its summands' one layout size: the simulator
+    # sizes a payload by its first summand and XORs ints, so unequal summands
+    # would show up only later, as a corrupted rebuild
     checked = set()
     for config, assoc in (net_4users, net_6users_deep, net_6users_two_level):
         demand = tuple(range(config.num_users, 0, -1))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from dualcache import simulator
 from dualcache.envelope import (
     SCHEMES, envelope_at, materialize_shared_placement, scheme2_corners, scheme_run,
 )
-from dualcache.model import InfeasibleSchemeError, NetworkConfig, SubfileId, build_association
+from dualcache.model import (
+    InfeasibleSchemeError, NetworkConfig, SubfileId, Transmission, build_association,
+)
 from dualcache.simulator import (
     DecodeReport,
     adversarial_sweep,
@@ -110,11 +113,17 @@ def test_zero_memory_broadcasts_everything(net_4users):
     assert report.private_bytes == (0, 0, 0, 0)
 
 
-def _reference_run(config, assoc, demand, run, seed):
+def _bytes_xor(a, b):
+    """The reference's XOR on bytes; the int XOR itself is simulator._xor, so
+    a patched _xor corrupts the reference and the simulator alike."""
+    return simulator._xor(int.from_bytes(a, "big"), int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _reference_run(config, assoc, demand, run, seed, min_len=1):
     """The simulator before pieces were named by byte address: one key per
-    (segment, SubfileId), one byte copy per user."""
+    (segment, SubfileId), one byte copy per user, every piece decoded."""
     segments = run.segments
-    file_len = choose_file_len(segments)
+    file_len = choose_file_len(segments, min_len=min_len)
     rng = random.Random(seed)
     files = {n: rng.randbytes(file_len) for n in range(1, config.num_files + 1)}
 
@@ -167,7 +176,7 @@ def _reference_run(config, assoc, demand, run, seed):
             payload = None
             for sub in trans.summands:
                 data = slice_of(i, sub)
-                payload = data if payload is None else simulator._xor(payload, data)
+                payload = data if payload is None else _bytes_xor(payload, data)
             payloads.append((i, trans, payload))
             total_air += len(payload)
 
@@ -183,7 +192,7 @@ def _reference_run(config, assoc, demand, run, seed):
                 acc = payload
                 for s in trans.summands:
                     if s is not missing[0]:
-                        acc = simulator._xor(acc, mine[(i, s)])
+                        acc = _bytes_xor(acc, mine[(i, s)])
                 mine[(i, missing[0])] = acc
                 air_bytes[user - 1] += len(acc)
                 progress = True
@@ -240,6 +249,40 @@ def _half_step_runs(config, assoc):
                     pass
 
 
+def _check_parity(monkeypatch, cases, modes, min_len=1):
+    """Every case under every mode decodes to the reference's report; an intact
+    run never fails, a damaged one fails on some cases but not all.  A mode is
+    intact, the first transmission of every segment dropped, or every XOR's
+    last big-endian byte zeroed.  Returns the last mode's failure texts."""
+    transmissions, xor = simulator.Segment.transmissions, simulator._xor
+    patches = {
+        "intact": None,
+        "dropped": (simulator.Segment, "transmissions",
+                    lambda seg, assoc, demand: transmissions(seg, assoc, demand)[1:]),
+        "corrupted": (simulator, "_xor", lambda a, b: xor(a, b) & ~0xFF),
+    }
+    failures = []
+    for mode in modes:
+        patch = patches[mode]
+        with monkeypatch.context() as patched:
+            if patch:
+                patched.setattr(*patch)
+            reports = []
+            for seed, (config, assoc, run) in enumerate(cases):
+                demand = tuple(range(config.num_users, 0, -1))
+                report = run_end_to_end(config, assoc, demand, scheme=run, seed=seed,
+                                        min_len=min_len)
+                reference = _reference_run(config, assoc, demand, run, seed, min_len=min_len)
+                assert report == reference, (mode, config)
+                reports.append(report)
+        failures = [r.failure for r in reports if not r.ok]
+        if mode == "intact":
+            assert not failures
+        else:
+            assert 0 < len(failures) < len(reports), mode
+    return failures
+
+
 def test_matches_reference_simulator(monkeypatch, net_4users, net_6users_deep, net_6users_two_level):
     # every half-step case of N=K=4; the two N=K=6 fixtures share one network,
     # so one grid serves both, sampled to a fixed third to keep the test short
@@ -250,26 +293,93 @@ def test_matches_reference_simulator(monkeypatch, net_4users, net_6users_deep, n
     cases = [(point, assoc4, run) for point, run in _half_step_runs(config4, assoc4)]
     cases += random.Random(0).sample(grid6, len(grid6) // 3)
     assert {seg.tag for _, _, run in cases for seg in run.segments} == set(SCHEMES)
-    transmissions, xor = simulator.Segment.transmissions, simulator._xor
-    modes = {
-        "intact": None,
-        "dropped": (simulator.Segment, "transmissions",
-                    lambda seg, assoc, demand: transmissions(seg, assoc, demand)[1:]),
-        "corrupted": (simulator, "_xor", lambda a, b: xor(a, b)[:-1] + b"\0"),
-    }
-    for mode, patch in modes.items():
-        with monkeypatch.context() as patched:
-            if patch:
-                patched.setattr(*patch)
-            reports = []
-            for seed, (config, assoc, run) in enumerate(cases):
-                demand = tuple(range(config.num_users, 0, -1))
-                report = run_end_to_end(config, assoc, demand, scheme=run, seed=seed)
-                assert report == _reference_run(config, assoc, demand, run, seed), (mode, config)
-                reports.append(report)
-        failures = [r.failure for r in reports if not r.ok]
-        if mode == "intact":
-            assert not failures
-        else:
-            assert 0 < len(failures) < len(reports), mode
+    failures = _check_parity(monkeypatch, cases, ("intact", "dropped", "corrupted"))
     assert any("rebuilt a corrupted copy" in f for f in failures)
+
+
+def test_matches_reference_simulator_at_multi_byte_pieces(monkeypatch, net_4users):
+    # at the minimal file_len pieces are a few bytes; at 4096 they are hundreds,
+    # so some start with a zero byte, which a piece's int does not show
+    config, assoc = net_4users
+    cases = [(point, assoc, run) for point, run in _half_step_runs(config, assoc)]
+    failures = _check_parity(monkeypatch, cases, ("intact", "corrupted"), min_len=4096)
+    assert any("rebuilt a corrupted copy" in f for f in failures)
+
+
+def test_users_xor_only_the_pieces_they_rebuild(monkeypatch):
+    # the oblivious scheme releases pieces of other users' files too: 870 air
+    # bytes here against 360 bytes of demanded files; a user XORs only to
+    # rebuild the released pieces of its own file
+    config = NetworkConfig(6, 6, 2, Fraction(3, 2), Fraction(1, 2))
+    assoc = build_association(config, [[1, 2, 3], [4, 5, 6]])
+    demand = tuple(range(1, 7))
+    run = scheme_run("unknown", config, assoc)
+    xor, calls = simulator._xor, 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return xor(a, b)
+
+    monkeypatch.setattr(simulator, "_xor", counted)
+    report = run_end_to_end(config, assoc, demand, scheme=run, seed=0)
+    assert report.ok
+    assert (sum(report.air_bytes), config.num_users * report.file_len) == (870, 360)
+
+    encode = bound = 0
+    for seg in run.segments:
+        transmissions = seg.transmissions(assoc, demand)
+        encode += sum(len(t.summands) - 1 for t in transmissions)
+        for user, wanted in enumerate(demand, start=1):
+            cached = set(seg.placement.private_contents[user - 1])
+            cached |= set(seg.placement.helper_contents[assoc.helper_of(user) - 1])
+            released = {}  # own-file piece -> XORs to rebuild it from its payload
+            for t in transmissions:
+                for s in t.summands:
+                    if s.file == wanted and s.piece not in cached:
+                        released.setdefault(s.piece, len(t.summands) - 1)
+            bound += sum(released.values())
+    assert calls - encode <= bound
+
+
+def test_a_decoded_summand_carries_its_fault(monkeypatch):
+    # no current scheme releases a piece through another decoded piece, so
+    # chain the zero-memory broadcasts into W1, W1+W2, W2+W3: user 3 rebuilds
+    # W3 through the W2 it decoded, and a fault in the W1+W2 payload reaches it
+    config = NetworkConfig(3, 3, 1, Fraction(0), Fraction(0))
+    assoc = build_association(config, [[1, 2, 3]])
+    demand = (1, 2, 3)
+    run = scheme_run("unknown", config, assoc)
+    w1, w2, w3 = ([SubfileId(n, (), None)] for n in demand)
+    chain = [Transmission(("W", 1), frozenset(w1)),
+             Transmission(("W", 12), frozenset(w1 + w2)),
+             Transmission(("W", 23), frozenset(w2 + w3))]
+    monkeypatch.setattr(simulator.Segment, "transmissions", lambda seg, assoc, demand: chain)
+    report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
+    assert report.ok and report == _reference_run(config, assoc, demand, run, seed=6)
+
+    xor, calls = simulator._xor, 0
+
+    def first_call_flips_a_bit(a, b):
+        # the first XOR of a run encodes the W1+W2 payload
+        nonlocal calls
+        calls += 1
+        return xor(a, b) ^ (calls == 1)
+
+    monkeypatch.setattr(simulator, "_xor", first_call_flips_a_bit)
+    report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
+    calls = 0
+    assert report == _reference_run(config, assoc, demand, run, seed=6)
+    assert report.per_user_ok == (True, False, False)
+    assert report.failure == "user 2 rebuilt a corrupted copy of file 2"
+
+
+def test_a_layout_gap_fails_the_rebuild():
+    # every piece arrives, but the pieces cover half the file
+    config = NetworkConfig(1, 1, 1, Fraction(0), Fraction(0))
+    assoc = build_association(config, [[1]])
+    (seg,) = scheme_run("unknown", config, assoc).segments
+    half = replace(seg, extents={key: (0, Fraction(1, 2)) for key in seg.extents})
+    report = run_end_to_end(config, assoc, (1,), scheme=simulator.SegmentedRun((half,)))
+    assert (report.file_len, report.air_bytes) == (2, (1,))
+    assert report.failure == "user 1 rebuilt a corrupted copy of file 1"
