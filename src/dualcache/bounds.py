@@ -4,11 +4,16 @@ Holds the two classic single-cache-type curves (dedicated-cache and
 shared-cache), their convex-envelope helpers, and the cut-set bound.
 Nothing here knows a scheme; envelope.bound_report sets the schemes
 against these curves.
+
+A reference curve's hull depends on the network shape only, so man_hull
+and pue_hull build it once per (K, N) and per (Lambda, N, profile); every
+memory point walks the cached hull.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .combin import binom
@@ -37,13 +42,12 @@ def lower_convex_points(
     return hull
 
 
-def envelope_mix(
-    points: Sequence[tuple[Fraction, Fraction]], x: Fraction
+def hull_mix(
+    hull: Sequence[tuple[Fraction, Fraction]], x: Fraction
 ) -> Optional[list[tuple[Fraction, Fraction, Fraction]]]:
-    """One-dimensional mixture (x_i, y_i, weight) realizing the lower convex
-    envelope at x: one hull point, or the two ends of the hull edge around x;
-    None outside the point span."""
-    hull = lower_convex_points(points)
+    """One-dimensional mixture (x_i, y_i, weight) realizing a lower convex hull
+    at x: one hull point, or the two ends of the hull edge around x; None
+    outside the hull's span."""
     if not hull or x < hull[0][0] or x > hull[-1][0]:
         return None
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
@@ -57,12 +61,23 @@ def envelope_mix(
     return [(hull[-1][0], hull[-1][1], Fraction(1))]
 
 
+def _hull_value(hull: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Optional[Fraction]:
+    mix = hull_mix(hull, x)
+    return None if mix is None else sum(y * w for _, y, w in mix)
+
+
+def envelope_mix(
+    points: Sequence[tuple[Fraction, Fraction]], x: Fraction
+) -> Optional[list[tuple[Fraction, Fraction, Fraction]]]:
+    """hull_mix over the lower convex hull of the points."""
+    return hull_mix(lower_convex_points(points), x)
+
+
 def envelope_interp(
     points: Sequence[tuple[Fraction, Fraction]], x: Fraction
 ) -> Optional[Fraction]:
     """Evaluate the lower convex envelope at x; None outside the point span."""
-    mix = envelope_mix(points, x)
-    return None if mix is None else sum(y * w for _, y, w in mix)
+    return _hull_value(lower_convex_points(points), x)
 
 
 def man_points(k: int, n: int) -> list[tuple[Fraction, Fraction]]:
@@ -70,11 +85,17 @@ def man_points(k: int, n: int) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(t * n, k), Fraction(k - t, t + 1)) for t in range(k + 1)]
 
 
+@lru_cache(maxsize=128)
+def man_hull(k: int, n: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Lower convex hull of man_points(k, n), built once per (K, N)."""
+    return tuple(lower_convex_points(man_points(k, n)))
+
+
 def man_rate(k: int, n: int, mem: Fraction) -> Fraction:
     """Dedicated-cache envelope rate at total memory mem."""
     if not 0 <= mem <= n:
         raise ValueError(f"memory {mem} outside [0, {n}]")
-    value = envelope_interp(man_points(k, n), Fraction(mem))
+    value = _hull_value(man_hull(k, n), Fraction(mem))
     assert value is not None
     return value
 
@@ -92,13 +113,20 @@ def pue_points(lam: int, n: int, profile: Sequence[int]) -> list[tuple[Fraction,
     ]
 
 
+@lru_cache(maxsize=128)
+def pue_hull(lam: int, n: int, profile: tuple[int, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Lower convex hull of pue_points(lam, n, profile), built once per
+    (Lambda, N, profile); the profile is a tuple of ints."""
+    return tuple(lower_convex_points(pue_points(lam, n, profile)))
+
+
 def pue_rate(lam: int, n: int, mem: Fraction, profile: Sequence[int]) -> Fraction:
     """Shared-cache envelope rate at total memory mem."""
     if not 0 <= mem <= n:
         raise ValueError(f"memory {mem} outside [0, {n}]")
     if list(profile) != sorted(profile, reverse=True):
         raise ValueError(f"profile must be non-increasing, got {tuple(profile)}")
-    value = envelope_interp(pue_points(lam, n, profile), Fraction(mem))
+    value = _hull_value(pue_hull(lam, n, tuple(profile)), Fraction(mem))
     assert value is not None
     return value
 

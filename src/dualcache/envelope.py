@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import bounds, simulator
@@ -54,27 +55,29 @@ def scheme2_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
     single t_s = 0 point: the dedicated-cache curve evaluated at the target
     private memory. Pinning that level to the target keeps the mixture from
     reshuffling private memory onto the zero-helper curve, which is how the
-    two-level decomposition is meant to work."""
-    n, lam = config.num_files, config.num_helpers
-    l1 = assoc.largest_group
-    k = config.num_users
-    mp0 = config.private_mem
-    corners = [
-        CornerPoint(Fraction(0), mp0, bounds.man_rate(k, n, mp0),
-                    "unknown", (Fraction(k * mp0, n),))
-    ]
-    seen = {(c.helper_mem, c.private_mem, c.rate) for c in corners}
+    two-level decomposition is meant to work.  The pinned corner comes first,
+    then the cached scheme2_grid; it has Ms = 0, so no grid corner repeats it."""
+    n, k, mp0 = config.num_files, config.num_users, config.private_mem
+    pinned = CornerPoint(Fraction(0), mp0, bounds.man_rate(k, n, mp0),
+                         "unknown", (Fraction(k * mp0, n),))
+    return [pinned, *scheme2_grid(n, config.num_helpers, assoc.profile)]
+
+
+@lru_cache(maxsize=128)
+def scheme2_grid(n: int, lam: int, profile: tuple[int, ...]) -> tuple[CornerPoint, ...]:
+    """The t_s >= 1 corners of scheme2_corners, distinct (Ms, Mp, rate) in
+    (t_s, t_p) order; built once per (N, Lambda, profile), as L1 = profile[0]."""
+    l1 = profile[0]
+    corners, seen = [], set()
     for t_s in range(1, lam + 1):
         ms = Fraction(t_s * n, lam)
         for t_p in range(0, l1 + 1):
             mp = (n - ms) * Fraction(t_p, l1)
-            rate = rate_scheme2_formula(lam, t_s, t_p, assoc.profile)
-            key = (ms, mp, rate)
-            if key in seen:
-                continue
-            seen.add(key)
-            corners.append(CornerPoint(ms, mp, rate, "scheme2", (t_s, t_p)))
-    return corners
+            rate = rate_scheme2_formula(lam, t_s, t_p, profile)
+            if (ms, mp, rate) not in seen:
+                seen.add((ms, mp, rate))
+                corners.append(CornerPoint(ms, mp, rate, "scheme2", (t_s, t_p)))
+    return tuple(corners)
 
 
 def scheme1_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoint]:
@@ -266,9 +269,24 @@ def certificate_holds(
     y = solution.duals
     return (
         primal
-        and all(y[0] * c.helper_mem + y[1] * c.private_mem + y[2] <= c.rate for c in corners)
+        and _duals_support(y, corners)
         and y[0] * helper_mem + y[1] * private_mem + y[2] == solution.achieved_rate
     )
+
+
+def _duals_support(y, corners: Sequence[CornerPoint]) -> bool:
+    """y[0]*Ms + y[1]*Mp + y[2] <= rate at every corner, checked in integers:
+    with one lcm L over every denominator, y.corner*L*L <= rate*L*L is the
+    same inequality scaled by L*L > 0."""
+    unit = math.lcm(*(v.denominator for v in y),
+                    *(v.denominator for c in corners for v in (c.helper_mem, c.private_mem, c.rate)))
+
+    def up(v) -> int:
+        return v.numerator * (unit // v.denominator)
+
+    y0, y1, y2 = map(up, y)
+    return all(y0 * up(c.helper_mem) + y1 * up(c.private_mem) + y2 * unit <= up(c.rate) * unit
+               for c in corners)
 
 
 # ---------------------------------------------------------------------------

@@ -118,13 +118,13 @@ def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fract
     n, k, lam = config.num_files, config.num_users, config.num_helpers
     alpha = config.helper_mem / m
     mixture = []
-    for share, points, memories in (
-        (alpha, bounds.pue_points(lam, n, profile), lambda mem: (mem, Fraction(0))),
-        (1 - alpha, bounds.man_points(k, n), lambda mem: (Fraction(0), mem)),
+    for share, hull, memories in (
+        (alpha, bounds.pue_hull(lam, n, tuple(profile)), lambda mem: (mem, Fraction(0))),
+        (1 - alpha, bounds.man_hull(k, n), lambda mem: (Fraction(0), mem)),
     ):
         if share == 0:
             continue
-        for mem, rate, w in bounds.envelope_mix(points, m):
+        for mem, rate, w in bounds.hull_mix(hull, m):
             if share * w > 0:
                 corner = CornerPoint(*memories(mem), rate, "unknown", (mem,))
                 mixture.append((corner, weight * share * w))

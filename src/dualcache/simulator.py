@@ -76,18 +76,37 @@ def build_segment(
                    placement=placement, extents=extents)
 
 
+def _piece_ratios(segments: Sequence[Segment]) -> tuple[list, Fraction]:
+    """Each piece's start and length as a share of the file, in ints: per
+    segment (den, {key: (start, length)}), the shares being start/den and
+    length/den; and the segment weights' sum.  A segment's base and weight
+    are read once as numerator/denominator, and each extent over the
+    segment's common denominator, so no Fraction arithmetic runs per piece."""
+    ratios = []
+    base = Fraction(0)
+    for seg in segments:
+        unit = math.lcm(*(v.denominator for extent in seg.extents.values() for v in extent))
+        (wn, wd), (bn, bd) = seg.weight.as_integer_ratio(), base.as_integer_ratio()
+        # base + weight * (x / unit) == (bn*wd*unit + bd*wn*x) / (bd*wd*unit)
+        origin, scale = bn * wd * unit, bd * wn
+        ratios.append((bd * wd * unit, {
+            key: (origin + scale * offset.numerator * (unit // offset.denominator),
+                  scale * size.numerator * (unit // size.denominator))
+            for key, (offset, size) in seg.extents.items()
+        }))
+        base += seg.weight
+    return ratios, base
+
+
 def choose_file_len(segments: Sequence[Segment], min_len: int = 1) -> int:
     """Smallest byte length making every mini-subfile slice a whole number of
     bytes, scaled up to min_len; errors past FILE_LEN_CAP."""
-    denom = 1
-    base = Fraction(0)
-    for seg in segments:
-        for offset, size in seg.extents.values():
-            denom = math.lcm(denom, (seg.weight * size).denominator)
-            denom = math.lcm(denom, (base + seg.weight * offset).denominator)
-        base += seg.weight
-    if base != 1:
-        raise ValueError(f"segment weights sum to {base}, expected 1")
+    ratios, total = _piece_ratios(segments)
+    denom = math.lcm(*{den // math.gcd(share, den)
+                       for den, seg_ratios in ratios
+                       for piece in seg_ratios.values() for share in piece})
+    if total != 1:
+        raise ValueError(f"segment weights sum to {total}, expected 1")
     length = denom * max(1, -(-min_len // denom))
     if length > FILE_LEN_CAP:
         raise InfeasibleSchemeError(
@@ -151,16 +170,13 @@ def run_end_to_end(
 
     # (start, length) in the file of every (segment, piece key)
     slots: list[dict] = []
-    base = Fraction(0)
-    for seg in segments:
+    for den, seg_ratios in _piece_ratios(segments)[0]:
         seg_slots = {}
-        for key, (offset, size) in seg.extents.items():
-            start = (base + seg.weight * offset) * file_len
-            length = seg.weight * size * file_len
-            assert start.denominator == 1 and length.denominator == 1
-            seg_slots[key] = (int(start), int(length))
+        for key, (start, length) in seg_ratios.items():
+            (start, r1), (length, r2) = divmod(start * file_len, den), divmod(length * file_len, den)
+            assert r1 == r2 == 0
+            seg_slots[key] = (start, length)
         slots.append(seg_slots)
-        base += seg.weight
     length_at = {start: length for seg_slots in slots for start, length in seg_slots.values()}
     tiled = sum(length for seg_slots in slots for _, length in seg_slots.values()) == file_len
 

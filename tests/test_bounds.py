@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from dualcache import bounds
 from dualcache.bounds import (
     cutset_bound,
     envelope_interp,
     lower_convex_points,
+    man_hull,
     man_points,
     man_rate,
+    pue_hull,
     pue_points,
     pue_profile_sum,
     pue_rate,
@@ -54,6 +57,26 @@ def test_shared_curve_values():
     assert pue_rate(2, 4, Fraction(2), profile) == Fraction(3, 2)
     with pytest.raises(ValueError):
         pue_rate(2, 4, Fraction(1), (1, 3))  # profile must be non-increasing
+
+
+def test_reference_hulls_are_built_once_per_shape(monkeypatch):
+    memories = [Fraction(m, 4) for m in range(17)]
+    expected = [(envelope_interp(man_points(4, 4), m), envelope_interp(pue_points(2, 4, (3, 1)), m))
+                for m in memories]
+    hull, builds = bounds.lower_convex_points, []
+
+    def counted(points):
+        builds.append(points)
+        return hull(points)
+
+    monkeypatch.setattr(bounds, "lower_convex_points", counted)
+    man_hull.cache_clear()
+    pue_hull.cache_clear()
+    for mem, (man, pue) in zip(memories, expected):
+        assert man_rate(4, 4, mem) == man
+        assert pue_rate(2, 4, mem, (3, 1)) == pue_rate(2, 4, mem, [3, 1]) == pue
+    # one hull per (K, N) and one per (Lambda, N, profile), for 17 memory points
+    assert builds == [man_points(4, 4), pue_points(2, 4, (3, 1))]
 
 
 def test_shared_curve_uniform_matches_closed_form():

@@ -1,9 +1,12 @@
+import dataclasses
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from hypothesis import example, given, settings, strategies as st
 
 from dualcache import envelope
+from dualcache.bounds import man_hull, man_points, man_rate, pue_hull, pue_points
 from dualcache.envelope import (
     EnvelopeSolution,
     bound_report,
@@ -19,6 +22,7 @@ from dualcache.envelope import (
     unknown_run_segments,
 )
 from dualcache.model import CornerPoint, NetworkConfig, build_association
+from dualcache.scheme2 import rate_scheme2_formula
 from dualcache.scheme_unknown import rate_unknown_general
 from dualcache.simulator import run_end_to_end
 from test_scheme_rate import NETWORKS
@@ -320,3 +324,160 @@ F = Fraction
 @example(lp=([[F(1)], [F(-1)]], [F(-1), F(0)], [F(0)]))  # unbounded
 def test_simplex_matches_tableau_on_small_lps(lp):
     assert _outcome(simplex_solve, lp) == _outcome(_tableau_solve, lp)
+
+
+# ---------------------------------------------------------------------------
+# the caches of a sweep: what does not depend on the memory point is built once
+
+
+def _k20_sweep():
+    """The smallest curve benchmark sweep: K=20, groups [10, 5, 3, 2], Ms = 5."""
+    groups = [list(range(1, 11)), list(range(11, 16)), [16, 17, 18], [19, 20]]
+    return [(NetworkConfig(20, 20, 4, Fraction(5), Fraction(mp)), groups) for mp in range(16)]
+
+
+def _sweep_points():
+    return [point for network in NETWORKS for point in _half_step_grid(*network)] + _k20_sweep()
+
+
+def _reference_scheme2_corners(config, assoc):
+    """scheme2_corners built from scratch at every call, with no cache."""
+    n, lam, l1, k = config.num_files, config.num_helpers, assoc.largest_group, config.num_users
+    mp0 = config.private_mem
+    corners = [CornerPoint(Fraction(0), mp0, man_rate(k, n, mp0), "unknown",
+                           (Fraction(k * mp0, n),))]
+    seen = {(c.helper_mem, c.private_mem, c.rate) for c in corners}
+    for t_s in range(1, lam + 1):
+        ms = Fraction(t_s * n, lam)
+        for t_p in range(0, l1 + 1):
+            mp = (n - ms) * Fraction(t_p, l1)
+            rate = rate_scheme2_formula(lam, t_s, t_p, assoc.profile)
+            if (ms, mp, rate) not in seen:
+                seen.add((ms, mp, rate))
+                corners.append(CornerPoint(ms, mp, rate, "scheme2", (t_s, t_p)))
+    return corners
+
+
+def test_scheme2_corners_match_an_uncached_build():
+    for config, partition in _sweep_points():
+        assoc = build_association(config, partition)
+        assert scheme2_corners(config, assoc) == _reference_scheme2_corners(config, assoc)
+
+
+def test_a_sweep_builds_the_scheme2_grid_once(monkeypatch):
+    formula, calls = envelope.rate_scheme2_formula, []
+
+    def counted(*args):
+        calls.append(args)
+        return formula(*args)
+
+    monkeypatch.setattr(envelope, "rate_scheme2_formula", counted)
+    envelope.scheme2_grid.cache_clear()
+    for config, partition in _k20_sweep():
+        bound_report(config, build_association(config, partition))
+    # Lambda * (L1 + 1) = 4 * 11 for the whole sweep, not for each of its 16 rows
+    assert len(calls) == 4 * (10 + 1)
+
+
+def test_returned_lists_do_not_alias_the_caches(net_4users):
+    config, assoc = net_4users
+    calls = {
+        "scheme2_corners": lambda: scheme2_corners(config, assoc),
+        "man_points": lambda: man_points(4, 4),
+        "pue_points": lambda: pue_points(2, 4, assoc.profile),
+        "envelope_mix": lambda: envelope_mix(man_points(4, 4), Fraction(3, 2)),
+    }
+    for name, call in calls.items():
+        returned = call()
+        before = list(returned)
+        returned.reverse()
+        returned[0] = None
+        returned.append(None)
+        assert call() == before, name
+    # the caches are bounded and hold tuples, which no caller can mutate
+    for cache, key in ((envelope.scheme2_grid, (4, 2, assoc.profile)), (man_hull, (4, 4)),
+                       (pue_hull, (2, 4, assoc.profile))):
+        assert cache.cache_info().maxsize is not None
+        assert isinstance(cache(*key), tuple)
+
+
+# ---------------------------------------------------------------------------
+# differential reference for the dual check: the Fraction-arithmetic
+# certificate_holds that the integer check replaced
+
+
+def _reference_certificate_holds(corners, solution, helper_mem, private_mem):
+    weights = solution.weights
+    primal = (
+        all(w > 0 for _, w in weights)
+        and sum(w for _, w in weights) == 1
+        and sum(w * c.helper_mem for c, w in weights) == helper_mem
+        and sum(w * c.private_mem for c, w in weights) == private_mem
+        and sum(w * c.rate for c, w in weights) == solution.achieved_rate
+    )
+    y = solution.duals
+    return (
+        primal
+        and all(y[0] * c.helper_mem + y[1] * c.private_mem + y[2] <= c.rate for c in corners)
+        and y[0] * helper_mem + y[1] * private_mem + y[2] == solution.achieved_rate
+    )
+
+
+def _bound_report_certificates(monkeypatch, points):
+    """Every (corners, solution, Ms, Mp) that bound_report hands certificate_holds."""
+    seen, check = [], envelope.certificate_holds
+
+    def spy(*args):
+        seen.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(envelope, "certificate_holds", spy)
+    for config, partition in points:
+        bound_report(config, build_association(config, partition))
+    monkeypatch.undo()
+    return seen
+
+
+def _nudged_duals(corners, duals, helper_mem, private_mem):
+    """Duals moved along a direction that keeps the target's price: to the
+    tightest corner, where they still support every corner, and one step
+    past it.  The step is 1/L**2 for L the lcm of every denominator, the
+    unit in which the scaled check compares."""
+    def at(y, c):
+        return y[0] * c.helper_mem + y[1] * c.private_mem + y[2]
+
+    for d in ((1, 0, -helper_mem), (-1, 0, helper_mem), (0, 1, -private_mem), (0, -1, private_mem)):
+        # moving t along d raises y.corner by t * at(d, c): corner c binds at slack / at(d, c)
+        reach = [(c.rate - at(duals, c)) / at(d, c) for c in corners if at(d, c) > 0]
+        if reach:
+            t = min(reach)
+            edge = tuple(y + t * di for y, di in zip(duals, d))
+            values = [*edge, *(v for c in corners for v in (c.helper_mem, c.private_mem, c.rate))]
+            step = Fraction(1, math.lcm(*(v.denominator for v in values)) ** 2)
+            return edge, tuple(y + step * di for y, di in zip(edge, d))
+    raise AssertionError("every corner sits at the target")
+
+
+def test_integer_certificate_matches_the_fraction_check(monkeypatch):
+    certificates = _bound_report_certificates(monkeypatch, _sweep_points())
+    assert len(certificates) > 300
+    for corners, solution, helper_mem, private_mem in certificates:
+        assert certificate_holds(corners, solution, helper_mem, private_mem)
+        assert _reference_certificate_holds(corners, solution, helper_mem, private_mem)
+        edge, past = _nudged_duals(corners, solution.duals, helper_mem, private_mem)
+        for duals, verdict in ((edge, True), (past, False)):
+            nudged = dataclasses.replace(solution, duals=duals)
+            assert certificate_holds(corners, nudged, helper_mem, private_mem) == verdict
+            assert _reference_certificate_holds(corners, nudged, helper_mem, private_mem) == verdict
+
+
+def test_certificate_rejects_duals_one_unit_past_a_corner():
+    # integer corners on rate = 2 - Ms: the duals (0, 0, 1) still price the
+    # target Ms = 1 at 1, but overshoot the corner at Ms = 2 by exactly 1
+    a, b, c = (CornerPoint(Fraction(ms), Fraction(0), Fraction(2 - ms), "scheme2", ())
+               for ms in (0, 2, 1))
+    good = EnvelopeSolution(((c, Fraction(1)),), Fraction(1), (Fraction(-1), Fraction(0), Fraction(2)))
+    past = dataclasses.replace(good, duals=(Fraction(0), Fraction(0), Fraction(1)))
+    for check in (certificate_holds, _reference_certificate_holds):
+        assert check([a, b, c], good, Fraction(1), Fraction(0))
+        assert not check([a, b, c], past, Fraction(1), Fraction(0))
