@@ -216,7 +216,9 @@ def simplex_solve(
 
     level = dict(zip(basis.basis, basis.beta))
     x = [Fraction(level.get(j, 0), basis.det) for j in range(n)]
-    value = sum(costs[j] * x[j] for j in range(n))
+    # costs[j] is phase2[j] / unit, and only basic columns have a nonzero x[j]
+    value = Fraction(sum(phase2[j] * beta for j, beta in level.items() if j < n),
+                     basis.det * unit)
     duals = [Fraction(sign[i] * p * scale[i], basis.det * unit)
              for i, p in enumerate(basis.prices(phase2))]
     return value, x, duals

@@ -3,7 +3,10 @@ payloads, and check that every user reconstructs its demanded file.
 
 A run is a list of weighted segments; each segment covers a contiguous
 slice of every file and is placed and delivered by one scheme.  A piece is
-held as one big-endian int and a payload is the int XOR of its summands.
+held as one int, its bytes being that int's big-endian bytes, and a payload
+is the int XOR of its summands.  Only the pieces some payload carries are
+ever read, so only they are drawn: random.Random(seed).getrandbits(8 * length)
+for each, in order of file, then start.
 Decoding is a fixpoint over piece addresses only: a transmission releases
 its one unknown summand to any user that already holds the rest, and the
 user records which payload released it.  The rebuild then XORs only the
@@ -101,7 +104,11 @@ def _piece_ratios(segments: Sequence[Segment]) -> tuple[list, Fraction]:
 def choose_file_len(segments: Sequence[Segment], min_len: int = 1) -> int:
     """Smallest byte length making every mini-subfile slice a whole number of
     bytes, scaled up to min_len; errors past FILE_LEN_CAP."""
-    ratios, total = _piece_ratios(segments)
+    return _file_len(*_piece_ratios(segments), min_len)
+
+
+def _file_len(ratios: list, total: Fraction, min_len: int) -> int:
+    """choose_file_len over the output of _piece_ratios."""
     denom = math.lcm(*{den // math.gcd(share, den)
                        for den, seg_ratios in ratios
                        for piece in seg_ratios.values() for share in piece})
@@ -166,11 +173,12 @@ def run_end_to_end(
     released pieces of the user's own file and compares each with the
     library's piece."""
     segments = _resolve_segments(scheme, config, assoc)
-    file_len = choose_file_len(segments, min_len=min_len)
+    ratios, total = _piece_ratios(segments)
+    file_len = _file_len(ratios, total, min_len)
 
     # (start, length) in the file of every (segment, piece key)
     slots: list[dict] = []
-    for den, seg_ratios in _piece_ratios(segments)[0]:
+    for den, seg_ratios in ratios:
         seg_slots = {}
         for key, (start, length) in seg_ratios.items():
             (start, r1), (length, r2) = divmod(start * file_len, den), divmod(length * file_len, den)
@@ -194,15 +202,10 @@ def run_end_to_end(
         for seg_slots, seg in zip(slots, segments)
         for trans in seg.transmissions(assoc, demand)
     ]
-    # every file is drawn, but only the pieces some payload carries are kept
+    # only the pieces some payload carries are ever read, so only they are drawn
     needed = {a for summands in sent for a in summands}
     rng = random.Random(seed)
-    piece: dict[int, int] = {}
-    for n in range(config.num_files):
-        data = memoryview(rng.randbytes(file_len))
-        for start, length in length_at.items():
-            if n * file_len + start in needed:
-                piece[n * file_len + start] = int.from_bytes(data[start:start + length], "big")
+    piece = {a: rng.getrandbits(8 * length_at[a % file_len]) for a in sorted(needed)}
     payloads = [(summands, reduce(_xor, (piece[a] for a in summands))) for summands in sent]
     total_air = sum(length_at[summands[0] % file_len] for summands, _ in payloads)
 

@@ -75,12 +75,63 @@ def test_decode_across_schemes(net_6users_deep, net_6users_two_level):
     assert r2.ok and r2.measured_rate == 1
 
 
-def test_different_seeds_give_different_bytes(net_4users):
+def test_different_seeds_give_different_bytes(monkeypatch, net_4users):
     config, assoc = net_4users
-    a = run_end_to_end(config, assoc, (1, 2, 3, 4), seed=1)
-    b = run_end_to_end(config, assoc, (1, 2, 3, 4), seed=2)
-    assert a.ok and b.ok
-    assert a.measured_rate == b.measured_rate
+    xor = simulator._xor
+
+    def xored(seed):
+        """Every int XOR of one run: the payloads and the rebuilt pieces."""
+        seen = []
+
+        def recorded(a, b):
+            seen.append(xor(a, b))
+            return seen[-1]
+
+        monkeypatch.setattr(simulator, "_xor", recorded)
+        report = run_end_to_end(config, assoc, (1, 2, 3, 4), seed=seed)
+        assert report.ok and report.measured_rate == Fraction(13, 12)
+        return seen
+
+    assert xored(1) == xored(1)
+    assert xored(1) != xored(2)
+
+
+def test_only_carried_pieces_are_drawn(monkeypatch, net_4users):
+    # the library is one getrandbits(8 * length) per carried piece, in (file,
+    # start) order, and a piece is that int; at min_len=4096 pieces are hundreds
+    # of bytes, so no two drawn ints coincide
+    config, assoc = net_4users
+    demand = (1, 2, 3, 4)
+    (seg,) = scheme_run("unknown", config, assoc).segments
+    file_len = choose_file_len([seg], min_len=4096)
+    transmissions = seg.transmissions(assoc, demand)
+    slot = {sub: (sub.file, int(seg.extents[sub.piece][0] * file_len),
+                  int(seg.extents[sub.piece][1] * file_len))
+            for t in transmissions for sub in t.summands}
+    rng = random.Random(1)
+    drawn = {(n, start): rng.getrandbits(8 * length) for n, start, length in sorted(set(slot.values()))}
+    xor, bits, operands = simulator._xor, 0, set()
+
+    class Counted(random.Random):
+        def getrandbits(self, k):
+            nonlocal bits
+            bits += k
+            return super().getrandbits(k)
+
+    def recorded(a, b):
+        operands.update((a, b))
+        return xor(a, b)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    monkeypatch.setattr(simulator, "_xor", recorded)
+    report = run_end_to_end(config, assoc, demand, scheme=simulator.SegmentedRun((seg,)),
+                            seed=1, min_len=4096)
+    assert report.ok
+    assert bits == 8 * sum(length for _, _, length in set(slot.values()))
+    assert bits < 8 * config.num_files * file_len
+    # the payload XOR takes each of its summands as the int drawn for it
+    assert all(drawn[slot[sub][:2]] in operands
+               for t in transmissions if len(t.summands) > 1 for sub in t.summands)
 
 
 def test_adversarial_sweeps(net_4users, net_6users_two_level):
@@ -121,11 +172,11 @@ def _bytes_xor(a, b):
 
 def _reference_run(config, assoc, demand, run, seed, min_len=1):
     """The simulator before pieces were named by byte address: one key per
-    (segment, SubfileId), one byte copy per user, every piece decoded."""
+    (segment, SubfileId), one byte copy per user, every piece decoded.  The
+    library is zeros except for the pieces some payload carries, each drawn
+    as getrandbits(8 * length) in (file, start) order, big-endian."""
     segments = run.segments
     file_len = choose_file_len(segments, min_len=min_len)
-    rng = random.Random(seed)
-    files = {n: rng.randbytes(file_len) for n in range(1, config.num_files + 1)}
 
     slots: list[dict] = []
     base = Fraction(0)
@@ -137,6 +188,16 @@ def _reference_run(config, assoc, demand, run, seed, min_len=1):
             seg_slots[key] = (int(start), int(length))
         slots.append(seg_slots)
         base += seg.weight
+
+    sent = [(i, trans) for i, seg in enumerate(segments)
+            for trans in seg.transmissions(assoc, demand)]
+    carried = sorted({(sub.file, *slots[i][sub.piece]) for i, trans in sent
+                      for sub in trans.summands})
+    rng = random.Random(seed)
+    library = {n: bytearray(file_len) for n in range(1, config.num_files + 1)}
+    for n, start, length in carried:
+        library[n][start:start + length] = rng.getrandbits(8 * length).to_bytes(length, "big")
+    files = {n: bytes(data) for n, data in library.items()}
 
     def slice_of(seg_idx, sub):
         start, length = slots[seg_idx][sub.piece]
@@ -171,14 +232,13 @@ def _reference_run(config, assoc, demand, run, seed, min_len=1):
 
     payloads = []
     total_air = 0
-    for i, seg in enumerate(segments):
-        for trans in seg.transmissions(assoc, demand):
-            payload = None
-            for sub in trans.summands:
-                data = slice_of(i, sub)
-                payload = data if payload is None else _bytes_xor(payload, data)
-            payloads.append((i, trans, payload))
-            total_air += len(payload)
+    for i, trans in sent:
+        payload = None
+        for sub in trans.summands:
+            data = slice_of(i, sub)
+            payload = data if payload is None else _bytes_xor(payload, data)
+        payloads.append((i, trans, payload))
+        total_air += len(payload)
 
     for user in range(1, k + 1):
         mine = known[user - 1]
