@@ -61,25 +61,6 @@ def hull_mix(
     return [(hull[-1][0], hull[-1][1], Fraction(1))]
 
 
-def _hull_value(hull: Sequence[tuple[Fraction, Fraction]], x: Fraction) -> Optional[Fraction]:
-    mix = hull_mix(hull, x)
-    return None if mix is None else sum(y * w for _, y, w in mix)
-
-
-def envelope_mix(
-    points: Sequence[tuple[Fraction, Fraction]], x: Fraction
-) -> Optional[list[tuple[Fraction, Fraction, Fraction]]]:
-    """hull_mix over the lower convex hull of the points."""
-    return hull_mix(lower_convex_points(points), x)
-
-
-def envelope_interp(
-    points: Sequence[tuple[Fraction, Fraction]], x: Fraction
-) -> Optional[Fraction]:
-    """Evaluate the lower convex envelope at x; None outside the point span."""
-    return _hull_value(lower_convex_points(points), x)
-
-
 def man_points(k: int, n: int) -> list[tuple[Fraction, Fraction]]:
     """Corner points of the dedicated-cache curve: memory t*N/K, rate (K-t)/(t+1)."""
     return [(Fraction(t * n, k), Fraction(k - t, t + 1)) for t in range(k + 1)]
@@ -95,9 +76,7 @@ def man_rate(k: int, n: int, mem: Fraction) -> Fraction:
     """Dedicated-cache envelope rate at total memory mem."""
     if not 0 <= mem <= n:
         raise ValueError(f"memory {mem} outside [0, {n}]")
-    value = _hull_value(man_hull(k, n), Fraction(mem))
-    assert value is not None
-    return value
+    return sum(y * w for _, y, w in hull_mix(man_hull(k, n), Fraction(mem)))
 
 
 def pue_profile_sum(lam: int, t: int, profile: Sequence[int]) -> int:
@@ -126,9 +105,7 @@ def pue_rate(lam: int, n: int, mem: Fraction, profile: Sequence[int]) -> Fractio
         raise ValueError(f"memory {mem} outside [0, {n}]")
     if list(profile) != sorted(profile, reverse=True):
         raise ValueError(f"profile must be non-increasing, got {tuple(profile)}")
-    value = _hull_value(pue_hull(lam, n, tuple(profile)), Fraction(mem))
-    assert value is not None
-    return value
+    return sum(y * w for _, y, w in hull_mix(pue_hull(lam, n, tuple(profile)), Fraction(mem)))
 
 
 def cutset_bound(config: NetworkConfig, assoc: Association) -> tuple[Fraction, int]:

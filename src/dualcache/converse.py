@@ -8,9 +8,10 @@ agreement certifies the delivery as optimal under this placement.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -90,17 +91,11 @@ def verify_acyclic(
             for key in cache & wanted.keys():
                 outs.update(wanted[key])
 
-    indeg = Counter(other for outs in edges.values() for other in outs)
-    queue = deque(user for user in edges if indeg[user] == 0)
-    seen = 0
-    while queue:
-        user = queue.popleft()
-        seen += 1
-        for other in edges[user]:
-            indeg[other] -= 1
-            if indeg[other] == 0:
-                queue.append(other)
-    return seen == len(edges)
+    try:
+        TopologicalSorter(edges).prepare()  # raises on any cycle
+    except CycleError:
+        return False
+    return True
 
 
 def certify(

@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import bounds, simulator
-from .bounds import envelope_mix
 from .combin import binom
 from .model import Association, CertificateError, CornerPoint, InfeasibleSchemeError, NetworkConfig
 from .scheme1 import corner_feasible
@@ -42,12 +41,8 @@ class EnvelopeSolution:
 
 def dedicated_corners(config: NetworkConfig) -> list[CornerPoint]:
     """Zero-helper-memory corners from the dedicated-cache curve."""
-    k, n = config.num_users, config.num_files
-    return [
-        CornerPoint(Fraction(0), Fraction(t * n, k), Fraction(k - t, t + 1),
-                    "unknown", (t,))
-        for t in range(k + 1)
-    ]
+    return [CornerPoint(Fraction(0), mem, rate, "unknown", (t,))
+            for t, (mem, rate) in enumerate(bounds.man_points(config.num_users, config.num_files))]
 
 
 def scheme2_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoint]:
@@ -81,20 +76,14 @@ def scheme2_grid(n: int, lam: int, profile: tuple[int, ...]) -> tuple[CornerPoin
 
 
 def scheme1_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoint]:
-    """Feasible single-level corners at this fixed Ms: memory pairs
-    (Ms, t*N/K - Ms) for integer t passing the coverage and cap gates."""
-    k, n = config.num_users, config.num_files
-    l1 = assoc.largest_group
-    ms = config.helper_mem
-    corners = []
-    for t in range(k + 1):
-        mp = Fraction(t * n, k) - ms
-        if mp < 0 or not corner_feasible(k, n, l1, t, ms):
-            continue
-        corners.append(
-            CornerPoint(ms, mp, Fraction(k - t, t + 1), "scheme1", (t,))
-        )
-    return corners
+    """Feasible single-level corners at this fixed Ms: memory pairs (Ms, t*N/K - Ms)
+    for integer t passing the coverage and cap gates.  Their levels are t = first..K,
+    never empty: t >= L1 and t*N/K >= Ms grow with t, the cap N*C(K-L1, t-L1)/C(K, t)
+    is nondecreasing (t -> t+1 multiplies it by (t+1)/(t+1-L1) >= 1) and is N at K."""
+    k, n, ms = config.num_users, config.num_files, config.helper_mem
+    return [CornerPoint(ms, mem - ms, rate, "scheme1", (t,))
+            for t, (mem, rate) in enumerate(bounds.man_points(k, n))
+            if mem >= ms and corner_feasible(k, n, assoc.largest_group, t, ms)]
 
 
 def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoint]:
@@ -296,23 +285,24 @@ def _duals_support(y, corners: Sequence[CornerPoint]) -> bool:
 
 
 def _scheme1_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
-    """The 1-D hull over the scheme1 corners at this Ms, walked along Mp; a corner
-    with fractional helper quota q = Ms*C(K,t)/N runs as two corners at the same t,
-    with quotas floor(q) and floor(q) + 1 weighted to average q."""
-    corners = {c.private_mem: c for c in scheme1_corners(config, assoc)}
-    mix = envelope_mix([(c.private_mem, c.rate) for c in corners.values()], config.private_mem)
+    """The cached dedicated-cache hull from scheme1's first feasible level, walked
+    at Ms + Mp (every dedicated-cache point is a hull vertex, so man_hull(K, N)[t]
+    is level t); a corner with fractional helper quota q = Ms*C(K,t)/N runs as two
+    corners at the same t, with quotas floor(q) and floor(q) + 1 weighted to average q."""
+    k, n = config.num_users, config.num_files
+    (first,) = scheme1_corners(config, assoc)[0].params
+    mix = bounds.hull_mix(bounds.man_hull(k, n)[first:], config.total_mem)
     if mix is None:
         return None
-    k, n = config.num_users, config.num_files
     mixture = []
-    for mp, rate, weight in mix:
-        (t,) = corners[mp].params
+    for mem, rate, weight in mix:
+        t = int(mem * k / n)
         unit = Fraction(n, binom(k, t))  # helper memory of one quota step
         quota = config.helper_mem / unit
         low = math.floor(quota)
         for q, share in ((low, 1 - (quota - low)), (low + 1, quota - low)):
             if share > 0:
-                corner = CornerPoint(q * unit, Fraction(t * n, k) - q * unit, rate, "scheme1", (t,))
+                corner = CornerPoint(q * unit, mem - q * unit, rate, "scheme1", (t,))
                 mixture.append((corner, weight * share))
     return mixture
 

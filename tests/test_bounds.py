@@ -5,7 +5,7 @@ import pytest
 from dualcache import bounds
 from dualcache.bounds import (
     cutset_bound,
-    envelope_interp,
+    hull_mix,
     lower_convex_points,
     man_hull,
     man_points,
@@ -31,11 +31,17 @@ def test_lower_hull_drops_dominated_points():
     ]
 
 
+def _interp(points, x):
+    """The lower convex envelope of the points at x; None outside their span."""
+    mix = hull_mix(lower_convex_points(points), x)
+    return None if mix is None else sum(y * w for _, y, w in mix)
+
+
 def test_envelope_interp_bounds():
     points = [(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))]
-    assert envelope_interp(points, Fraction(1)) == 1
-    assert envelope_interp(points, Fraction(3)) is None
-    assert envelope_interp(points, Fraction(-1)) is None
+    assert _interp(points, Fraction(1)) == 1
+    assert _interp(points, Fraction(3)) is None
+    assert _interp(points, Fraction(-1)) is None
 
 
 def test_dedicated_curve_values():
@@ -50,6 +56,13 @@ def test_dedicated_curve_values():
         man_rate(4, 4, Fraction(5))
 
 
+def test_every_dedicated_point_is_a_hull_vertex():
+    # slopes -(K+1)/((t+1)(t+2)) strictly increase, so man_hull(K, N)[t] is level t
+    for k in range(1, 13):
+        for n in (k, k + 3):
+            assert man_hull(k, n) == tuple(man_points(k, n)), (k, n)
+
+
 def test_shared_curve_values():
     profile = (3, 1)
     assert pue_profile_sum(2, 1, profile) == 3
@@ -61,7 +74,7 @@ def test_shared_curve_values():
 
 def test_reference_hulls_are_built_once_per_shape(monkeypatch):
     memories = [Fraction(m, 4) for m in range(17)]
-    expected = [(envelope_interp(man_points(4, 4), m), envelope_interp(pue_points(2, 4, (3, 1)), m))
+    expected = [(_interp(man_points(4, 4), m), _interp(pue_points(2, 4, (3, 1)), m))
                 for m in memories]
     hull, builds = bounds.lower_convex_points, []
 

@@ -6,17 +6,26 @@ from typing import Optional, Sequence
 from hypothesis import example, given, settings, strategies as st
 
 from dualcache import envelope
-from dualcache.bounds import man_hull, man_points, man_rate, pue_hull, pue_points
+from dualcache.bounds import (
+    hull_mix,
+    lower_convex_points,
+    man_hull,
+    man_points,
+    man_rate,
+    pue_hull,
+    pue_points,
+)
+from dualcache.combin import binom
 from dualcache.envelope import (
     EnvelopeSolution,
     bound_report,
     certificate_holds,
     envelope_at,
-    envelope_mix,
     scheme1_corners,
     scheme2_corners,
     scheme2_envelope_rate,
     materialize_shared_placement,
+    scheme_mixture,
     scheme_rate,
     simplex_solve,
     unknown_run_segments,
@@ -119,13 +128,13 @@ def test_duals_support_every_corner(net_4users):
 
 def test_one_dimensional_mix():
     points = [(Fraction(0), Fraction(4)), (Fraction(2), Fraction(1)), (Fraction(4), Fraction(0))]
-    mix = envelope_mix(points, Fraction(1))
-    assert mix == [
+    hull = lower_convex_points(points)
+    assert hull_mix(hull, Fraction(1)) == [
         (Fraction(0), Fraction(4), Fraction(1, 2)),
         (Fraction(2), Fraction(1), Fraction(1, 2)),
     ]
-    assert envelope_mix(points, Fraction(2)) == [(Fraction(2), Fraction(1), Fraction(1))]
-    assert envelope_mix(points, Fraction(5)) is None
+    assert hull_mix(hull, Fraction(2)) == [(Fraction(2), Fraction(1), Fraction(1))]
+    assert hull_mix(hull, Fraction(5)) is None
 
 
 def test_single_level_envelope_interpolates(net_4users):
@@ -385,7 +394,7 @@ def test_returned_lists_do_not_alias_the_caches(net_4users):
         "scheme2_corners": lambda: scheme2_corners(config, assoc),
         "man_points": lambda: man_points(4, 4),
         "pue_points": lambda: pue_points(2, 4, assoc.profile),
-        "envelope_mix": lambda: envelope_mix(man_points(4, 4), Fraction(3, 2)),
+        "hull_mix": lambda: hull_mix(man_hull(4, 4), Fraction(3, 2)),
     }
     for name, call in calls.items():
         returned = call()
@@ -399,6 +408,49 @@ def test_returned_lists_do_not_alias_the_caches(net_4users):
                        (pue_hull, (2, 4, assoc.profile))):
         assert cache.cache_info().maxsize is not None
         assert isinstance(cache(*key), tuple)
+
+
+# ---------------------------------------------------------------------------
+# scheme1 walks the cached dedicated-cache hull from its first feasible level
+
+
+def _reference_scheme1_mixture(config, assoc):
+    """scheme1's mixture from a fresh hull over its corners at this Ms, walked along Mp."""
+    corners = {c.private_mem: c for c in scheme1_corners(config, assoc)}
+    hull = lower_convex_points([(c.private_mem, c.rate) for c in corners.values()])
+    mix = hull_mix(hull, config.private_mem)
+    if mix is None:
+        return None
+    k, n = config.num_users, config.num_files
+    mixture = []
+    for mp, rate, weight in mix:
+        (t,) = corners[mp].params
+        unit = Fraction(n, binom(k, t))
+        quota = config.helper_mem / unit
+        low = math.floor(quota)
+        for q, share in ((low, 1 - (quota - low)), (low + 1, quota - low)):
+            if share > 0:
+                mp_q = Fraction(t * n, k) - q * unit
+                corner = CornerPoint(q * unit, mp_q, rate, "scheme1", (t,))
+                mixture.append((corner, weight * share))
+    return mixture
+
+
+def test_scheme1_levels_are_a_suffix_ending_at_k():
+    for config, partition in _sweep_points():
+        corners = scheme1_corners(config, build_association(config, partition))
+        levels = [c.params[0] for c in corners]
+        assert levels and levels == list(range(levels[0], config.num_users + 1)), config
+
+
+def test_scheme1_mixture_matches_a_fresh_hull_over_its_corners():
+    two_level = 0
+    for config, partition in _sweep_points():
+        assoc = build_association(config, partition)
+        mixture = scheme_mixture("scheme1", config, assoc)
+        assert mixture == _reference_scheme1_mixture(config, assoc), config
+        two_level += mixture is not None and len({c.params for c, _ in mixture}) == 2
+    assert two_level > 0  # the grids walk hull edges, not only single levels
 
 
 # ---------------------------------------------------------------------------
