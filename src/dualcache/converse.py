@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .combin import binom
 from .model import Association, InfeasibleSchemeError, NetworkConfig, SubfileId, validate_demand
 from .scheme_unknown import place_unknown, rate_unknown, unknown_params
+from .simulator import check_unknown_size
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,7 @@ def certify(
     params = unknown_params(config)
     if config.total_mem == 0:
         raise InfeasibleSchemeError("the converse needs a positive total memory")
+    check_unknown_size(config)  # before build_h and place_unknown list any key
     h1, h2 = build_h(config, assoc, demand)
     alpha = Fraction(0)
     if params.f1 > 0:

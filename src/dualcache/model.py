@@ -203,9 +203,9 @@ def stored_by(keys: Sequence[tuple], n: int) -> tuple[frozenset, ...]:
 
 
 def tile(*parts: tuple[Sequence, Fraction]) -> dict:
-    """Byte layout of one unit file, key -> (offset, size): each part
-    (keys, share) is cut into equal pieces laid end to end, and the parts
-    follow one another."""
+    """The per-piece view of a layout, key -> (offset, size) in one unit
+    file.  A layout is its parts (keys, share), laid end to end, each cut
+    into equal pieces over its keys; the simulator reads the parts."""
     extents: dict = {}
     base = Fraction(0)
     for keys, share in parts:

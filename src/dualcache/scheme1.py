@@ -22,7 +22,6 @@ from .model import (
     Transmission,
     integral,
     stored_by,
-    tile,
     validate_demand,
 )
 
@@ -98,6 +97,6 @@ def rate_scheme1(config: NetworkConfig) -> Fraction:
     return Fraction(config.num_users - t, t + 1)
 
 
-def layout_scheme1(config: NetworkConfig) -> dict:
-    """Byte layout of one unit file over its t-subset pieces."""
-    return tile((user_split_keys(config.num_users, _integer_t(config)), 1))
+def layout_scheme1(config: NetworkConfig) -> list:
+    """The layout's one part: the whole file over the t-subset keys."""
+    return [(user_split_keys(config.num_users, _integer_t(config)), 1)]

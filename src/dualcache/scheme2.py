@@ -23,7 +23,6 @@ from .model import (
     Transmission,
     integral,
     stored_by,
-    tile,
     validate_demand,
 )
 
@@ -108,7 +107,7 @@ def rate_scheme2(config: NetworkConfig, assoc: Association) -> Fraction:
     return rate_scheme2_formula(config.num_helpers, *scheme2_params(config, assoc), assoc.profile)
 
 
-def layout_scheme2(config: NetworkConfig, assoc: Association) -> dict:
-    """Byte layout of one unit file over its (tau, rho) grid."""
+def layout_scheme2(config: NetworkConfig, assoc: Association) -> list:
+    """The layout's one part: the whole file over the (tau, rho) grid."""
     t_s, t_p = scheme2_params(config, assoc)
-    return tile((helper_split_keys(config.num_helpers, assoc.largest_group, t_s, t_p), 1))
+    return [(helper_split_keys(config.num_helpers, assoc.largest_group, t_s, t_p), 1)]

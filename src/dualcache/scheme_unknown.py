@@ -24,7 +24,6 @@ from .model import (
     Transmission,
     integral,
     stored_by,
-    tile,
     validate_demand,
 )
 from .scheme1 import user_split_delivery, user_split_keys
@@ -49,28 +48,25 @@ def unknown_params(config: NetworkConfig) -> UnknownSchemeParams:
         return UnknownSchemeParams(t_s=None, t_p=0, f1=Fraction(0), f2=Fraction(1))
     f1 = config.helper_mem / m
     f2 = config.private_mem / m
-    t_s: Optional[int] = None
-    t_p: Optional[int] = None
-    if f1 > 0:
-        t_s = integral("t_s", Fraction(config.num_helpers) * m / config.num_files)
-    if f2 > 0:
-        t_p = integral("t_p", Fraction(config.num_users) * m / config.num_files)
+    t_s = integral("t_s", Fraction(config.num_helpers) * m / config.num_files) if f1 > 0 else None
+    t_p = integral("t_p", Fraction(config.num_users) * m / config.num_files) if f2 > 0 else None
     return UnknownSchemeParams(t_s=t_s, t_p=t_p, f1=f1, f2=f2)
 
 
-def _splits(config: NetworkConfig) -> tuple[tuple[list, Fraction], tuple[list, Fraction]]:
-    """(keys, share) of the helper split at (t_s, 0) and of the user split at t_p,
-    no keys for a zero share; at t_p = 0 the position count does not matter."""
+def layout_unknown(config: NetworkConfig) -> list:
+    """The layout's two parts: the helper split at (t_s, 0) over [0, F1), then
+    the user split at t_p over [F1, 1); no keys for a zero share, and at
+    t_p = 0 the position count does not matter."""
     params = unknown_params(config)
     helper = helper_split_keys(config.num_helpers, 0, params.t_s, 0) if params.f1 > 0 else []
     user = user_split_keys(config.num_users, params.t_p) if params.f2 > 0 else []
-    return (helper, params.f1), (user, params.f2)
+    return [(helper, params.f1), (user, params.f2)]
 
 
 def place_unknown(config: NetworkConfig) -> Placement:
     """Fill helper caches over helper subsets and user caches over user subsets;
     at t_p = 0 no user stores a helper-split piece."""
-    (helper_keys, _), (user_keys, _) = _splits(config)
+    (helper_keys, _), (user_keys, _) = layout_unknown(config)
     return Placement(stored_by(helper_keys, config.num_helpers),
                      stored_by(user_keys, config.num_users))
 
@@ -135,9 +131,3 @@ def rate_unknown_general(config: NetworkConfig, profile: Sequence[int]) -> Fract
     """Rate at arbitrary (Ms, Mp): the weighted rate of unknown_mixture."""
     mixture = unknown_mixture(config, profile, Fraction(1))
     return sum((corner.rate * w for corner, w in mixture), Fraction(0))
-
-
-def layout_unknown(config: NetworkConfig) -> dict:
-    """Byte layout of one unit file: the helper keys over [0, F1), then the
-    user keys over [F1, 1)."""
-    return tile(*_splits(config))

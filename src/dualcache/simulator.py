@@ -2,7 +2,9 @@
 payloads, and check that every user reconstructs its demanded file.
 
 A run is a list of weighted segments; each segment covers a contiguous
-slice of every file and is placed and delivered by one scheme.  A piece is
+slice of every file and is placed and delivered by one scheme.  A segment's
+layout is its parts, (keys, share) laid end to end and each cut into equal
+pieces, and one pass turns the parts of every segment into bytes.  A piece is
 held as one int, its bytes being that int's big-endian bytes, and a payload
 is the int XOR of its summands.  Only the pieces some payload carries are
 ever read, so only they are drawn: random.Random(seed).getrandbits(8 * length)
@@ -23,6 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
 
+from .combin import binom
 from .model import (
     Association,
     InfeasibleSchemeError,
@@ -30,10 +33,11 @@ from .model import (
     Placement,
     SubfileId,
     Transmission,
+    tile,
 )
 from .scheme1 import deliver_scheme1, layout_scheme1, place_scheme1
 from .scheme2 import deliver_scheme2, layout_scheme2, place_scheme2
-from .scheme_unknown import deliver_unknown, layout_unknown, place_unknown
+from .scheme_unknown import deliver_unknown, layout_unknown, place_unknown, unknown_params
 
 FILE_LEN_CAP = 2 ** 24
 
@@ -46,7 +50,12 @@ class Segment:
     weight: Fraction
     config: NetworkConfig
     placement: Placement
-    extents: dict  # (idx_a, idx_b) -> (offset, size), relative to a unit segment
+    parts: list  # the layout: (keys, share) parts of a unit segment, laid end to end
+
+    @property
+    def extents(self) -> dict:
+        """The per-piece view of the parts: key -> (offset, size)."""
+        return tile(*self.parts)
 
     def transmissions(self, assoc: Association, demand: Sequence[int]) -> list[Transmission]:
         if self.tag == "scheme1":
@@ -65,62 +74,58 @@ def build_segment(
     tag: str, config: NetworkConfig, assoc: Association, weight: Fraction
 ) -> Segment:
     if tag == "scheme1":
-        placement = place_scheme1(config, assoc)
-        extents = layout_scheme1(config)
+        placement, parts = place_scheme1(config, assoc), layout_scheme1(config)
     elif tag == "scheme2":
-        placement = place_scheme2(config, assoc)
-        extents = layout_scheme2(config, assoc)
+        placement, parts = place_scheme2(config, assoc), layout_scheme2(config, assoc)
     elif tag == "unknown":
-        placement = place_unknown(config)
-        extents = layout_unknown(config)
+        check_unknown_size(config)
+        placement, parts = place_unknown(config), layout_unknown(config)
     else:
         raise ValueError(f"unknown scheme tag {tag!r}")
-    return Segment(tag=tag, weight=Fraction(weight), config=config,
-                   placement=placement, extents=extents)
+    return Segment(tag, Fraction(weight), config, placement, parts)
 
 
-def _piece_ratios(segments: Sequence[Segment]) -> tuple[list, Fraction]:
-    """Each piece's start and length as a share of the file, in ints: per
-    segment (den, {key: (start, length)}), the shares being start/den and
-    length/den; and the segment weights' sum.  A segment's base and weight
-    are read once as numerator/denominator, and each extent over the
-    segment's common denominator, so no Fraction arithmetic runs per piece."""
-    ratios = []
+def check_unknown_size(config: NetworkConfig) -> None:
+    """Raise before the oblivious scheme lists a key when a split of it has
+    more pieces per file than FILE_LEN_CAP: each piece takes at least a byte."""
+    params = unknown_params(config)
+    for n, t in ((config.num_helpers, params.t_s), (config.num_users, params.t_p)):
+        if t is not None and binom(n, t) > FILE_LEN_CAP:
+            raise InfeasibleSchemeError(f"C({n}, {t}) = {binom(n, t)} pieces per file exceed the "
+                                        f"file length cap {FILE_LEN_CAP}; pick a coarser grid point")
+
+
+def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[dict]]:
+    """The file length and, per segment, key -> (start, length) in bytes: one
+    Fraction start and piece length per part, the lcm of their denominators
+    scaled up to min_len (errors past FILE_LEN_CAP), then ints per piece."""
+    runs = []  # (segment index, keys, first start, piece length)
     base = Fraction(0)
-    for seg in segments:
-        unit = math.lcm(*(v.denominator for extent in seg.extents.values() for v in extent))
-        (wn, wd), (bn, bd) = seg.weight.as_integer_ratio(), base.as_integer_ratio()
-        # base + weight * (x / unit) == (bn*wd*unit + bd*wn*x) / (bd*wd*unit)
-        origin, scale = bn * wd * unit, bd * wn
-        ratios.append((bd * wd * unit, {
-            key: (origin + scale * offset.numerator * (unit // offset.denominator),
-                  scale * size.numerator * (unit // size.denominator))
-            for key, (offset, size) in seg.extents.items()
-        }))
+    for i, seg in enumerate(segments):
+        start = base
+        for keys, share in seg.parts:
+            if keys:
+                runs.append((i, keys, start, seg.weight * share / len(keys)))
+            start += seg.weight * share
         base += seg.weight
-    return ratios, base
+    denom = math.lcm(*(v.denominator for _, _, start, size in runs for v in (start, size)))
+    if base != 1:
+        raise ValueError(f"segment weights sum to {base}, expected 1")
+    file_len = denom * max(1, -(-min_len // denom))
+    if file_len > FILE_LEN_CAP:
+        raise InfeasibleSchemeError(f"required file length {file_len} exceeds the cap "
+                                    f"{FILE_LEN_CAP}; pick a coarser grid point")
+    slots: list[dict] = [{} for _ in segments]
+    for i, keys, start, size in runs:
+        start, size = int(start * file_len), int(size * file_len)
+        slots[i].update((key, (start + j * size, size)) for j, key in enumerate(keys))
+    return file_len, slots
 
 
 def choose_file_len(segments: Sequence[Segment], min_len: int = 1) -> int:
     """Smallest byte length making every mini-subfile slice a whole number of
     bytes, scaled up to min_len; errors past FILE_LEN_CAP."""
-    return _file_len(*_piece_ratios(segments), min_len)
-
-
-def _file_len(ratios: list, total: Fraction, min_len: int) -> int:
-    """choose_file_len over the output of _piece_ratios."""
-    denom = math.lcm(*{den // math.gcd(share, den)
-                       for den, seg_ratios in ratios
-                       for piece in seg_ratios.values() for share in piece})
-    if total != 1:
-        raise ValueError(f"segment weights sum to {total}, expected 1")
-    length = denom * max(1, -(-min_len // denom))
-    if length > FILE_LEN_CAP:
-        raise InfeasibleSchemeError(
-            f"required file length {length} exceeds the cap {FILE_LEN_CAP}; "
-            f"pick a coarser grid point"
-        )
-    return length
+    return _byte_layout(segments, min_len)[0]
 
 
 @dataclass(frozen=True)
@@ -173,18 +178,8 @@ def run_end_to_end(
     released pieces of the user's own file and compares each with the
     library's piece."""
     segments = _resolve_segments(scheme, config, assoc)
-    ratios, total = _piece_ratios(segments)
-    file_len = _file_len(ratios, total, min_len)
-
     # (start, length) in the file of every (segment, piece key)
-    slots: list[dict] = []
-    for den, seg_ratios in ratios:
-        seg_slots = {}
-        for key, (start, length) in seg_ratios.items():
-            (start, r1), (length, r2) = divmod(start * file_len, den), divmod(length * file_len, den)
-            assert r1 == r2 == 0
-            seg_slots[key] = (start, length)
-        slots.append(seg_slots)
+    file_len, slots = _byte_layout(segments, min_len)
     length_at = {start: length for seg_slots in slots for start, length in seg_slots.values()}
     tiled = sum(length for seg_slots in slots for _, length in seg_slots.values()) == file_len
 

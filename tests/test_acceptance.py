@@ -45,6 +45,7 @@ from dualcache.scheme_unknown import (
     rate_unknown_general,
 )
 from dualcache.simulator import run_end_to_end
+from layout_bytes import cache_load, piece_sizes
 
 SKEWED_20 = [list(range(1, 11)), list(range(11, 16)), [16, 17, 18], [19, 20]]
 UNIFORM_20 = [list(range(5 * i + 1, 5 * i + 6)) for i in range(4)]
@@ -80,13 +81,13 @@ def test_criterion_2_single_level_reference():
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     params = scheme1_params(config, assoc)
     out = deliver_scheme1(config, (1, 2, 3, 4, 5, 6))
-    extents = layout_scheme1(config)
+    size = piece_sizes(layout_scheme1(config))
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=0)
     ok = (
         params == (4, 3)
         and rate_scheme1(config) == Fraction(2, 5)
         and len(out) == 6
-        and all({extents[s.piece][1] for s in t.summands} == {Fraction(1, 15)} for t in out)
+        and all({size[s.piece] for s in t.summands} == {Fraction(1, 15)} for t in out)
         and sim.ok and sim.measured_rate == Fraction(2, 5)
     )
     _report("criterion-2 single-level reference run", ok)
@@ -96,7 +97,7 @@ def test_criterion_3_two_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(4, 3))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
-    extents = layout_scheme2(config, assoc)
+    size = piece_sizes(layout_scheme2(config, assoc))
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme2", seed=0)
     uniform = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
     uni_assoc = build_association(uniform, [[1, 4], [2, 5], [3, 6]])
@@ -106,7 +107,7 @@ def test_criterion_3_two_level_reference():
     ok = (
         rate_scheme2(config, assoc) == 1
         and len(out) == 9
-        and all({extents[s.piece][1] for s in t.summands} == {Fraction(1, 9)} for t in out)
+        and all({size[s.piece] for s in t.summands} == {Fraction(1, 9)} for t in out)
         and sim.ok and sim.measured_rate == 1
         and gain == 4
         and all(len(t.summands) == gain for t in uni_out)
@@ -307,21 +308,17 @@ def test_criterion_8_property_suite():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(4, 3))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     cfg4 = NetworkConfig(4, 4, 2, Fraction(1), Fraction(1))
-    for placement, extents in ((place_scheme2(config, assoc), layout_scheme2(config, assoc)),
-                               (place_unknown(cfg4), layout_unknown(cfg4))):
+    for placement, parts in ((place_scheme2(config, assoc), layout_scheme2(config, assoc)),
+                             (place_unknown(cfg4), layout_unknown(cfg4))):
         users = len(placement.private_contents)
         helpers = len(placement.helper_contents)
         cfg = config if users == 6 else cfg4
         asc = assoc if users == 6 else build_association(cfg, [[1, 2, 3], [4]])
-
-        def load(pieces):
-            return cfg.num_files * sum(extents[key][1] for key in pieces)
-
         for helper in range(1, helpers + 1):
-            if load(placement.helper_contents[helper - 1]) != cfg.helper_mem:
+            if cache_load(cfg, parts, placement.helper_contents[helper - 1]) != cfg.helper_mem:
                 ok = False
         for user in range(1, users + 1):
-            if load(placement.private_contents[user - 1]) != cfg.private_mem:
+            if cache_load(cfg, parts, placement.private_contents[user - 1]) != cfg.private_mem:
                 ok = False
             shared = placement.helper_contents[asc.helper_of(user) - 1]
             if placement.private_contents[user - 1] & shared:

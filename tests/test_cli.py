@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dualcache import envelope, simulator
+from dualcache import combin, converse, envelope, simulator
 from dualcache.cli import main
 
 
@@ -340,3 +340,35 @@ def test_converse_names_the_fractional_parameter(tmp_path):
     result = _stderr_runner().invoke(main, ["converse", "--config", str(path)])
     assert result.exit_code == 2
     assert result.stderr == "infeasible: t_s = 19/15 is not an integer\n"
+
+
+def test_points_past_the_cap_fail_before_listing_pieces(tmp_path, monkeypatch):
+    # N=K=10, Λ=2, Ms=0, Mp=5: the user split has C(10, 5) = 252 pieces per
+    # file, past a cap of 100; verify and converse exit 2 before any key or H
+    # set is listed, and rate, bounds and curve, which list none, still print
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps({"N": 10, "K": 10, "Lambda": 2, "Ms": 0, "Mp": 5,
+                                "association": [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]}))
+    monkeypatch.setattr(simulator, "FILE_LEN_CAP", 100)
+    listed = []
+
+    def spy(real):
+        def listing(*args):
+            items = list(real(*args))
+            listed.append(len(items))
+            return iter(items)
+        return listing
+
+    monkeypatch.setattr(combin, "combinations", spy(combin.combinations))
+    monkeypatch.setattr(converse, "combinations", spy(converse.combinations))
+    for command in ("verify", "converse"):
+        result = CliRunner().invoke(main, [command, "--config", str(path)])
+        _assert_rejected(result, code=2)
+        assert "C(10, 5) = 252 pieces per file exceed the file length cap 100" in result.output
+    assert max(listed, default=0) <= 100
+    out = tmp_path / "curve.csv"
+    for command in (["rate", "--scheme", "unknown", "--fractions"], ["bounds"],
+                    ["curve", "--ms", "0", "--mp-range", "5:5:1", "--out", str(out)]):
+        result = CliRunner().invoke(main, [*command, "--config", str(path)])
+        assert result.exit_code == 0, result.output
+    assert result.output == f"wrote 1 rows to {out}\n"

@@ -12,6 +12,7 @@ from dualcache.model import (
     build_association,
     load_config,
     parse_fraction,
+    tile,
     validate_demand,
 )
 from dualcache.scheme1 import deliver_scheme1, layout_scheme1, place_scheme1, scheme1_params
@@ -139,10 +140,11 @@ def _plain(value) -> bool:
 def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two_level):
     deep, two_level = net_6users_deep, net_6users_two_level
     runs = [
-        (place_unknown(net_4users[0]), layout_unknown(net_4users[0]),
+        (place_unknown(net_4users[0]), tile(*layout_unknown(net_4users[0])),
          deliver_unknown(*net_4users, (1, 2, 3, 4))),
-        (place_scheme1(*deep), layout_scheme1(deep[0]), deliver_scheme1(deep[0], range(1, 7))),
-        (place_scheme2(*two_level), layout_scheme2(*two_level),
+        (place_scheme1(*deep), tile(*layout_scheme1(deep[0])),
+         deliver_scheme1(deep[0], range(1, 7))),
+        (place_scheme2(*two_level), tile(*layout_scheme2(*two_level)),
          deliver_scheme2(*two_level, range(1, 7))),
     ]
     for placement, extents, transmissions in runs:

@@ -18,6 +18,7 @@ from dualcache.scheme1 import (
     scheme1_params,
 )
 from dualcache.simulator import run_end_to_end
+from layout_bytes import cache_load, piece_sizes
 
 
 def test_params(net_6users_deep):
@@ -41,15 +42,11 @@ def test_helpers_take_lex_smallest_covering_subsets(net_6users_deep):
 def test_placement_memory_and_coverage(net_6users_deep):
     config, assoc = net_6users_deep
     placement = place_scheme1(config, assoc)
-    extents = layout_scheme1(config)
-
-    def load(pieces):
-        return config.num_files * sum(extents[key][1] for key in pieces)
-
+    parts = layout_scheme1(config)
     for helper in (1, 2, 3):
-        assert load(placement.helper_contents[helper - 1]) == config.helper_mem
+        assert cache_load(config, parts, placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 7):
-        assert load(placement.private_contents[user - 1]) == config.private_mem
+        assert cache_load(config, parts, placement.private_contents[user - 1]) == config.private_mem
         # the user's own and its helper's contents tile {tau : user in tau}
         helper = assoc.helper_of(user)
         own = {idx_a for idx_a, _ in placement.private_contents[user - 1]}
@@ -68,8 +65,8 @@ def test_delivery_and_rate(net_6users_deep):
     config, assoc = net_6users_deep
     out = deliver_scheme1(config, (1, 2, 3, 4, 5, 6))
     assert len(out) == 6
-    extents = layout_scheme1(config)
-    assert all({extents[s.piece][1] for s in t.summands} == {Fraction(1, 15)} for t in out)
+    size = piece_sizes(layout_scheme1(config))
+    assert all({size[s.piece] for s in t.summands} == {Fraction(1, 15)} for t in out)
     assert rate_scheme1(config) == Fraction(2, 5)
     report = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=3)
     assert report.ok, report.failure

@@ -7,6 +7,7 @@ from dualcache.model import (
     NetworkConfig,
     SubfileId,
     build_association,
+    tile,
 )
 from dualcache.scheme2 import (
     deliver_scheme2,
@@ -18,12 +19,13 @@ from dualcache.scheme2 import (
 )
 from dualcache.scheme_unknown import rate_unknown_general
 from dualcache.simulator import run_end_to_end
+from layout_bytes import air, cache_load, piece_sizes
 
 
 def test_params(net_6users_two_level):
     config, assoc = net_6users_two_level
     assert scheme2_params(config, assoc) == (1, 1)
-    assert set(layout_scheme2(config, assoc).values()) == {
+    assert set(tile(*layout_scheme2(config, assoc)).values()) == {
         (Fraction(i, 9), Fraction(1, 9)) for i in range(9)}
 
 
@@ -51,16 +53,6 @@ def _sub(n, tau, rho):
     return SubfileId(n, tau, rho)
 
 
-def _air(extents, transmissions):
-    """Total broadcast size: each transmission is as large as its summands,
-    which have one layout size."""
-    total = Fraction(0)
-    for t in transmissions:
-        (size,) = {extents[s.piece][1] for s in t.summands}
-        total += size
-    return total
-
-
 def test_placement_matches_known_listing(net_6users_two_level):
     config, assoc = net_6users_two_level
     placement = place_scheme2(config, assoc)
@@ -83,23 +75,19 @@ def test_placement_matches_known_listing(net_6users_two_level):
 def test_placement_memory(net_6users_two_level):
     config, assoc = net_6users_two_level
     placement = place_scheme2(config, assoc)
-    extents = layout_scheme2(config, assoc)
-
-    def load(pieces):
-        return config.num_files * sum(extents[key][1] for key in pieces)
-
+    parts = layout_scheme2(config, assoc)
     for helper in (1, 2, 3):
-        assert load(placement.helper_contents[helper - 1]) == config.helper_mem
+        assert cache_load(config, parts, placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 7):
-        assert load(placement.private_contents[user - 1]) == config.private_mem
+        assert cache_load(config, parts, placement.private_contents[user - 1]) == config.private_mem
 
 
 def test_delivery_listing_and_rate(net_6users_two_level):
     config, assoc = net_6users_two_level
     out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
     assert len(out) == 9
-    extents = layout_scheme2(config, assoc)
-    assert all({extents[s.piece][1] for s in t.summands} == {Fraction(1, 9)} for t in out)
+    size = piece_sizes(layout_scheme2(config, assoc))
+    assert all({size[s.piece] for s in t.summands} == {Fraction(1, 9)} for t in out)
     assert rate_scheme2(config, assoc) == 1
     by_label = {(t.label[1], t.label[2]): t.summands for t in out}
     assert by_label[((2, 3), (2, 3))] == frozenset({_sub(5, (3,), (3,))})
@@ -141,7 +129,7 @@ def test_formula_counts_nonempty_slots():
                     continue
                 config = NetworkConfig(6, 6, 3, ms, mp)
                 out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
-                total = _air(layout_scheme2(config, assoc), out)
+                total = air(layout_scheme2(config, assoc), out)
                 assert total == rate_scheme2_formula(3, ms_level, tp_level, assoc.profile)
 
 

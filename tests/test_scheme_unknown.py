@@ -9,6 +9,7 @@ from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
     build_association,
+    tile,
 )
 from dualcache.scheme1 import deliver_scheme1, layout_scheme1
 from dualcache.scheme2 import deliver_scheme2, layout_scheme2, place_scheme2
@@ -21,6 +22,7 @@ from dualcache.scheme_unknown import (
     unknown_params,
 )
 from dualcache.simulator import run_end_to_end
+from layout_bytes import air, cache_load, piece_sizes
 
 
 def man_reference_transmissions(k, t, demand):
@@ -50,16 +52,6 @@ def pue_reference_transmissions(assoc, t_s, demand):
             if elems:
                 out.append(elems)
     return out
-
-
-def _air(extents, transmissions):
-    """Total broadcast size: each transmission is as large as its summands,
-    which have one layout size."""
-    total = Fraction(0)
-    for t in transmissions:
-        (size,) = {extents[s.piece][1] for s in t.summands}
-        total += size
-    return total
 
 
 def test_params_split_evenly(net_4users):
@@ -92,15 +84,11 @@ def test_placement_matches_known_listing(net_4users):
 def test_placement_fills_memory_exactly(net_4users):
     config, _ = net_4users
     placement = place_unknown(config)
-    extents = layout_unknown(config)
-
-    def load(pieces):
-        return config.num_files * sum(extents[key][1] for key in pieces)
-
+    parts = layout_unknown(config)
     for helper in (1, 2):
-        assert load(placement.helper_contents[helper - 1]) == config.helper_mem
+        assert cache_load(config, parts, placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 5):
-        assert load(placement.private_contents[user - 1]) == config.private_mem
+        assert cache_load(config, parts, placement.private_contents[user - 1]) == config.private_mem
 
 
 def test_delivery_counts_and_rate(net_4users):
@@ -109,15 +97,15 @@ def test_delivery_counts_and_rate(net_4users):
     tier1 = [t for t in out if t.label[0] == "T"]
     tier2 = [t for t in out if t.label[0] == "S"]
     assert len(tier1) == 3 and len(tier2) == 4
-    assert _air(layout_unknown(config), out) == Fraction(13, 12)
+    assert air(layout_unknown(config), out) == Fraction(13, 12)
     assert rate_unknown(config, assoc.profile) == Fraction(13, 12)
 
 
 def test_rate_is_demand_permutation_invariant(net_4users):
     config, assoc = net_4users
-    extents = layout_unknown(config)
+    parts = layout_unknown(config)
     sizes = {
-        _air(extents, deliver_unknown(config, assoc, d)) for d in permutations((1, 2, 3, 4))
+        air(parts, deliver_unknown(config, assoc, d)) for d in permutations((1, 2, 3, 4))
     }
     assert sizes == {Fraction(13, 12)}
 
@@ -128,8 +116,8 @@ def test_zero_memory_sends_whole_files():
     assert rate_unknown(config, assoc.profile) == 4
     out = deliver_unknown(config, assoc, (2, 1, 4, 3))
     assert len(out) == 4
-    extents = layout_unknown(config)
-    assert all({extents[s.piece][1] for s in t.summands} == {1} for t in out)
+    size = piece_sizes(layout_unknown(config))
+    assert all({size[s.piece] for s in t.summands} == {1} for t in out)
 
 
 def test_private_only_reduces_to_dedicated_delivery():
@@ -224,10 +212,10 @@ def test_extreme_points_run_the_component_schemes(n, lam, partition):
         config = NetworkConfig(n, k, lam, Fraction(t_s * n, lam), Fraction(0))
         assoc = build_association(config, partition)
         assert deliver_unknown(config, assoc, demand) == deliver_scheme2(config, assoc, demand)
-        assert layout_unknown(config) == layout_scheme2(config, assoc)
+        assert tile(*layout_unknown(config)) == tile(*layout_scheme2(config, assoc))
         assert place_unknown(config) == place_scheme2(config, assoc)
     for t in range(k + 1):
         config = NetworkConfig(n, k, lam, Fraction(0), Fraction(t * n, k))
         assoc = build_association(config, partition)
         assert deliver_unknown(config, assoc, demand) == deliver_scheme1(config, demand)
-        assert layout_unknown(config) == layout_scheme1(config)
+        assert tile(*layout_unknown(config)) == tile(*layout_scheme1(config))

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -18,6 +19,7 @@ from dualcache.simulator import (
     choose_file_len,
     run_end_to_end,
 )
+from test_scheme_rate import NETWORKS
 
 
 def test_minimal_file_length(net_4users, net_6users_two_level):
@@ -439,7 +441,49 @@ def test_a_layout_gap_fails_the_rebuild():
     config = NetworkConfig(1, 1, 1, Fraction(0), Fraction(0))
     assoc = build_association(config, [[1]])
     (seg,) = scheme_run("unknown", config, assoc).segments
-    half = replace(seg, extents={key: (0, Fraction(1, 2)) for key in seg.extents})
+    half = replace(seg, parts=[(keys, Fraction(1, 2)) for keys, _ in seg.parts if keys])
     report = run_end_to_end(config, assoc, (1,), scheme=simulator.SegmentedRun((half,)))
     assert (report.file_len, report.air_bytes) == (2, (1,))
     assert report.failure == "user 1 rebuilt a corrupted copy of file 1"
+
+
+def _per_piece_layout(segments, min_len):
+    """The per-piece rule over seg.extents: a piece at (offset, size) in a
+    segment of weight w after base is ((base + w*offset)*L, w*size*L) bytes,
+    L the lcm of those shares' denominators scaled up to min_len."""
+    shares, base = [], Fraction(0)
+    for seg in segments:
+        shares.append({key: (base + seg.weight * offset, seg.weight * size)
+                       for key, (offset, size) in seg.extents.items()})
+        base += seg.weight
+    denom = math.lcm(*(v.denominator for seg_shares in shares
+                       for piece in seg_shares.values() for v in piece))
+    file_len = denom * max(1, -(-min_len // denom))
+    slots = [{key: (start * file_len, length * file_len) for key, (start, length) in s.items()}
+             for s in shares]
+    assert all(v.denominator == 1 for s in slots for piece in s.values() for v in piece)
+    return file_len, slots
+
+
+def _keys(seg):
+    return tuple(key for keys, _ in seg.parts for key in keys)
+
+
+def test_byte_layout_matches_the_per_piece_rule():
+    # every mixture of every scheme on the half-step grids of test_scheme_rate,
+    # among them scheme1's quota split, whose two segments share their keys
+    runs = []
+    for n, lam, partition in NETWORKS:
+        config = NetworkConfig(n, n, lam, Fraction(0), Fraction(0))
+        runs += [run for _, run in _half_step_runs(config, build_association(config, partition))]
+    assert any(len(set(map(_keys, run.segments))) < len(run.segments) for run in runs)
+    # and a gap: the one piece starts a third into the file and covers half of it
+    config = NetworkConfig(1, 1, 1, Fraction(0), Fraction(0))
+    (seg,) = scheme_run("unknown", config, build_association(config, [[1]])).segments
+    (key,) = _keys(seg)
+    gap = replace(seg, parts=[([], Fraction(1, 3)), ([key], Fraction(1, 2))])
+    assert simulator._byte_layout([gap], 1) == (6, [{key: (2, 3)}])
+    for segments in [*(run.segments for run in runs), [gap]]:
+        for min_len in (1, 4096):
+            expected = _per_piece_layout(segments, min_len)
+            assert simulator._byte_layout(segments, min_len) == expected
