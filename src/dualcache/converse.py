@@ -16,9 +16,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .combin import binom
-from .model import Association, InfeasibleSchemeError, NetworkConfig, SubfileId, validate_demand
+from .model import Association, InfeasibleSchemeError, NetworkConfig, Placement, SubfileId, validate_demand
 from .scheme_unknown import place_unknown, rate_unknown, unknown_params
-from .simulator import check_unknown_size
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,9 @@ def verify_acyclic(
     assoc: Association,
     demand: Sequence[int],
     subfiles: Iterable[SubfileId],
+    placement: Placement,
 ) -> bool:
-    """Whether the side-information digraph induced on the set is acyclic.
+    """Whether the side-information digraph the placement induces on the set is acyclic.
 
     A wanted subfile points to every set member its receiver caches.
     Demands are distinct, so each subfile has at most one receiver, and all
@@ -74,7 +74,6 @@ def verify_acyclic(
     pieces of every file, so wanted subfiles are grouped by piece key.
     """
     d = validate_demand(config, demand)
-    placement = place_unknown(config)
     receiver = {n: user for user, n in enumerate(d, start=1)}
 
     def caches(user: int) -> tuple[frozenset, frozenset]:
@@ -106,7 +105,7 @@ def certify(
     params = unknown_params(config)
     if config.total_mem == 0:
         raise InfeasibleSchemeError("the converse needs a positive total memory")
-    check_unknown_size(config)  # before build_h and place_unknown list any key
+    placement = place_unknown(config)  # its keys pass the size gate before build_h lists H
     h1, h2 = build_h(config, assoc, demand)
     alpha = Fraction(0)
     if params.f1 > 0:
@@ -114,7 +113,7 @@ def certify(
     if params.f2 > 0:
         alpha += len(h2) * params.f2 / binom(config.num_users, params.t_p)
     kappa = rate_unknown(config, assoc.profile)
-    acyclic = verify_acyclic(config, assoc, demand, h1 | h2)
+    acyclic = verify_acyclic(config, assoc, demand, h1 | h2, placement)
     return ConverseCertificate(
         h1=h1,
         h2=h2,

@@ -26,11 +26,22 @@ class CertificateError(ArithmeticError):
     """An LP optimum whose dual certificate does not check."""
 
 
+FILE_LEN_CAP = 2 ** 24  # bytes per file in a simulated run
+
+
 def integral(name: str, value: Fraction) -> int:
     """A scheme's split parameter as an int: a direct run needs an integer."""
     if value.denominator != 1:
         raise InfeasibleSchemeError(f"{name} = {value} is not an integer")
     return int(value)
+
+
+def check_pieces(label: str, count: int) -> None:
+    """The size gate a split passes before listing its keys: each piece takes
+    at least a byte, so more than FILE_LEN_CAP pieces per file never fit."""
+    if count > FILE_LEN_CAP:
+        raise InfeasibleSchemeError(f"{label} = {count} pieces per file exceed the file "
+                                    f"length cap {FILE_LEN_CAP}; pick a coarser grid point")
 
 
 def parse_fraction(value) -> Fraction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import bounds
 from .combin import binom, enumerate_ksubsets, without
 from .model import (
     Association,
@@ -20,6 +21,7 @@ from .model import (
     Placement,
     SubfileId,
     Transmission,
+    check_pieces,
     integral,
     stored_by,
     validate_demand,
@@ -60,6 +62,7 @@ def scheme1_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
 
 def user_split_keys(k: int, t: int) -> list[tuple]:
     """User-split piece keys (rho, None), rho a t-subset of [K], in lexicographic order."""
+    check_pieces(f"C({k}, {t})", binom(k, t))
     return [(rho, None) for rho in enumerate_ksubsets(k, t)]
 
 
@@ -75,9 +78,9 @@ def user_split_delivery(demand: Sequence[int], k: int, t: int) -> list:
 def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     """Helpers take the q lexicographically smallest group-covering subsets;
     users absorb the rest of their own subsets."""
-    t, q = scheme1_params(config, assoc)
+    q = scheme1_params(config, assoc)[1]
     k = config.num_users
-    keys = user_split_keys(k, t)
+    (keys, _), = layout_scheme1(config)
     helpers = tuple(
         frozenset([key for key in keys if set(group) <= set(key[0])][:q])
         for group in assoc.groups
@@ -93,8 +96,7 @@ def deliver_scheme1(config: NetworkConfig, demand: Sequence[int]) -> list[Transm
 
 
 def rate_scheme1(config: NetworkConfig) -> Fraction:
-    t = _integer_t(config)
-    return Fraction(config.num_users - t, t + 1)
+    return bounds.man_hull(config.num_users, config.num_files)[_integer_t(config)][1]
 
 
 def layout_scheme1(config: NetworkConfig) -> list:

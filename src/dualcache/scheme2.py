@@ -21,6 +21,7 @@ from .model import (
     Placement,
     SubfileId,
     Transmission,
+    check_pieces,
     integral,
     stored_by,
     validate_demand,
@@ -44,6 +45,7 @@ def scheme2_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
 def helper_split_keys(lam: int, l1: int, t_s: int, t_p: int) -> list[tuple]:
     """Helper-split piece keys (tau, rho), tau a t_s-subset of [Lambda] and
     rho a t_p-subset of [L1], in lexicographic (tau, rho) order."""
+    check_pieces(f"C({lam}, {t_s}) * C({l1}, {t_p})", binom(lam, t_s) * binom(l1, t_p))
     rhos = enumerate_ksubsets(l1, t_p)
     return [(tau, rho) for tau in enumerate_ksubsets(lam, t_s) for rho in rhos]
 
@@ -70,8 +72,7 @@ def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> lis
 def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
     """A helper stores the keys whose tau holds it; the j-th user of a
     helper outside tau stores those whose rho holds j."""
-    t_s, t_p = scheme2_params(config, assoc)
-    keys = helper_split_keys(config.num_helpers, assoc.largest_group, t_s, t_p)
+    (keys, _), = layout_scheme2(config, assoc)
     users: list[set] = [set() for _ in range(config.num_users)]
     for key in keys:
         tau, rho = key

@@ -96,7 +96,7 @@ def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
         served = bounds.pue_profile_sum(lam, params.t_s, profile)
         rate += params.f1 * Fraction(served, binom(lam, params.t_s))
     if params.f2 > 0:
-        rate += params.f2 * Fraction(k - params.t_p, params.t_p + 1)
+        rate += params.f2 * bounds.man_hull(k, config.num_files)[params.t_p][1]
     return rate
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
 
-from .combin import binom
+from . import model
 from .model import (
     Association,
     InfeasibleSchemeError,
@@ -37,9 +37,7 @@ from .model import (
 )
 from .scheme1 import deliver_scheme1, layout_scheme1, place_scheme1
 from .scheme2 import deliver_scheme2, layout_scheme2, place_scheme2
-from .scheme_unknown import deliver_unknown, layout_unknown, place_unknown, unknown_params
-
-FILE_LEN_CAP = 2 ** 24
+from .scheme_unknown import deliver_unknown, layout_unknown, place_unknown
 
 
 @dataclass(frozen=True)
@@ -78,21 +76,10 @@ def build_segment(
     elif tag == "scheme2":
         placement, parts = place_scheme2(config, assoc), layout_scheme2(config, assoc)
     elif tag == "unknown":
-        check_unknown_size(config)
         placement, parts = place_unknown(config), layout_unknown(config)
     else:
         raise ValueError(f"unknown scheme tag {tag!r}")
     return Segment(tag, Fraction(weight), config, placement, parts)
-
-
-def check_unknown_size(config: NetworkConfig) -> None:
-    """Raise before the oblivious scheme lists a key when a split of it has
-    more pieces per file than FILE_LEN_CAP: each piece takes at least a byte."""
-    params = unknown_params(config)
-    for n, t in ((config.num_helpers, params.t_s), (config.num_users, params.t_p)):
-        if t is not None and binom(n, t) > FILE_LEN_CAP:
-            raise InfeasibleSchemeError(f"C({n}, {t}) = {binom(n, t)} pieces per file exceed the "
-                                        f"file length cap {FILE_LEN_CAP}; pick a coarser grid point")
 
 
 def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[dict]]:
@@ -112,9 +99,9 @@ def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[d
     if base != 1:
         raise ValueError(f"segment weights sum to {base}, expected 1")
     file_len = denom * max(1, -(-min_len // denom))
-    if file_len > FILE_LEN_CAP:
+    if file_len > model.FILE_LEN_CAP:
         raise InfeasibleSchemeError(f"required file length {file_len} exceeds the cap "
-                                    f"{FILE_LEN_CAP}; pick a coarser grid point")
+                                    f"{model.FILE_LEN_CAP}; pick a coarser grid point")
     slots: list[dict] = [{} for _ in segments]
     for i, keys, start, size in runs:
         start, size = int(start * file_len), int(size * file_len)

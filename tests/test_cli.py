@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dualcache import combin, converse, envelope, simulator
+from dualcache import combin, converse, envelope, model, simulator
 from dualcache.cli import main
 
 
@@ -342,14 +342,20 @@ def test_converse_names_the_fractional_parameter(tmp_path):
     assert result.stderr == "infeasible: t_s = 19/15 is not an integer\n"
 
 
-def test_points_past_the_cap_fail_before_listing_pieces(tmp_path, monkeypatch):
-    # N=K=10, Λ=2, Ms=0, Mp=5: the user split has C(10, 5) = 252 pieces per
-    # file, past a cap of 100; verify and converse exit 2 before any key or H
-    # set is listed, and rate, bounds and curve, which list none, still print
-    path = tmp_path / "fine.json"
-    path.write_text(json.dumps({"N": 10, "K": 10, "Lambda": 2, "Ms": 0, "Mp": 5,
-                                "association": [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]}))
-    monkeypatch.setattr(simulator, "FILE_LEN_CAP", 100)
+# one point per association-known scheme whose split has 252 pieces per file:
+# scheme1's user split at t = 5 has C(10, 5), and scheme2's helper split at
+# (t_s, t_p) = (5, 0) over singleton groups has C(10, 5) * C(1, 0)
+_CAP_POINTS = {
+    "scheme1": {"N": 10, "K": 10, "Lambda": 2, "Ms": 0, "Mp": 5,
+                "association": [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]},
+    "scheme2": {"N": 10, "K": 10, "Lambda": 10, "Ms": 5, "Mp": 0,
+                "association": [[user] for user in range(1, 11)]},
+}
+_CAP_LABELS = {"scheme1": "C(10, 5) = 252", "scheme2": "C(10, 5) * C(1, 0) = 252"}
+
+
+def _spy_on_listings(monkeypatch) -> list:
+    """The length of every combinations() listing the package makes from now on."""
     listed = []
 
     def spy(real):
@@ -361,6 +367,17 @@ def test_points_past_the_cap_fail_before_listing_pieces(tmp_path, monkeypatch):
 
     monkeypatch.setattr(combin, "combinations", spy(combin.combinations))
     monkeypatch.setattr(converse, "combinations", spy(converse.combinations))
+    return listed
+
+
+def test_points_past_the_cap_fail_before_listing_pieces(tmp_path, monkeypatch):
+    # N=K=10, Λ=2, Ms=0, Mp=5: the user split has C(10, 5) = 252 pieces per
+    # file, past a cap of 100; verify and converse exit 2 before any key or H
+    # set is listed, and rate, bounds and curve, which list none, still print
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(_CAP_POINTS["scheme1"]))
+    monkeypatch.setattr(model, "FILE_LEN_CAP", 100)
+    listed = _spy_on_listings(monkeypatch)
     for command in ("verify", "converse"):
         result = CliRunner().invoke(main, [command, "--config", str(path)])
         _assert_rejected(result, code=2)
@@ -372,3 +389,37 @@ def test_points_past_the_cap_fail_before_listing_pieces(tmp_path, monkeypatch):
         result = CliRunner().invoke(main, [*command, "--config", str(path)])
         assert result.exit_code == 0, result.output
     assert result.output == f"wrote 1 rows to {out}\n"
+
+
+@pytest.mark.parametrize("scheme", sorted(_CAP_POINTS))
+def test_every_scheme_checks_its_pieces_before_listing(tmp_path, monkeypatch, scheme):
+    path = tmp_path / f"{scheme}.json"
+    path.write_text(json.dumps(_CAP_POINTS[scheme]))
+    monkeypatch.setattr(model, "FILE_LEN_CAP", 100)
+    listed = _spy_on_listings(monkeypatch)
+    result = _stderr_runner().invoke(main, ["verify", "--scheme", scheme, "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stderr == (f"infeasible: {_CAP_LABELS[scheme]} pieces per file exceed the "
+                             "file length cap 100; pick a coarser grid point\n")
+    assert max(listed, default=0) <= 100
+    result = CliRunner().invoke(main, ["rate", "--scheme", scheme, "--fractions",
+                                       "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"{scheme}: 5/6 (formula)\n"
+
+
+@pytest.mark.parametrize("scheme", sorted(_CAP_POINTS))
+def test_the_piece_gate_is_tight_at_the_cap(tmp_path, monkeypatch, scheme):
+    # 252 pieces fit a cap of 252 bytes, one byte each, and not a cap of 251
+    path = tmp_path / f"{scheme}.json"
+    path.write_text(json.dumps(_CAP_POINTS[scheme]))
+    command = ["verify", "--scheme", scheme, "--trials", "1", "--config", str(path)]
+    monkeypatch.setattr(model, "FILE_LEN_CAP", 252)
+    result = CliRunner().invoke(main, command)
+    assert result.exit_code == 0, result.output
+    assert result.output == f"{scheme}: 1/1 trials decoded, worst rate 5/6\n"
+    monkeypatch.setattr(model, "FILE_LEN_CAP", 251)
+    result = CliRunner().invoke(main, command)
+    _assert_rejected(result, code=2)
+    assert "pieces per file exceed the file length cap 251" in result.output

@@ -48,11 +48,11 @@ def test_certificate_is_tight_and_acyclic(net_4users):
 def test_adding_a_known_subfile_creates_a_cycle(net_4users):
     config, assoc = net_4users
     h1, h2 = build_h(config, assoc, (1, 2, 3, 4))
-    assert verify_acyclic(config, assoc, (1, 2, 3, 4), h1 | h2)
+    assert verify_acyclic(config, assoc, (1, 2, 3, 4), h1 | h2, place_unknown(config))
     # user 1 wants file 1 and caches W2's {1,3} piece; user 2 wants file 2
     # and caches W1's {2,3} piece, closing a 2-cycle
     poisoned = h1 | h2 | {_private_sub(2, (1, 3))}
-    assert not verify_acyclic(config, assoc, (1, 2, 3, 4), poisoned)
+    assert not verify_acyclic(config, assoc, (1, 2, 3, 4), poisoned, place_unknown(config))
 
 
 def test_set_sizes_match_closed_forms(net_4users):
@@ -199,7 +199,7 @@ def test_receiver_quotient_matches_subfile_graph():
             ]
             for subfiles in candidates:
                 expected = _subfile_graph_acyclic(config, assoc, demand, subfiles)
-                assert verify_acyclic(config, assoc, demand, subfiles) == expected, (
+                assert verify_acyclic(config, assoc, demand, subfiles, placement) == expected, (
                     config, partition, demand, sorted(map(repr, subfiles))
                 )
                 outcomes.add(expected)

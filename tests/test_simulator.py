@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualcache import simulator
+from dualcache import model, simulator
 from dualcache.envelope import (
     SCHEMES, envelope_at, materialize_shared_placement, scheme2_corners, scheme_run,
 )
@@ -43,7 +43,7 @@ def test_file_length_for_mixtures(net_4users):
 def test_file_length_cap(net_4users, monkeypatch):
     config, assoc = net_4users
     seg = build_segment("unknown", config, assoc, Fraction(1))
-    monkeypatch.setattr(simulator, "FILE_LEN_CAP", 11)
+    monkeypatch.setattr(model, "FILE_LEN_CAP", 11)
     with pytest.raises(ValueError):
         choose_file_len([seg])
 
