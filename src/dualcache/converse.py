@@ -15,8 +15,8 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .combin import binom
-from .model import Association, InfeasibleSchemeError, NetworkConfig, Placement, SubfileId, validate_demand
+from .model import (Association, InfeasibleSchemeError, NetworkConfig, Placement, SubfileId,
+                    validate_association, validate_demand)
 from .scheme_unknown import place_unknown, rate_unknown, unknown_params
 
 
@@ -101,17 +101,14 @@ def verify_acyclic(
 def certify(
     config: NetworkConfig, assoc: Association, demand: Sequence[int]
 ) -> ConverseCertificate:
-    """Match the normalized certificate-set size against the achieved rate."""
-    params = unknown_params(config)
+    """Match the size of H, in pieces of share / len(keys) each, against the achieved rate."""
+    validate_association(config, assoc)
     if config.total_mem == 0:
         raise InfeasibleSchemeError("the converse needs a positive total memory")
     placement = place_unknown(config)  # its keys pass the size gate before build_h lists H
     h1, h2 = build_h(config, assoc, demand)
-    alpha = Fraction(0)
-    if params.f1 > 0:
-        alpha += len(h1) * params.f1 / binom(config.num_helpers, params.t_s)
-    if params.f2 > 0:
-        alpha += len(h2) * params.f2 / binom(config.num_users, params.t_p)
+    alpha = sum((len(h) * share / len(keys)
+                 for h, (keys, share) in zip((h1, h2), placement.parts) if keys), Fraction(0))
     kappa = rate_unknown(config, assoc.profile)
     acyclic = verify_acyclic(config, assoc, demand, h1 | h2, placement)
     return ConverseCertificate(

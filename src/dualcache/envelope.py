@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from . import bounds, simulator
+from . import bounds, model, simulator
 from .combin import binom
 from .model import Association, CertificateError, CornerPoint, InfeasibleSchemeError, NetworkConfig
 from .scheme1 import corner_feasible
@@ -328,6 +328,7 @@ def scheme_mixture(
     """The weighted corners whose direct runs realize a scheme at the
     configured memory pair: weights sum to 1 and the corner memories
     average to (Ms, Mp).  None when no mixture reaches the pair."""
+    model.validate_association(config, assoc)
     if name == "unknown":
         return unknown_mixture(config, assoc.profile, Fraction(1))
     if name == "scheme1":
@@ -376,6 +377,7 @@ def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
     cut-set bound.  high_memory_optimal: in the region Ms >= N(1-1/Lambda),
     Mp >= N(1-1/L1) the two-level rate is 1 - (Ms+Mp)/N and meets the cut-set
     bound exactly."""
+    model.validate_association(config, assoc)
     n, m = config.num_files, config.total_mem
     man = bounds.man_rate(config.num_users, n, m)
     pue = bounds.pue_rate(config.num_helpers, n, m, assoc.profile)

@@ -187,6 +187,13 @@ def validate_demand(config: NetworkConfig, demand: Sequence[int]) -> tuple[int, 
     return d
 
 
+def validate_association(config: NetworkConfig, assoc: Association) -> None:
+    """Check that assoc groups this config's K users over its Lambda helpers."""
+    ours, theirs = (config.num_users, config.num_helpers), (assoc.num_users, assoc.num_helpers)
+    if theirs != ours:
+        raise ConfigError(f"association (K, Lambda) = {theirs} does not match the config's {ours}")
+
+
 class SubfileId(NamedTuple):
     """One piece of one file: the file index and the piece key (idx_a, idx_b).
 
@@ -243,10 +250,12 @@ class Transmission:
 
 @dataclass(frozen=True)
 class Placement:
-    """Cache contents for every helper and every user, as piece keys
-    (SubfileId.piece).  Placement is uncoded and the same for every file,
-    so a key stands for that piece of every file."""
+    """A scheme's layout, its (keys, share) parts, and the contents of every
+    helper and every user as piece keys (SubfileId.piece).  Placement is
+    uncoded and the same for every file, so a key stands for that piece
+    of every file."""
 
+    parts: list
     helper_contents: tuple[frozenset, ...]
     private_contents: tuple[frozenset, ...]
 

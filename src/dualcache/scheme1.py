@@ -80,13 +80,13 @@ def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     users absorb the rest of their own subsets."""
     q = scheme1_params(config, assoc)[1]
     k = config.num_users
-    (keys, _), = layout_scheme1(config)
+    (keys, _), = parts = layout_scheme1(config)
     helpers = tuple(
         frozenset([key for key in keys if set(group) <= set(key[0])][:q])
         for group in assoc.groups
     )
     users = tuple(own - helpers[h - 1] for own, h in zip(stored_by(keys, k), assoc.cache_of))
-    return Placement(helper_contents=helpers, private_contents=users)
+    return Placement(parts, helper_contents=helpers, private_contents=users)
 
 
 def deliver_scheme1(config: NetworkConfig, demand: Sequence[int]) -> list[Transmission]:

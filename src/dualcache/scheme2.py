@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import bounds
 from .combin import binom, enumerate_ksubsets, without
 from .model import (
     Association,
@@ -72,7 +73,7 @@ def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> lis
 def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
     """A helper stores the keys whose tau holds it; the j-th user of a
     helper outside tau stores those whose rho holds j."""
-    (keys, _), = layout_scheme2(config, assoc)
+    (keys, _), = parts = layout_scheme2(config, assoc)
     users: list[set] = [set() for _ in range(config.num_users)]
     for key in keys:
         tau, rho = key
@@ -81,7 +82,7 @@ def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
                 for j in rho:
                     if j <= len(group):
                         users[group[j - 1] - 1].add(key)
-    return Placement(stored_by(keys, config.num_helpers), tuple(map(frozenset, users)))
+    return Placement(parts, stored_by(keys, config.num_helpers), tuple(map(frozenset, users)))
 
 
 def deliver_scheme2(
@@ -95,13 +96,11 @@ def deliver_scheme2(
 def rate_scheme2_formula(
     lam: int, t_s: int, t_p: int, profile: Sequence[int]
 ) -> Fraction:
-    """Closed-form rate: nonempty T x S slots over the subpacketization level."""
+    """Closed-form rate: nonempty T x S slots over the subpacketization level,
+    the shared-cache count with helper n serving the S that meet its L_n users."""
     l1 = profile[0] if profile else 0
-    count = sum(
-        binom(lam - n, t_s) * (binom(l1, t_p + 1) - binom(l1 - profile[n - 1], t_p + 1))
-        for n in range(1, lam - t_s + 1)
-    )
-    return Fraction(count, binom(lam, t_s) * binom(l1, t_p))
+    served = [binom(l1, t_p + 1) - binom(l1 - size, t_p + 1) for size in profile]
+    return Fraction(bounds.pue_profile_sum(lam, t_s, served), binom(lam, t_s) * binom(l1, t_p))
 
 
 def rate_scheme2(config: NetworkConfig, assoc: Association) -> Fraction:

@@ -66,8 +66,8 @@ def layout_unknown(config: NetworkConfig) -> list:
 def place_unknown(config: NetworkConfig) -> Placement:
     """Fill helper caches over helper subsets and user caches over user subsets;
     at t_p = 0 no user stores a helper-split piece."""
-    (helper_keys, _), (user_keys, _) = layout_unknown(config)
-    return Placement(stored_by(helper_keys, config.num_helpers),
+    (helper_keys, _), (user_keys, _) = parts = layout_unknown(config)
+    return Placement(parts, stored_by(helper_keys, config.num_helpers),
                      stored_by(user_keys, config.num_users))
 
 
@@ -76,8 +76,6 @@ def deliver_unknown(
 ) -> list[Transmission]:
     """The helper split at (t_s, 0) on F1, then the user split at t_p on F2."""
     d = validate_demand(config, demand)
-    if assoc.num_users != config.num_users or assoc.num_helpers != config.num_helpers:
-        raise ValueError("association does not match the configuration")
     params = unknown_params(config)
     out: list[Transmission] = []
     if params.f1 > 0:

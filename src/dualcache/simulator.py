@@ -22,8 +22,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Optional, Sequence
+from functools import partial, reduce
+from typing import Callable, Optional, Sequence
 
 from . import model
 from .model import (
@@ -35,32 +35,28 @@ from .model import (
     Transmission,
     tile,
 )
-from .scheme1 import deliver_scheme1, layout_scheme1, place_scheme1
-from .scheme2 import deliver_scheme2, layout_scheme2, place_scheme2
-from .scheme_unknown import deliver_unknown, layout_unknown, place_unknown
+from .scheme1 import deliver_scheme1, place_scheme1
+from .scheme2 import deliver_scheme2, place_scheme2
+from .scheme_unknown import deliver_unknown, place_unknown
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One weighted slice of every file, run under a single scheme."""
+    """One weighted slice of every file: a scheme's placement and its bound delivery."""
 
     tag: str
     weight: Fraction
     config: NetworkConfig
     placement: Placement
-    parts: list  # the layout: (keys, share) parts of a unit segment, laid end to end
+    deliver: Callable[[Association, Sequence[int]], list[Transmission]]
 
     @property
     def extents(self) -> dict:
-        """The per-piece view of the parts: key -> (offset, size)."""
-        return tile(*self.parts)
+        """The per-piece view of the placement's parts: key -> (offset, size)."""
+        return tile(*self.placement.parts)
 
     def transmissions(self, assoc: Association, demand: Sequence[int]) -> list[Transmission]:
-        if self.tag == "scheme1":
-            return deliver_scheme1(self.config, demand)
-        if self.tag == "scheme2":
-            return deliver_scheme2(self.config, assoc, demand)
-        return deliver_unknown(self.config, assoc, demand)
+        return self.deliver(assoc, demand)
 
 
 @dataclass(frozen=True)
@@ -71,15 +67,18 @@ class SegmentedRun:
 def build_segment(
     tag: str, config: NetworkConfig, assoc: Association, weight: Fraction
 ) -> Segment:
+    """Place one direct run and bind its delivery, read by its module name
+    now, so a name rebound before the build (say, to time it) is the one run."""
     if tag == "scheme1":
-        placement, parts = place_scheme1(config, assoc), layout_scheme1(config)
+        placement, deliver1 = place_scheme1(config, assoc), deliver_scheme1
+        deliver = lambda _, demand: deliver1(config, demand)  # it needs no association
     elif tag == "scheme2":
-        placement, parts = place_scheme2(config, assoc), layout_scheme2(config, assoc)
+        placement, deliver = place_scheme2(config, assoc), partial(deliver_scheme2, config)
     elif tag == "unknown":
-        placement, parts = place_unknown(config), layout_unknown(config)
+        placement, deliver = place_unknown(config), partial(deliver_unknown, config)
     else:
         raise ValueError(f"unknown scheme tag {tag!r}")
-    return Segment(tag, Fraction(weight), config, placement, parts)
+    return Segment(tag, Fraction(weight), config, placement, deliver)
 
 
 def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[dict]]:
@@ -90,7 +89,7 @@ def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[d
     base = Fraction(0)
     for i, seg in enumerate(segments):
         start = base
-        for keys, share in seg.parts:
+        for keys, share in seg.placement.parts:
             if keys:
                 runs.append((i, keys, start, seg.weight * share / len(keys)))
             start += seg.weight * share
@@ -164,6 +163,7 @@ def run_end_to_end(
     released each address; the rebuild then XORs, as ints, just the
     released pieces of the user's own file and compares each with the
     library's piece."""
+    model.validate_association(config, assoc)
     segments = _resolve_segments(scheme, config, assoc)
     # (start, length) in the file of every (segment, piece key)
     file_len, slots = _byte_layout(segments, min_len)

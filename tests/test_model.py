@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dualcache.converse import build_h
-from dualcache.envelope import SCHEMES, scheme_run
+from dualcache.converse import build_h, certify
+from dualcache.envelope import SCHEMES, bound_report, scheme_mixture, scheme_run
 from dualcache.model import (
     ConfigError,
     InfeasibleSchemeError,
@@ -18,6 +18,7 @@ from dualcache.model import (
 from dualcache.scheme1 import deliver_scheme1, layout_scheme1, place_scheme1, scheme1_params
 from dualcache.scheme2 import deliver_scheme2, layout_scheme2, place_scheme2, scheme2_params
 from dualcache.scheme_unknown import deliver_unknown, layout_unknown, place_unknown, unknown_params
+from dualcache.simulator import run_end_to_end
 
 
 def test_parse_fraction_forms():
@@ -88,6 +89,34 @@ def test_demand_validation():
         validate_demand(config, [1, 1, 2, 3])
     with pytest.raises(ConfigError):
         validate_demand(config, [1, 2, 3, 5])
+
+
+def _all_schemes(config, assoc):
+    return [scheme_mixture(name, config, assoc) for name in SCHEMES]
+
+
+def _decode(config, assoc):
+    return run_end_to_end(config, assoc, range(1, config.num_users + 1))
+
+
+def _certify(config, assoc):
+    return certify(config, assoc, range(1, config.num_users + 1))
+
+
+@pytest.mark.parametrize("entry", [_all_schemes, bound_report, _decode, _certify],
+                         ids=["scheme_mixture", "bound_report", "run_end_to_end", "certify"])
+@pytest.mark.parametrize("swap", [False, True], ids=["small_config", "large_config"])
+def test_entry_points_reject_another_networks_association(entry, swap):
+    # N=K=4, Lambda=2 against K=6, Lambda=3, both at Ms=2, Mp=1: one way the
+    # rates came out silently, the other raised IndexError or a t_s error
+    small = NetworkConfig(4, 4, 2, Fraction(2), Fraction(1))
+    large = NetworkConfig(6, 6, 3, Fraction(2), Fraction(1))
+    small_assoc = build_association(small, [[1, 2, 3], [4]])
+    large_assoc = build_association(large, [[1, 2, 3], [4, 5], [6]])
+    config, assoc = (large, small_assoc) if swap else (small, large_assoc)
+    with pytest.raises(ConfigError) as excinfo:
+        entry(config, assoc)
+    assert "(4, 2)" in str(excinfo.value) and "(6, 3)" in str(excinfo.value)
 
 
 def test_load_config_from_json(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from dualcache.bounds import man_rate, pue_rate
 from dualcache.combin import enumerate_ksubsets, without
+from dualcache.envelope import scheme_run
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
@@ -23,6 +24,7 @@ from dualcache.scheme_unknown import (
 )
 from dualcache.simulator import run_end_to_end
 from layout_bytes import air, cache_load, piece_sizes
+from test_converse import _set_partitions
 
 
 def man_reference_transmissions(k, t, demand):
@@ -213,9 +215,31 @@ def test_extreme_points_run_the_component_schemes(n, lam, partition):
         assoc = build_association(config, partition)
         assert deliver_unknown(config, assoc, demand) == deliver_scheme2(config, assoc, demand)
         assert tile(*layout_unknown(config)) == tile(*layout_scheme2(config, assoc))
-        assert place_unknown(config) == place_scheme2(config, assoc)
+        unknown, scheme2 = place_unknown(config), place_scheme2(config, assoc)
+        # the parts differ only by the user split's empty zero share, as tile shows
+        assert unknown.helper_contents == scheme2.helper_contents
+        assert unknown.private_contents == scheme2.private_contents
     for t in range(k + 1):
         config = NetworkConfig(n, k, lam, Fraction(0), Fraction(t * n, k))
         assoc = build_association(config, partition)
         assert deliver_unknown(config, assoc, demand) == deliver_scheme1(config, demand)
         assert tile(*layout_unknown(config)) == tile(*layout_scheme1(config))
+
+
+def test_oblivious_placement_ignores_the_association():
+    # every partition of K <= 6 users into Lambda nonempty groups, so every
+    # profile without an empty group, at each half-step memory pair of N = K:
+    # the runs weight the same segments, and those place the same parts and
+    # fill the same caches
+    for k in range(1, 7):
+        for lam in range(1, k + 1):
+            partitions = list(_set_partitions(list(range(1, k + 1)), lam))
+            for ms2 in range(2 * k + 1):
+                for mp2 in range(2 * k + 1 - ms2):
+                    config = NetworkConfig(k, k, lam, Fraction(ms2, 2), Fraction(mp2, 2))
+                    first, *rest = (
+                        [(seg.weight, seg.placement)
+                         for seg in scheme_run("unknown", config, assoc).segments]
+                        for assoc in (build_association(config, p) for p in partitions)
+                    )
+                    assert all(run == first for run in rest), config

@@ -1,11 +1,12 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dualcache import model, simulator
+from dualcache import combin, model, scheme1, scheme2, simulator
 from dualcache.envelope import (
     SCHEMES, envelope_at, materialize_shared_placement, scheme2_corners, scheme_run,
 )
@@ -31,6 +32,31 @@ def test_minimal_file_length(net_4users, net_6users_two_level):
     c2, a2 = net_6users_two_level
     seg2 = build_segment("scheme2", c2, a2, Fraction(1))
     assert choose_file_len([seg2]) == 9
+
+
+def test_each_split_is_listed_once_per_segment(monkeypatch, net_6users_deep,
+                                              net_6users_two_level):
+    # a segment's placement carries the layout it listed, so building it
+    # lists each key class once; the two levels of scheme2's split at
+    # (t_s, t_p) = (1, 1) over Lambda = L1 = 3 are both C(3, 1)
+    listed = Counter()
+
+    def spy(n, k):
+        listed[n, k] += 1
+        return combin.enumerate_ksubsets(n, k)
+
+    for module in (scheme1, scheme2):
+        monkeypatch.setattr(module, "enumerate_ksubsets", spy)
+    config = NetworkConfig(16, 16, 4, Fraction(4), Fraction(4))
+    contiguous = (config, build_association(config, [range(g, g + 4) for g in (1, 5, 9, 13)]))
+    for tag, network, expected in (
+        ("unknown", contiguous, {(16, 8): 1, (4, 2): 1, (0, 0): 1}),
+        ("scheme1", net_6users_deep, {(6, 4): 1}),
+        ("scheme2", net_6users_two_level, {(3, 1): 2}),
+    ):
+        listed.clear()
+        build_segment(tag, *network, Fraction(1))
+        assert listed == expected, tag
 
 
 def test_file_length_for_mixtures(net_4users):
@@ -441,7 +467,8 @@ def test_a_layout_gap_fails_the_rebuild():
     config = NetworkConfig(1, 1, 1, Fraction(0), Fraction(0))
     assoc = build_association(config, [[1]])
     (seg,) = scheme_run("unknown", config, assoc).segments
-    half = replace(seg, parts=[(keys, Fraction(1, 2)) for keys, _ in seg.parts if keys])
+    parts = [(keys, Fraction(1, 2)) for keys, _ in seg.placement.parts if keys]
+    half = replace(seg, placement=replace(seg.placement, parts=parts))
     report = run_end_to_end(config, assoc, (1,), scheme=simulator.SegmentedRun((half,)))
     assert (report.file_len, report.air_bytes) == (2, (1,))
     assert report.failure == "user 1 rebuilt a corrupted copy of file 1"
@@ -466,7 +493,7 @@ def _per_piece_layout(segments, min_len):
 
 
 def _keys(seg):
-    return tuple(key for keys, _ in seg.parts for key in keys)
+    return tuple(key for keys, _ in seg.placement.parts for key in keys)
 
 
 def test_byte_layout_matches_the_per_piece_rule():
@@ -481,7 +508,8 @@ def test_byte_layout_matches_the_per_piece_rule():
     config = NetworkConfig(1, 1, 1, Fraction(0), Fraction(0))
     (seg,) = scheme_run("unknown", config, build_association(config, [[1]])).segments
     (key,) = _keys(seg)
-    gap = replace(seg, parts=[([], Fraction(1, 3)), ([key], Fraction(1, 2))])
+    parts = [([], Fraction(1, 3)), ([key], Fraction(1, 2))]
+    gap = replace(seg, placement=replace(seg.placement, parts=parts))
     assert simulator._byte_layout([gap], 1) == (6, [{key: (2, 3)}])
     for segments in [*(run.segments for run in runs), [gap]]:
         for min_len in (1, 4096):
