@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bounds
-from .combin import binom, enumerate_ksubsets, without
+from .combin import binom, enumerate_ksubsets
 from .model import (
     Association,
     InfeasibleSchemeError,
@@ -70,7 +70,8 @@ def user_split_delivery(demand: Sequence[int], k: int, t: int) -> list:
     """One XOR per (t+1)-subset S of users, exactly the dedicated-cache delivery."""
     out = []
     for big_s in enumerate_ksubsets(k, t + 1):
-        summands = frozenset(SubfileId(demand[user - 1], without(big_s, user)) for user in big_s)
+        summands = frozenset(SubfileId(demand[user - 1], big_s[:i] + big_s[i + 1:])
+                             for i, user in enumerate(big_s))
         out.append(Transmission(("S", big_s), summands))
     return out
 

@@ -53,18 +53,19 @@ def helper_split_keys(lam: int, l1: int, t_s: int, t_p: int) -> list[tuple]:
 
 def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> list:
     """One XOR per T x S pair with at least one present (helper, position) slot."""
-    big_ss = enumerate_ksubsets(assoc.largest_group, t_p + 1)
+    # each S with its positions j and S minus j, built once for every T
+    big_ss = [(big_s, [(j, without(big_s, j)) for j in big_s])
+              for big_s in enumerate_ksubsets(assoc.largest_group, t_p + 1)]
     out = []
     for big_t in enumerate_ksubsets(assoc.num_helpers, t_s + 1):
-        for big_s in big_ss:
+        taus = [(helper, without(big_t, helper)) for helper in big_t]
+        for big_s, rhos in big_ss:
             summands = set()
-            for helper in big_t:
-                for j in big_s:
+            for helper, tau in taus:
+                for j, rho in rhos:
                     if j <= assoc.profile[helper - 1]:
                         user = assoc.user_at(helper, j)
-                        summands.add(SubfileId(
-                            demand[user - 1], without(big_t, helper), without(big_s, j)
-                        ))
+                        summands.add(SubfileId(demand[user - 1], tau, rho))
             if summands:
                 out.append(Transmission(("T", big_t, big_s), frozenset(summands)))
     return out

@@ -102,7 +102,10 @@ def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fract
     """Weighted corners whose direct runs realize the scheme at config's
     memory pair, scaled to a total of weight: one corner at integer split
     parameters, else the helper and private shares each mixed along their
-    own one-parameter lattice, up to four corners."""
+    own one-parameter lattice, up to four corners.  The helper share walks
+    the shared-cache points themselves: every one lies on their hull, but
+    with an empty group the hull drops collinear ones, and the corners would
+    then depend on the association."""
     m = config.total_mem
     try:
         rate = rate_unknown(config, profile)
@@ -112,13 +115,13 @@ def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fract
     n, k, lam = config.num_files, config.num_users, config.num_helpers
     alpha = config.helper_mem / m
     mixture = []
-    for share, hull, memories in (
-        (alpha, bounds.pue_hull(lam, n, tuple(profile)), lambda mem: (mem, Fraction(0))),
+    for share, lattice, memories in (
+        (alpha, bounds.pue_points(lam, n, profile), lambda mem: (mem, Fraction(0))),
         (1 - alpha, bounds.man_hull(k, n), lambda mem: (Fraction(0), mem)),
     ):
         if share == 0:
             continue
-        for mem, rate, w in bounds.hull_mix(hull, m):
+        for mem, rate, w in bounds.hull_mix(lattice, m):
             if share * w > 0:
                 corner = CornerPoint(*memories(mem), rate, "unknown", (mem,))
                 mixture.append((corner, weight * share * w))

@@ -11,18 +11,26 @@ ever read, so only they are drawn: random.Random(seed).getrandbits(8 * length)
 for each, in order of file, then start.
 Decoding is a fixpoint over piece addresses only: a transmission releases
 its one unknown summand to any user that already holds the rest, and the
-user records which payload released it.  The rebuild then XORs only the
-released pieces of the user's own file, through the decoded summands
-each was built from, and compares them with the library's.
+user records which payload released it.  Two indexes built once per run,
+in-file start -> payloads and address -> payloads, let a user visit only
+the payloads that can release something: first those that touch a start it
+caches or have one summand, then those holding an address just released.
+It visits them pass by pass in payload order, a later payload still in the
+same pass, so each address is released by the payload a scan of every
+payload on every pass would pick.  The rebuild then XORs only the released
+pieces of the user's own file, through the decoded summands each was built
+from, and compares them with the library's.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
 from . import model
@@ -127,8 +135,7 @@ class DecodeReport:
     failure: Optional[str]
 
 
-def _xor(a: int, b: int) -> int:
-    return a ^ b
+_xor = operator.xor  # read at each reduce, so a patched _xor sees every XOR
 
 
 def _resolve_segments(
@@ -190,6 +197,16 @@ def run_end_to_end(
     piece = {a: rng.getrandbits(8 * length_at[a % file_len]) for a in sorted(needed)}
     payloads = [(summands, reduce(_xor, (piece[a] for a in summands))) for summands in sent]
     total_air = sum(length_at[summands[0] % file_len] for summands, _ in payloads)
+    # each payload's summand starts in the file; the payloads with a summand
+    # at each in-file start and at each address; the one-summand payloads
+    in_file = [tuple(a % file_len for a in summands) for summands in sent]
+    at_start: dict[int, list[int]] = {}
+    holders: dict[int, list[int]] = {}
+    for j, summands in enumerate(sent):
+        for a, s in zip(summands, in_file[j]):
+            at_start.setdefault(s, []).append(j)
+            holders.setdefault(a, []).append(j)
+    singles = [j for j, summands in enumerate(sent) if len(summands) == 1]
 
     def materialize(address: int, released: dict, decoded: dict) -> int:
         """A released piece: its payload XOR the other summands as the user
@@ -210,14 +227,24 @@ def run_end_to_end(
         helper_bytes.append(config.num_files * sum(length_at[s] for s in helper - private))
         cached = private | helper
         released: dict[int, int] = {}  # address -> index of the payload that released it
-        progress = True
-        while progress:
-            progress = False
-            for j, (summands, _) in enumerate(payloads):
-                missing = [a for a in summands if a % file_len not in cached and a not in released]
+        # one pass pops its payloads in index order; a payload holding an
+        # address released at j joins this pass above j, the next one below
+        queue = sorted({j for s in cached for j in at_start.get(s, ())}.union(singles))
+        while queue:
+            queued, later = set(queue), set()
+            while queue:
+                j = heappop(queue)
+                missing = [a for a, s in zip(sent[j], in_file[j])
+                           if s not in cached and a not in released]
                 if len(missing) == 1:
                     released[missing[0]] = j
-                    progress = True
+                    for i in holders[missing[0]]:
+                        if i < j:
+                            later.add(i)
+                        elif i not in queued:
+                            queued.add(i)
+                            heappush(queue, i)
+            queue = sorted(later)
         air_bytes.append(sum(length_at[a % file_len] for a in released))
         decoded: dict[int, int] = {}
         wanted = demand[user - 1]

@@ -228,12 +228,17 @@ def test_extreme_points_run_the_component_schemes(n, lam, partition):
 
 def test_oblivious_placement_ignores_the_association():
     # every partition of K <= 6 users into Lambda nonempty groups, so every
-    # profile without an empty group, at each half-step memory pair of N = K:
-    # the runs weight the same segments, and those place the same parts and
-    # fill the same caches
+    # profile without an empty group, and up to K = 4 also every partition
+    # with empty groups, at each half-step memory pair of N = K: the runs
+    # weight the same segments, and those place the same parts and fill the
+    # same caches.  An empty group drops collinear points from the
+    # shared-cache hull, so a mixture along that hull would not pass
     for k in range(1, 7):
         for lam in range(1, k + 1):
-            partitions = list(_set_partitions(list(range(1, k + 1)), lam))
+            fewest = 1 if k <= 4 else lam  # nonempty groups, the rest empty
+            partitions = [partition + [[]] * (lam - blocks)
+                          for blocks in range(fewest, lam + 1)
+                          for partition in _set_partitions(list(range(1, k + 1)), blocks)]
             for ms2 in range(2 * k + 1):
                 for mp2 in range(2 * k + 1 - ms2):
                     config = NetworkConfig(k, k, lam, Fraction(ms2, 2), Fraction(mp2, 2))

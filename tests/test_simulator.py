@@ -433,7 +433,9 @@ def test_users_xor_only_the_pieces_they_rebuild(monkeypatch):
 def test_a_decoded_summand_carries_its_fault(monkeypatch):
     # no current scheme releases a piece through another decoded piece, so
     # chain the zero-memory broadcasts into W1, W1+W2, W2+W3: user 3 rebuilds
-    # W3 through the W2 it decoded, and a fault in the W1+W2 payload reaches it
+    # W3 through the W2 it decoded, and a fault in the W1+W2 payload reaches it.
+    # A lone W3 sent last changes nothing: the scan in payload order releases
+    # W3 through W2+W3 in the same pass, before it reaches the lone W3
     config = NetworkConfig(3, 3, 1, Fraction(0), Fraction(0))
     assoc = build_association(config, [[1, 2, 3]])
     demand = (1, 2, 3)
@@ -442,24 +444,26 @@ def test_a_decoded_summand_carries_its_fault(monkeypatch):
     chain = [Transmission(("W", 1), frozenset(w1)),
              Transmission(("W", 12), frozenset(w1 + w2)),
              Transmission(("W", 23), frozenset(w2 + w3))]
-    monkeypatch.setattr(simulator.Segment, "transmissions", lambda seg, assoc, demand: chain)
-    report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
-    assert report.ok and report == _reference_run(config, assoc, demand, run, seed=6)
+    for sent in (chain, chain + [Transmission(("W", 3), frozenset(w3))]):
+        with monkeypatch.context() as patched:
+            patched.setattr(simulator.Segment, "transmissions", lambda seg, assoc, demand: sent)
+            report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
+            assert report.ok and report == _reference_run(config, assoc, demand, run, seed=6)
 
-    xor, calls = simulator._xor, 0
+            xor, calls = simulator._xor, 0
 
-    def first_call_flips_a_bit(a, b):
-        # the first XOR of a run encodes the W1+W2 payload
-        nonlocal calls
-        calls += 1
-        return xor(a, b) ^ (calls == 1)
+            def first_call_flips_a_bit(a, b):
+                # the first XOR of a run encodes the W1+W2 payload
+                nonlocal calls
+                calls += 1
+                return xor(a, b) ^ (calls == 1)
 
-    monkeypatch.setattr(simulator, "_xor", first_call_flips_a_bit)
-    report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
-    calls = 0
-    assert report == _reference_run(config, assoc, demand, run, seed=6)
-    assert report.per_user_ok == (True, False, False)
-    assert report.failure == "user 2 rebuilt a corrupted copy of file 2"
+            patched.setattr(simulator, "_xor", first_call_flips_a_bit)
+            report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
+            calls = 0
+            assert report == _reference_run(config, assoc, demand, run, seed=6)
+            assert report.per_user_ok == (True, False, False), len(sent)
+            assert report.failure == "user 2 rebuilt a corrupted copy of file 2"
 
 
 def test_a_layout_gap_fails_the_rebuild():
