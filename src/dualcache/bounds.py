@@ -5,9 +5,10 @@ shared-cache), their convex-envelope helpers, and the cut-set bound.
 Nothing here knows a scheme; envelope.bound_report sets the schemes
 against these curves.
 
-A reference curve's hull depends on the network shape only, so man_hull
-and pue_hull build it once per (K, N) and per (Lambda, N, profile); every
-memory point walks the cached hull.
+Each curve is written once, as a lattice cached on the network shape:
+man_hull per (K, N) and pue_hull per (Lambda, N, profile).  Both lattices
+are convex, so each traces its own lower hull and hull_mix walks it as it
+is; no hull is built.
 """
 
 from __future__ import annotations
@@ -61,15 +62,12 @@ def hull_mix(
     return [(hull[-1][0], hull[-1][1], Fraction(1))]
 
 
-def man_points(k: int, n: int) -> list[tuple[Fraction, Fraction]]:
-    """Corner points of the dedicated-cache curve: memory t*N/K, rate (K-t)/(t+1)."""
-    return [(Fraction(t * n, k), Fraction(k - t, t + 1)) for t in range(k + 1)]
-
-
 @lru_cache(maxsize=128)
 def man_hull(k: int, n: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Lower convex hull of man_points(k, n), built once per (K, N)."""
-    return tuple(lower_convex_points(man_points(k, n)))
+    """The dedicated-cache lattice: memory t*N/K, rate (K-t)/(t+1) for t = 0..K.
+    Its slopes -(K+1)/((t+1)(t+2)) strictly increase, so the lattice is its
+    own lower hull and man_hull(K, N)[t] is level t."""
+    return tuple((Fraction(t * n, k), Fraction(k - t, t + 1)) for t in range(k + 1))
 
 
 def man_rate(k: int, n: int, mem: Fraction) -> Fraction:
@@ -84,27 +82,25 @@ def pue_profile_sum(lam: int, t: int, profile: Sequence[int]) -> int:
     return sum(profile[i - 1] * binom(lam - i, t) for i in range(1, lam - t + 1))
 
 
-def pue_points(lam: int, n: int, profile: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
-    """Corner points of the shared-cache curve for an association profile."""
-    return [
-        (Fraction(t * n, lam), Fraction(pue_profile_sum(lam, t, profile), binom(lam, t)))
-        for t in range(lam + 1)
-    ]
-
-
 @lru_cache(maxsize=128)
 def pue_hull(lam: int, n: int, profile: tuple[int, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Lower convex hull of pue_points(lam, n, profile), built once per
-    (Lambda, N, profile); the profile is a tuple of ints."""
-    return tuple(lower_convex_points(pue_points(lam, n, profile)))
+    """The shared-cache lattice for a profile of Lambda non-increasing,
+    nonnegative group sizes: memory t*N/Lambda, rate
+    sum_i L_i * C(Lambda-i, t) / C(Lambda, t) for t = 0..Lambda.  Each ratio is
+    a product of nonnegative, falling linear factors in t, zero past Lambda-i,
+    so the sum is convex and the lattice is its own lower hull, collinear
+    points kept.  Raises ValueError on any other profile."""
+    if (len(profile) != lam or any(size < 0 for size in profile)
+            or list(profile) != sorted(profile, reverse=True)):
+        raise ValueError(f"profile must be {lam} non-increasing, nonnegative sizes, got {profile}")
+    return tuple((Fraction(t * n, lam), Fraction(pue_profile_sum(lam, t, profile), binom(lam, t)))
+                 for t in range(lam + 1))
 
 
 def pue_rate(lam: int, n: int, mem: Fraction, profile: Sequence[int]) -> Fraction:
     """Shared-cache envelope rate at total memory mem."""
     if not 0 <= mem <= n:
         raise ValueError(f"memory {mem} outside [0, {n}]")
-    if list(profile) != sorted(profile, reverse=True):
-        raise ValueError(f"profile must be non-increasing, got {tuple(profile)}")
     return sum(y * w for _, y, w in hull_mix(pue_hull(lam, n, tuple(profile)), Fraction(mem)))
 
 

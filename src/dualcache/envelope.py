@@ -42,7 +42,7 @@ class EnvelopeSolution:
 def dedicated_corners(config: NetworkConfig) -> list[CornerPoint]:
     """Zero-helper-memory corners from the dedicated-cache curve."""
     return [CornerPoint(Fraction(0), mem, rate, "unknown", (t,))
-            for t, (mem, rate) in enumerate(bounds.man_points(config.num_users, config.num_files))]
+            for t, (mem, rate) in enumerate(bounds.man_hull(config.num_users, config.num_files))]
 
 
 def scheme2_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoint]:
@@ -82,7 +82,7 @@ def scheme1_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
     is nondecreasing (t -> t+1 multiplies it by (t+1)/(t+1-L1) >= 1) and is N at K."""
     k, n, ms = config.num_users, config.num_files, config.helper_mem
     return [CornerPoint(ms, mem - ms, rate, "scheme1", (t,))
-            for t, (mem, rate) in enumerate(bounds.man_points(k, n))
+            for t, (mem, rate) in enumerate(bounds.man_hull(k, n))
             if mem >= ms and corner_feasible(k, n, assoc.largest_group, t, ms)]
 
 

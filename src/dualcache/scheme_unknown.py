@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bounds
-from .combin import binom
 from .model import (
     Association,
     CornerPoint,
@@ -88,13 +87,12 @@ def deliver_unknown(
 def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
     """Worst-case rate at integer split parameters for a given profile."""
     params = unknown_params(config)
-    k, lam = config.num_users, config.num_helpers
+    n, k, lam = config.num_files, config.num_users, config.num_helpers
     rate = Fraction(0)
     if params.f1 > 0:
-        served = bounds.pue_profile_sum(lam, params.t_s, profile)
-        rate += params.f1 * Fraction(served, binom(lam, params.t_s))
+        rate += params.f1 * bounds.pue_hull(lam, n, tuple(profile))[params.t_s][1]
     if params.f2 > 0:
-        rate += params.f2 * bounds.man_hull(k, config.num_files)[params.t_p][1]
+        rate += params.f2 * bounds.man_hull(k, n)[params.t_p][1]
     return rate
 
 
@@ -102,10 +100,7 @@ def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fract
     """Weighted corners whose direct runs realize the scheme at config's
     memory pair, scaled to a total of weight: one corner at integer split
     parameters, else the helper and private shares each mixed along their
-    own one-parameter lattice, up to four corners.  The helper share walks
-    the shared-cache points themselves: every one lies on their hull, but
-    with an empty group the hull drops collinear ones, and the corners would
-    then depend on the association."""
+    own cached lattice, up to four corners."""
     m = config.total_mem
     try:
         rate = rate_unknown(config, profile)
@@ -116,7 +111,7 @@ def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fract
     alpha = config.helper_mem / m
     mixture = []
     for share, lattice, memories in (
-        (alpha, bounds.pue_points(lam, n, profile), lambda mem: (mem, Fraction(0))),
+        (alpha, bounds.pue_hull(lam, n, tuple(profile)), lambda mem: (mem, Fraction(0))),
         (1 - alpha, bounds.man_hull(k, n), lambda mem: (Fraction(0), mem)),
     ):
         if share == 0:

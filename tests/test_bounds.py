@@ -2,16 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from dualcache import bounds
 from dualcache.bounds import (
     cutset_bound,
     hull_mix,
     lower_convex_points,
     man_hull,
-    man_points,
     man_rate,
     pue_hull,
-    pue_points,
     pue_profile_sum,
     pue_rate,
 )
@@ -45,58 +42,80 @@ def test_envelope_interp_bounds():
 
 
 def test_dedicated_curve_values():
-    assert man_points(4, 4) == [
+    assert man_hull(4, 4) == (
         (Fraction(0), Fraction(4)), (Fraction(1), Fraction(3, 2)),
         (Fraction(2), Fraction(2, 3)), (Fraction(3), Fraction(1, 4)),
         (Fraction(4), Fraction(0)),
-    ]
+    )
     assert man_rate(4, 4, Fraction(2)) == Fraction(2, 3)
     assert man_rate(4, 4, Fraction(3, 2)) == Fraction(13, 12)
     with pytest.raises(ValueError):
         man_rate(4, 4, Fraction(5))
 
 
-def test_every_dedicated_point_is_a_hull_vertex():
-    # slopes -(K+1)/((t+1)(t+2)) strictly increase, so man_hull(K, N)[t] is level t
-    for k in range(1, 13):
+def _profiles(k, lam, largest=None):
+    """Every non-increasing profile of k users over lam groups, empty groups included."""
+    largest = k if largest is None else largest
+    if lam == 0:
+        if k == 0:
+            yield ()
+        return
+    for first in range(min(k, largest), -1, -1):
+        for rest in _profiles(k - first, lam - 1, first):
+            yield (first, *rest)
+
+
+def test_each_reference_lattice_is_its_own_lower_hull():
+    # slopes -(K+1)/((t+1)(t+2)) strictly increase, so every dedicated-cache
+    # point is a hull vertex and man_hull(K, N)[t] is level t
+    for k in range(1, 21):
         for n in (k, k + 3):
-            assert man_hull(k, n) == tuple(man_points(k, n)), (k, n)
+            assert tuple(lower_convex_points(man_hull(k, n))) == man_hull(k, n), (k, n)
+    # the shared-cache lattice is convex: with an empty group some of its
+    # points are collinear, so they lie on the hull without being vertices
+    for lam in range(1, 7):
+        for k in range(lam, 11):
+            for profile in _profiles(k, lam):
+                for n in (k, k + 1):
+                    lattice = pue_hull(lam, n, profile)
+                    hull = lower_convex_points(lattice)
+                    for mem, rate in lattice:
+                        assert sum(y * w for _, y, w in hull_mix(hull, mem)) == rate, (
+                            lam, n, profile, mem)
 
 
 def test_shared_curve_values():
     profile = (3, 1)
     assert pue_profile_sum(2, 1, profile) == 3
-    assert pue_points(2, 4, profile)[1] == (Fraction(2), Fraction(3, 2))
+    assert pue_hull(2, 4, profile)[1] == (Fraction(2), Fraction(3, 2))
     assert pue_rate(2, 4, Fraction(2), profile) == Fraction(3, 2)
     with pytest.raises(ValueError):
         pue_rate(2, 4, Fraction(1), (1, 3))  # profile must be non-increasing
 
 
-def test_reference_hulls_are_built_once_per_shape(monkeypatch):
+def test_reference_hulls_are_built_once_per_shape():
     memories = [Fraction(m, 4) for m in range(17)]
-    expected = [(_interp(man_points(4, 4), m), _interp(pue_points(2, 4, (3, 1)), m))
-                for m in memories]
-    hull, builds = bounds.lower_convex_points, []
-
-    def counted(points):
-        builds.append(points)
-        return hull(points)
-
-    monkeypatch.setattr(bounds, "lower_convex_points", counted)
+    man_lattice = [(Fraction(0), Fraction(4)), (Fraction(1), Fraction(3, 2)),
+                   (Fraction(2), Fraction(2, 3)), (Fraction(3), Fraction(1, 4)),
+                   (Fraction(4), Fraction(0))]
+    pue_lattice = [(Fraction(0), Fraction(4)), (Fraction(2), Fraction(3, 2)),
+                   (Fraction(4), Fraction(0))]
+    expected = [(_interp(man_lattice, m), _interp(pue_lattice, m)) for m in memories]
     man_hull.cache_clear()
     pue_hull.cache_clear()
     for mem, (man, pue) in zip(memories, expected):
         assert man_rate(4, 4, mem) == man
         assert pue_rate(2, 4, mem, (3, 1)) == pue_rate(2, 4, mem, [3, 1]) == pue
-    # one hull per (K, N) and one per (Lambda, N, profile), for 17 memory points
-    assert builds == [man_points(4, 4), pue_points(2, 4, (3, 1))]
+    # one lattice per (K, N) and one per (Lambda, N, profile), for 17 memory points
+    assert man_hull.cache_info().misses == 1
+    assert pue_hull.cache_info().misses == 1
 
 
 def test_shared_curve_uniform_matches_closed_form():
     # equal groups of size K/Lam: rate (K/Lam) * (Lam-t) / (t+1) at each level
     profile = (2, 2, 2)
     for t in range(0, 4):
-        _, rate = pue_points(3, 6, profile)[t]
+        _, rate = pue_hull(3, 6, profile)[t]
         assert rate == Fraction(2 * (3 - t), t + 1)
 
 

@@ -10,10 +10,8 @@ from dualcache.bounds import (
     hull_mix,
     lower_convex_points,
     man_hull,
-    man_points,
     man_rate,
     pue_hull,
-    pue_points,
 )
 from dualcache.combin import binom
 from dualcache.envelope import (
@@ -392,8 +390,6 @@ def test_returned_lists_do_not_alias_the_caches(net_4users):
     config, assoc = net_4users
     calls = {
         "scheme2_corners": lambda: scheme2_corners(config, assoc),
-        "man_points": lambda: man_points(4, 4),
-        "pue_points": lambda: pue_points(2, 4, assoc.profile),
         "hull_mix": lambda: hull_mix(man_hull(4, 4), Fraction(3, 2)),
     }
     for name, call in calls.items():

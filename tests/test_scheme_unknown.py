@@ -20,11 +20,13 @@ from dualcache.scheme_unknown import (
     place_unknown,
     rate_unknown,
     rate_unknown_general,
+    unknown_mixture,
     unknown_params,
 )
 from dualcache.simulator import run_end_to_end
 from layout_bytes import air, cache_load, piece_sizes
 from test_converse import _set_partitions
+from test_scheme_rate import NETWORKS
 
 
 def man_reference_transmissions(k, t, demand):
@@ -164,12 +166,40 @@ def test_uniform_association_tier1_closed_form():
 
 
 def test_general_rate_mixes_the_two_curves():
-    config = NetworkConfig(4, 4, 2, Fraction(3, 4), Fraction(5, 4))
-    assoc = build_association(config, [[1, 2, 3], [4]])
-    m = config.total_mem
-    alpha = config.helper_mem / m
-    expected = alpha * pue_rate(2, 4, m, assoc.profile) + (1 - alpha) * man_rate(4, 4, m)
-    assert rate_unknown_general(config, assoc.profile) == expected
+    # at every half-step memory pair of the test_scheme_rate networks, and
+    # with an empty group, whose shared-cache lattice has a collinear point:
+    # the mixture walk and the reference walk read one curve
+    half = Fraction(1, 2)
+    for n, lam, partition in NETWORKS + [(4, 2, [[1, 2, 3, 4], []])]:
+        for ms2 in range(2 * n + 1):
+            for mp2 in range(2 * n + 1 - ms2):
+                if ms2 + mp2 == 0:
+                    continue
+                config = NetworkConfig(n, n, lam, ms2 * half, mp2 * half)
+                assoc = build_association(config, partition)
+                m = config.total_mem
+                alpha = config.helper_mem / m
+                expected = (alpha * pue_rate(lam, n, m, assoc.profile)
+                            + (1 - alpha) * man_rate(n, n, m))
+                assert rate_unknown_general(config, assoc.profile) == expected, config
+
+
+def test_malformed_profiles_are_rejected():
+    # unsorted, one group too many, one group too few, all at Ms > 0
+    config = NetworkConfig(4, 4, 2, Fraction(1), Fraction(1))
+    general = config.with_memories(Fraction(1, 2), Fraction(1, 3))
+    readers = [
+        lambda p: pue_rate(2, 4, Fraction(2), p),
+        lambda p: rate_unknown(config, p),
+        lambda p: rate_unknown_general(config, p),
+        lambda p: rate_unknown_general(general, p),
+        lambda p: unknown_mixture(config, p, Fraction(1)),
+        lambda p: unknown_mixture(general, p, Fraction(1)),
+    ]
+    for profile in ((1, 3), [1, 3], (3, 1, 0), (4,)):
+        for reader in readers:
+            with pytest.raises(ValueError, match="profile"):
+                reader(profile)
 
 
 def test_general_rate_agrees_at_integer_levels(net_4users):
@@ -231,8 +261,8 @@ def test_oblivious_placement_ignores_the_association():
     # profile without an empty group, and up to K = 4 also every partition
     # with empty groups, at each half-step memory pair of N = K: the runs
     # weight the same segments, and those place the same parts and fill the
-    # same caches.  An empty group drops collinear points from the
-    # shared-cache hull, so a mixture along that hull would not pass
+    # same caches.  An empty group puts collinear points on the shared-cache
+    # lattice, so a mixture along a hull that dropped them would not pass
     for k in range(1, 7):
         for lam in range(1, k + 1):
             fewest = 1 if k <= 4 else lam  # nonempty groups, the rest empty
