@@ -13,8 +13,10 @@ is; no hull is built.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .combin import binom
@@ -51,15 +53,13 @@ def hull_mix(
     outside the hull's span."""
     if not hull or x < hull[0][0] or x > hull[-1][0]:
         return None
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            if x == x1:
-                return [(x1, y1, Fraction(1))]
-            if x == x2:
-                return [(x2, y2, Fraction(1))]
-            w2 = (x - x1) / (x2 - x1)
-            return [(x1, y1, 1 - w2), (x2, y2, w2)]
-    return [(hull[-1][0], hull[-1][1], Fraction(1))]
+    i = bisect_left(hull, x, key=itemgetter(0))  # hull[i] is the first point at or right of x
+    x2, y2 = hull[i]
+    if x == x2:
+        return [(x2, y2, Fraction(1))]
+    x1, y1 = hull[i - 1]
+    w2 = (x - x1) / (x2 - x1)
+    return [(x1, y1, 1 - w2), (x2, y2, w2)]
 
 
 @lru_cache(maxsize=128)
@@ -111,12 +111,14 @@ def cutset_bound(config: NetworkConfig, assoc: Association) -> tuple[Fraction, i
     listed group by group in non-increasing group-size order.
     """
     n = config.num_files
-    ordered = assoc.ordered_users()
-    best = Fraction(0)
-    best_u = 1
-    for u in range(1, min(n, config.num_users) + 1):
-        lam_u = assoc.helper_of(ordered[u - 1])
-        term = u - Fraction(u * config.private_mem + lam_u * config.helper_mem, n // u)
-        if term > best:
-            best, best_u = term, u
-    return best, best_u
+    lams = [assoc.helper_of(user) for user in assoc.ordered_users()[:min(n, config.num_users)]]
+    # term u is num/den over den = b*d*floor(N/u) > 0, for Mp = a/b and Ms = c/d;
+    # comparing cross-products keeps the strict >, so a tie keeps the first u
+    (a, b), (c, d) = config.private_mem.as_integer_ratio(), config.helper_mem.as_integer_ratio()
+    best, best_den, best_u = 0, 1, 1
+    for u, lam_u in enumerate(lams, 1):
+        den = b * d * (n // u)
+        num = u * den - u * a * d - lam_u * c * b
+        if num * best_den > best * den:
+            best, best_den, best_u = num, den, u
+    return Fraction(best, best_den), best_u

@@ -6,6 +6,13 @@ A corner point is a memory pair where some scheme's integer parameters
 line up; arbitrary (Ms, Mp) targets are met by splitting files into
 weighted segments, one direct run per corner.  scheme_rate and scheme_run
 both read scheme_mixture, so a printed rate is the rate of the run.
+
+bound_reports, behind `bounds` and `curve`, reads each scheme2 rate from its
+LP's checked optimum.  Along a sweep only Mp and the pinned corner move, so
+each LP starts from the previous row's optimal corners, and solves cold when
+they are infeasible.  The optimal value is unique, but a warm start can reach
+another optimal x, so scheme_mixture, which `rate` sums and `verify` runs,
+always solves cold.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import bounds, model, simulator
 from .combin import binom
@@ -33,6 +40,7 @@ class EnvelopeSolution:
     weights: tuple  # ((CornerPoint, Fraction), ...) with positive weights
     achieved_rate: Fraction
     duals: tuple  # supporting hyperplane (y_ms, y_mp, y_const)
+    support: tuple = ()  # indices of the weighted corners in the LP's corner list
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +172,23 @@ class _Basis:
                 raise ArithmeticError("LP unbounded; mixture problems are always bounded")
             self.pivot(leaving, entering, alpha)
 
+    def warm(self, start, n: int) -> bool:
+        """Pivot each start column in over an artificial row it reaches; True when
+        the basis is then primal feasible with every artificial left at zero."""
+        for j in start:
+            alpha = self.column(j)
+            row = next((i for i, a in enumerate(alpha) if a and self.basis[i] >= n), None)
+            if row is not None:
+                self.pivot(row, j, alpha)
+        return all(beta * self.det >= 0 and (j < n or beta == 0)
+                   for beta, j in zip(self.beta, self.basis))
+
 
 def simplex_solve(
     columns: Sequence[Sequence[Fraction]],
     costs: Sequence[Fraction],
     rhs: Sequence[Fraction],
+    start: Optional[Sequence[int]] = None,
 ) -> Optional[tuple[Fraction, list[Fraction], list[Fraction]]]:
     """Minimize costs.x subject to columns.x = rhs, x >= 0.
 
@@ -178,6 +198,11 @@ def simplex_solve(
     denominators (its artificial column with it), and the costs by theirs.
     Positive scaling changes no reduced cost's sign and no ratio, so the
     solver visits the bases the tableau visits and returns the same optimum.
+
+    start, column indices, warm-starts: they are pivoted in over the
+    artificial basis, and if that basis is feasible phase 1 is skipped;
+    otherwise the cold path runs.  The value is the same either way, but
+    where the optimum is not unique x and the duals may differ.
     """
     m, n = len(rhs), len(columns)
     sign = [-1 if b < 0 else 1 for b in rhs]
@@ -187,10 +212,12 @@ def simplex_solve(
                      for i, row in enumerate(rows)))
     cols += [[scale[i] if r == i else 0 for r in range(m)] for i in range(m)]
     basis = _Basis(cols, b, scale, n)
-
-    basis.run([0] * n + [1] * m, range(n + m))
-    if any(beta for beta, j in zip(basis.beta, basis.basis) if j >= n):
-        return None
+    if start is not None and not basis.warm(start, n):
+        basis, start = _Basis(cols, b, scale, n), None
+    if start is None:
+        basis.run([0] * n + [1] * m, range(n + m))
+        if any(beta for beta, j in zip(basis.beta, basis.basis) if j >= n):
+            return None
     # drive leftover zero-level artificials out of the basis where possible
     for i in range(m):
         if basis.basis[i] >= n:
@@ -214,7 +241,8 @@ def simplex_solve(
 
 
 def envelope_at(
-    corners: Sequence[CornerPoint], helper_mem: Fraction, private_mem: Fraction
+    corners: Sequence[CornerPoint], helper_mem: Fraction, private_mem: Fraction,
+    start: Optional[Sequence[int]] = None,
 ) -> Optional[EnvelopeSolution]:
     """Cheapest convex mixture of corners hitting both memory targets exactly;
     raises CertificateError if its optimality certificate does not check."""
@@ -224,14 +252,13 @@ def envelope_at(
         (c.helper_mem, c.private_mem, Fraction(1)) for c in corners
     ]
     rhs = (Fraction(helper_mem), Fraction(private_mem), Fraction(1))
-    result = simplex_solve(columns, [c.rate for c in corners], rhs)
+    lp = (columns, [c.rate for c in corners], rhs)
+    result = simplex_solve(*lp) if start is None else simplex_solve(*lp, start)
     if result is None:
         return None
     value, x, duals = result
-    weights = tuple(
-        (corner, w) for corner, w in zip(corners, x) if w != 0
-    )
-    sol = EnvelopeSolution(weights=weights, achieved_rate=value, duals=tuple(duals))
+    support = tuple(j for j, w in enumerate(x) if w != 0)
+    sol = EnvelopeSolution(tuple((corners[j], x[j]) for j in support), value, tuple(duals), support)
     if not certificate_holds(corners, sol, helper_mem, private_mem):
         raise CertificateError(
             f"the LP certificate of rate {value} at (Ms, Mp) = "
@@ -284,13 +311,20 @@ def _duals_support(y, corners: Sequence[CornerPoint]) -> bool:
 # mixtures: weighted corners, each one direct run of its scheme
 
 
+def _scheme1_first_level(config: NetworkConfig, assoc: Association) -> int:
+    """The level of scheme1_corners(config, assoc)[0], found without listing the rest."""
+    k, n, ms = config.num_users, config.num_files, config.helper_mem
+    return next(t for t, (mem, _) in enumerate(bounds.man_hull(k, n))
+                if mem >= ms and corner_feasible(k, n, assoc.largest_group, t, ms))
+
+
 def _scheme1_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
     """The cached dedicated-cache hull from scheme1's first feasible level, walked
     at Ms + Mp (every dedicated-cache point is a hull vertex, so man_hull(K, N)[t]
     is level t); a corner with fractional helper quota q = Ms*C(K,t)/N runs as two
     corners at the same t, with quotas floor(q) and floor(q) + 1 weighted to average q."""
     k, n = config.num_users, config.num_files
-    (first,) = scheme1_corners(config, assoc)[0].params
+    first = _scheme1_first_level(config, assoc)
     mix = bounds.hull_mix(bounds.man_hull(k, n)[first:], config.total_mem)
     if mix is None:
         return None
@@ -372,34 +406,40 @@ class BoundReport:
     optimality_flags: dict
 
 
+def bound_reports(configs: Iterable[NetworkConfig], assoc: Association) -> Iterator[BoundReport]:
+    """The bound_report of each config in turn.  Each scheme2 rate is the checked
+    optimum of one envelope_at call, warm-started from the last optimum's corners."""
+    support = None
+    for config in configs:
+        model.validate_association(config, assoc)
+        n, m = config.num_files, config.total_mem
+        man = bounds.man_rate(config.num_users, n, m)
+        pue = bounds.pue_rate(config.num_helpers, n, m, assoc.profile)
+        cutset, u = bounds.cutset_bound(config, assoc)
+        sol = envelope_at(scheme2_corners(config, assoc), config.helper_mem, config.private_mem,
+                          support)
+        support = support if sol is None else sol.support
+        rates = {"unknown": scheme_rate("unknown", config, assoc)[0],
+                 "scheme1": scheme_rate("scheme1", config, assoc)[0],
+                 "scheme2": None if sol is None else sol.achieved_rate}
+        flags = {
+            "scheme1_meets_man": rates["scheme1"] is not None and rates["scheme1"] == man,
+            "unknown_meets_pue": rates["unknown"] == pue,
+            "high_memory_optimal": (
+                config.helper_mem >= n * (1 - Fraction(1, config.num_helpers))
+                and config.private_mem >= n * (1 - Fraction(1, assoc.largest_group))
+                and rates["scheme2"] == 1 - m / n == cutset
+            ),
+        }
+        yield BoundReport(cutset, u, man, pue, rates, flags)
+
+
 def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
     """Every scheme's rate at this point against the reference curves and the
     cut-set bound.  high_memory_optimal: in the region Ms >= N(1-1/Lambda),
     Mp >= N(1-1/L1) the two-level rate is 1 - (Ms+Mp)/N and meets the cut-set
     bound exactly."""
-    model.validate_association(config, assoc)
-    n, m = config.num_files, config.total_mem
-    man = bounds.man_rate(config.num_users, n, m)
-    pue = bounds.pue_rate(config.num_helpers, n, m, assoc.profile)
-    cutset, u = bounds.cutset_bound(config, assoc)
-    rates = {name: scheme_rate(name, config, assoc)[0] for name in SCHEMES}
-    flags = {
-        "scheme1_meets_man": rates["scheme1"] is not None and rates["scheme1"] == man,
-        "unknown_meets_pue": rates["unknown"] == pue,
-        "high_memory_optimal": (
-            config.helper_mem >= n * (1 - Fraction(1, config.num_helpers))
-            and config.private_mem >= n * (1 - Fraction(1, assoc.largest_group))
-            and rates["scheme2"] == 1 - m / n == cutset
-        ),
-    }
-    return BoundReport(
-        cutset=cutset,
-        cutset_u=u,
-        man_lower=man,
-        pue_upper=pue,
-        scheme_rates=rates,
-        optimality_flags=flags,
-    )
+    return next(bound_reports([config], assoc))
 
 
 # ---------------------------------------------------------------------------

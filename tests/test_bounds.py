@@ -14,6 +14,8 @@ from dualcache.bounds import (
 )
 from dualcache.envelope import bound_report
 from dualcache.model import NetworkConfig, build_association
+from test_envelope import _benchmark_sweeps, _half_step_grid
+from test_scheme_rate import NETWORKS
 
 
 def test_lower_hull_drops_dominated_points():
@@ -84,6 +86,33 @@ def test_each_reference_lattice_is_its_own_lower_hull():
                             lam, n, profile, mem)
 
 
+def _reference_hull_mix(hull, x):
+    """hull_mix as a linear scan of the hull's edges."""
+    if not hull or x < hull[0][0] or x > hull[-1][0]:
+        return None
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if x1 <= x <= x2:
+            if x == x1:
+                return [(x1, y1, Fraction(1))]
+            if x == x2:
+                return [(x2, y2, Fraction(1))]
+            w2 = (x - x1) / (x2 - x1)
+            return [(x1, y1, 1 - w2), (x2, y2, w2)]
+    return [(hull[-1][0], hull[-1][1], Fraction(1))]
+
+
+def test_hull_mix_bisection_matches_a_linear_scan():
+    lattices = [man_hull(k, n) for k in range(1, 21) for n in (k, k + 3)]
+    lattices += [pue_hull(lam, n, profile) for lam in range(1, 7) for k in range(lam, 11)
+                 for profile in _profiles(k, lam) for n in (k, k + 1)]
+    lattices.append(((Fraction(2), Fraction(1)),))  # the one-point lattice
+    for lattice in lattices:
+        xs = [x for x, _ in lattice]
+        # every point, every midpoint, and a probe past each end
+        for x in [*xs, *((a + b) / 2 for a, b in zip(xs, xs[1:])), xs[0] - 1, xs[-1] + 1]:
+            assert hull_mix(lattice, x) == _reference_hull_mix(lattice, x), (lattice, x)
+
+
 def test_shared_curve_values():
     profile = (3, 1)
     assert pue_profile_sum(2, 1, profile) == 3
@@ -146,6 +175,30 @@ def test_cutset_uses_group_ordering():
         ),
     )
     assert rate == expected
+
+
+def _cutset_terms(config, assoc):
+    """u - (u*Mp + lambda_u*Ms)/floor(N/u) for u = 1..min(N, K), in Fraction arithmetic."""
+    n, ordered = config.num_files, assoc.ordered_users()
+    return [u - Fraction(u * config.private_mem
+                         + assoc.helper_of(ordered[u - 1]) * config.helper_mem, n // u)
+            for u in range(1, min(n, config.num_users) + 1)]
+
+
+def test_integer_cutset_matches_the_fraction_formula():
+    points = [point for network in NETWORKS for point in _half_step_grid(*network)]
+    points += [(config, partition)
+               for partition, configs in _benchmark_sweeps() for config in configs]
+    ties = 0
+    for config, partition in points:
+        assoc = build_association(config, partition)
+        terms = _cutset_terms(config, assoc)
+        best = max(0, *terms)
+        # a term above 0 wins at its first u; with none, the bound is 0 at u = 1
+        u = terms.index(best) + 1 if best > 0 else 1
+        assert cutset_bound(config, assoc) == (best, u), config
+        ties += best > 0 and terms.count(best) > 1
+    assert ties > 0  # the grids hold ties, where only the strict > keeps the first u
 
 
 def test_high_memory_region():

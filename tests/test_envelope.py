@@ -17,6 +17,7 @@ from dualcache.combin import binom
 from dualcache.envelope import (
     EnvelopeSolution,
     bound_report,
+    bound_reports,
     certificate_holds,
     envelope_at,
     scheme1_corners,
@@ -275,6 +276,7 @@ def _bound_report_lps(monkeypatch, points):
     monkeypatch.setattr(envelope, "simplex_solve", spy)
     for config, partition in points:
         bound_report(config, build_association(config, partition))
+    monkeypatch.undo()
     return lps
 
 
@@ -282,6 +284,46 @@ def _half_step_grid(n, lam, partition):
     for ms2 in range(2 * n + 1):
         for mp2 in range(2 * n - ms2 + 1):
             yield NetworkConfig(n, n, lam, Fraction(ms2, 2), Fraction(mp2, 2)), partition
+
+
+def _network_sweeps():
+    """Each test_scheme_rate network's half-step grid as one sweep, its half-step
+    Mp sweeps one Ms after another, as (partition, configs)."""
+    for network in NETWORKS:
+        yield network[2], [config for config, _ in _half_step_grid(*network)]
+
+
+def _benchmark_sweeps():
+    """The curve benchmark's sweep shapes over contiguous groups, as (partition,
+    configs): the six criterion-7 sweeps (K=20, Ms = 5, 10, 15, Mp step 1) and
+    K=30 at Ms = 7, Mp step 1/4."""
+    shapes = [(20, 4, sizes, ms, Fraction(1)) for sizes in ((10, 5, 3, 2), (5, 5, 5, 5))
+              for ms in (5, 10, 15)] + [(30, 6, (12, 7, 5, 3, 2, 1), 7, Fraction(1, 4))]
+    for n, lam, sizes, ms, step in shapes:
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        partition = [list(range(at + 1, at + size + 1)) for at, size in zip(starts, sizes)]
+        yield partition, [NetworkConfig(n, n, lam, Fraction(ms), i * step)
+                          for i in range(int((n - ms) / step) + 1)]
+
+
+def _sweep_lps(monkeypatch, sweeps):
+    """Every argument tuple that bound_reports hands simplex_solve along the
+    sweeps: (columns, costs, rhs), and start after a sweep's first LP."""
+    lps, solve = [], envelope.simplex_solve
+
+    def spy(*lp):
+        lps.append(lp)
+        return solve(*lp)
+
+    monkeypatch.setattr(envelope, "simplex_solve", spy)
+    for partition, configs in sweeps:
+        list(bound_reports(configs, build_association(configs[0], partition)))
+    monkeypatch.undo()
+    return lps
+
+
+def _value(result):
+    return None if result is None else result[0]
 
 
 def test_simplex_matches_tableau_on_bound_report_lps(monkeypatch):
@@ -293,6 +335,12 @@ def test_simplex_matches_tableau_on_bound_report_lps(monkeypatch):
     assert len(lps) == len(points)
     for lp in lps:
         assert simplex_solve(*lp) == _tableau_solve(*lp), lp
+    # the same points as sweeps: a warm start may reach another optimal x, never another value
+    sweeps = [*_network_sweeps(), (groups, [config for config, _ in points[-16:]])]
+    warm = [lp for lp in _sweep_lps(monkeypatch, sweeps) if len(lp) == 4]
+    assert len(warm) == len(points) - len(sweeps)
+    for lp in warm:
+        assert _value(simplex_solve(*lp)) == _value(_tableau_solve(*lp[:3])), lp
 
 
 def _outcome(solve, lp):
@@ -439,6 +487,16 @@ def test_scheme1_levels_are_a_suffix_ending_at_k():
         assert levels and levels == list(range(levels[0], config.num_users + 1)), config
 
 
+def test_scheme1_first_level_is_the_first_corners_level():
+    points = [point for network in NETWORKS for point in _half_step_grid(*network)]
+    points += [(config, partition)
+               for partition, configs in _benchmark_sweeps() for config in configs]
+    for config, partition in points:
+        assoc = build_association(config, partition)
+        first = envelope._scheme1_first_level(config, assoc)
+        assert first == scheme1_corners(config, assoc)[0].params[0], config
+
+
 def test_scheme1_mixture_matches_a_fresh_hull_over_its_corners():
     two_level = 0
     for config, partition in _sweep_points():
@@ -447,6 +505,33 @@ def test_scheme1_mixture_matches_a_fresh_hull_over_its_corners():
         assert mixture == _reference_scheme1_mixture(config, assoc), config
         two_level += mixture is not None and len({c.params for c, _ in mixture}) == 2
     assert two_level > 0  # the grids walk hull edges, not only single levels
+
+
+# ---------------------------------------------------------------------------
+# curve sweeps: bound_reports warm-starts each LP from the last optimum's corners
+
+
+def test_swept_reports_match_cold_one_point_reports(monkeypatch):
+    outcomes, warm = [], envelope._Basis.warm
+
+    def spy(basis, *args):
+        outcomes.append(warm(basis, *args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(envelope._Basis, "warm", spy)
+    unreachable_then_reachable = 0
+    for partition, configs in [*_benchmark_sweeps(), *_network_sweeps()]:
+        assoc = build_association(configs[0], partition)
+        reachable = []
+        for config, report in zip(configs, bound_reports(configs, assoc), strict=True):
+            assert report == bound_report(config, assoc), config
+            scheme2, _ = scheme_rate("scheme2", config, assoc)
+            assert report.scheme_rates["scheme2"] == scheme2, config
+            reachable.append(report.scheme_rates["scheme2"] is not None)
+        unreachable_then_reachable += any(not a and b for a, b in zip(reachable, reachable[1:]))
+    # some rows keep the last row's corners as a feasible basis, others solve cold
+    assert True in outcomes and False in outcomes
+    assert unreachable_then_reachable > 0
 
 
 # ---------------------------------------------------------------------------
