@@ -1,9 +1,11 @@
 """Index-coding converse for the association-oblivious scheme.
 
-For a fixed placement and demand, delivery is an index-coding instance.
-An explicit acyclic set of wanted subfiles lower-bounds the optimal code
-length, and the achieved rate upper-bounds it; their (always exact)
-agreement certifies the delivery as optimal under this placement.
+For a fixed placement and demand, delivery is an index-coding instance; an acyclic
+set of wanted subfiles lower-bounds the optimal code length, and the achieved rate,
+an upper bound, certifies the delivery as optimal when the two agree.  The set keeps,
+user by user, the pieces of its file no cache of it or of an earlier user holds (Wan,
+Tuninetti and Piantanida, ITW 2016): no cache holds a piece kept for its user or a
+later one, so every edge points back and any uncoded placement gives an acyclic set.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .model import (Association, InfeasibleSchemeError, NetworkConfig, Placement, SubfileId,
                     validate_association, validate_demand)
-from .scheme_unknown import place_unknown, rate_unknown, unknown_params
+from .scheme_unknown import place_unknown, rate_unknown
 
 
 @dataclass(frozen=True)
@@ -31,30 +32,21 @@ class ConverseCertificate:
 
 
 def build_h(
-    config: NetworkConfig, assoc: Association, demand: Sequence[int]
-) -> tuple[frozenset, frozenset]:
-    """The acyclic certificate set, split into helper-tier and private-tier halves.
-
-    For the file demanded by the user at ordered position p (attached to
-    internal helper c), the helper-tier half keeps the subsets avoiding
-    helpers 1..c, and the private-tier half keeps the subsets avoiding the
-    first p ordered users.
-    """
+    config: NetworkConfig, assoc: Association, demand: Sequence[int], placement: Placement
+) -> tuple[frozenset, ...]:
+    """The acyclic set, one frozenset per layout part: walking assoc.ordered_users(),
+    each user keeps, labelled with its file, the keys no cache of it or of an earlier
+    user holds; its caches hold none kept for it or a later user, so H is acyclic."""
     d = validate_demand(config, demand)
-    params = unknown_params(config)
-    k, lam = config.num_users, config.num_helpers
-    ordered = assoc.ordered_users()
-    h1 = frozenset(
-        SubfileId(d[user - 1], tau, ())
-        for user in range(1, k + 1)
-        for tau in combinations(range(assoc.helper_of(user) + 1, lam + 1), params.t_s)
-    ) if params.f1 > 0 else frozenset()
-    h2 = frozenset(
-        SubfileId(d[user - 1], rho, None)
-        for p, user in enumerate(ordered)
-        for rho in combinations(sorted(ordered[p + 1:]), params.t_p)
-    ) if params.f2 > 0 else frozenset()
-    return h1, h2
+    unknown = [set(keys) for keys, _ in placement.parts]
+    h = [[] for _ in unknown]
+    for user in assoc.ordered_users():
+        wanted = d[user - 1]
+        for keys, kept in zip(unknown, h):
+            keys -= placement.private_contents[user - 1]
+            keys -= placement.helper_contents[assoc.helper_of(user) - 1]
+            kept += [SubfileId(wanted, a, b) for a, b in keys]
+    return tuple(map(frozenset, h))
 
 
 def verify_acyclic(
@@ -105,8 +97,8 @@ def certify(
     validate_association(config, assoc)
     if config.total_mem == 0:
         raise InfeasibleSchemeError("the converse needs a positive total memory")
-    placement = place_unknown(config)  # its keys pass the size gate before build_h lists H
-    h1, h2 = build_h(config, assoc, demand)
+    placement = place_unknown(config)  # H is drawn from its keys, which passed the size gate
+    h1, h2 = build_h(config, assoc, demand, placement)
     alpha = sum((len(h) * share / len(keys)
                  for h, (keys, share) in zip((h1, h2), placement.parts) if keys), Fraction(0))
     kappa = rate_unknown(config, assoc.profile)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dualcache import combin, converse, envelope, model, simulator
+from dualcache import combin, envelope, model, simulator
 from dualcache.cli import main
 
 
@@ -366,7 +366,6 @@ def _spy_on_listings(monkeypatch) -> list:
         return listing
 
     monkeypatch.setattr(combin, "combinations", spy(combin.combinations))
-    monkeypatch.setattr(converse, "combinations", spy(converse.combinations))
     return listed
 
 

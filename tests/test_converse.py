@@ -1,7 +1,7 @@
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -10,7 +10,11 @@ from dualcache.converse import build_h, certify, verify_acyclic
 from dualcache.model import (
     InfeasibleSchemeError, NetworkConfig, SubfileId, build_association,
 )
+from dualcache.scheme1 import place_scheme1
+from dualcache.scheme2 import place_scheme2
 from dualcache.scheme_unknown import place_unknown, unknown_params
+from test_envelope import _half_step_grid
+from test_scheme_rate import NETWORKS, _direct_rate
 
 
 def _helper_sub(n, tau):
@@ -28,7 +32,7 @@ def test_positions_follow_group_order(net_4users):
 
 def test_certificate_set_listing(net_4users):
     config, assoc = net_4users
-    h1, h2 = build_h(config, assoc, (1, 2, 3, 4))
+    h1, h2 = build_h(config, assoc, (1, 2, 3, 4), place_unknown(config))
     assert h1 == frozenset({
         _helper_sub(1, (2,)), _helper_sub(2, (2,)), _helper_sub(3, (2,)),
     })
@@ -47,7 +51,7 @@ def test_certificate_is_tight_and_acyclic(net_4users):
 
 def test_adding_a_known_subfile_creates_a_cycle(net_4users):
     config, assoc = net_4users
-    h1, h2 = build_h(config, assoc, (1, 2, 3, 4))
+    h1, h2 = build_h(config, assoc, (1, 2, 3, 4), place_unknown(config))
     assert verify_acyclic(config, assoc, (1, 2, 3, 4), h1 | h2, place_unknown(config))
     # user 1 wants file 1 and caches W2's {1,3} piece; user 2 wants file 2
     # and caches W1's {2,3} piece, closing a 2-cycle
@@ -60,7 +64,7 @@ def test_set_sizes_match_closed_forms(net_4users):
     # per ordered user: helper subsets avoiding helpers 1..c, and user
     # subsets drawn from the strictly later ordered users
     for demand in [(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)]:
-        h1, h2 = build_h(config, assoc, demand)
+        h1, h2 = build_h(config, assoc, demand, place_unknown(config))
         expected_h1 = sum(
             binom(2 - assoc.helper_of(u), 1) for u in range(1, 5)
         )
@@ -190,7 +194,7 @@ def test_receiver_quotient_matches_subfile_graph():
                     *placement.helper_contents, *placement.private_contents)),
                 key=lambda v: (v.file, v.idx_b is None, v.idx_a),
             )
-            h = frozenset().union(*build_h(config, assoc, demand))
+            h = frozenset().union(*build_h(config, assoc, demand, placement))
             candidates = [h] + [
                 h | set(rng.sample(placed, rng.randint(1, 3))) for _ in range(3)
             ] + [
@@ -204,3 +208,80 @@ def test_receiver_quotient_matches_subfile_graph():
                 )
                 outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def _listed_h(config, assoc, demand):
+    """Reference H for the oblivious placement, listed from its split
+    parameters: the user at ordered position p, attached to internal helper
+    c, keeps the helper subsets avoiding helpers 1..c and the user subsets
+    avoiding the first p ordered users."""
+    d = tuple(demand)
+    params = unknown_params(config)
+    k, lam = config.num_users, config.num_helpers
+    ordered = assoc.ordered_users()
+    h1 = frozenset(
+        SubfileId(d[user - 1], tau, ())
+        for user in range(1, k + 1)
+        for tau in combinations(range(assoc.helper_of(user) + 1, lam + 1), params.t_s)
+    ) if params.f1 > 0 else frozenset()
+    h2 = frozenset(
+        SubfileId(d[user - 1], rho, None)
+        for p, user in enumerate(ordered)
+        for rho in combinations(sorted(ordered[p + 1:]), params.t_p)
+    ) if params.f2 > 0 else frozenset()
+    return h1, h2
+
+
+def test_placement_read_h_matches_the_listed_sets():
+    # N in {K, K+2}, K <= 5, every Λ <= K, seeded partitions with empty
+    # groups in shuffled order, zero memory and every direct memory pair,
+    # and random distinct demands
+    rng = random.Random(22)
+    compared = 0
+    for k in range(1, 6):
+        for n, lam in product((k, k + 2), range(1, k + 1)):
+            partitions = [
+                p + [[]] * (lam - blocks)
+                for blocks in range(1, lam + 1)
+                for p in _set_partitions(list(range(1, k + 1)), blocks)
+            ]
+            pairs = [(Fraction(0), Fraction(0)), *_direct_memory_pairs(n, k, lam)]
+            for partition in rng.sample(partitions, min(3, len(partitions))):
+                rng.shuffle(partition)
+                for ms, mp in pairs:
+                    config = NetworkConfig(n, k, lam, ms, mp)
+                    assoc = build_association(config, partition)
+                    demand = tuple(rng.sample(range(1, n + 1), k))
+                    assert build_h(config, assoc, demand, place_unknown(config)) == _listed_h(
+                        config, assoc, demand), (config, partition, demand)
+                    compared += 1
+    assert compared > 1000
+
+
+def test_placement_read_h_bounds_every_direct_run():
+    # H read from any uncoded placement is acyclic, so its size, in pieces of
+    # share / len(keys) each, is at most the scheme's rate; scheme1's user
+    # split meets it.  Fractions throughout: scheme1 and scheme2 parts carry
+    # the int share 1, where len(h) * share / len(keys) would be a float
+    places = {"unknown": lambda config, _: place_unknown(config),
+              "scheme1": place_scheme1, "scheme2": place_scheme2}
+    runs = {name: [0, 0] for name in places}  # runs, tight runs
+    for network in NETWORKS:
+        for config, partition in _half_step_grid(*network):
+            assoc = build_association(config, partition)
+            demand = tuple(range(config.num_users, 0, -1))
+            for name, place in places.items():
+                rate = _direct_rate(name, config, assoc)
+                if rate is None:
+                    continue
+                placement = place(config, assoc)
+                h = build_h(config, assoc, demand, placement)
+                assert verify_acyclic(config, assoc, demand, frozenset().union(*h), placement)
+                alpha = sum((Fraction(len(part) * share, len(keys))
+                             for part, (keys, share) in zip(h, placement.parts) if keys),
+                            Fraction(0))
+                assert alpha <= rate, (name, config, partition)
+                assert alpha == rate or name != "scheme1", (config, partition)
+                runs[name][0] += 1
+                runs[name][1] += alpha == rate
+    assert runs == {"unknown": [112, 112], "scheme1": [39, 39], "scheme2": [26, 22]}

@@ -181,7 +181,7 @@ def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two
         pieces = {s.piece for t in transmissions for s in t.summands}
         assert keys == set(extents) and pieces <= keys
         assert all(type(key) is tuple and _plain(key) for key in keys)
-    h1, h2 = build_h(*net_4users, (1, 2, 3, 4))
+    h1, h2 = build_h(*net_4users, (1, 2, 3, 4), place_unknown(net_4users[0]))
     assert h1 and h2 and all(map(_plain, h1 | h2))
 
 
