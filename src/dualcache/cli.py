@@ -41,6 +41,8 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except ConfigError as exc:
             _fail(EXIT_VALIDATION, f"error: {exc}")
+        except click.UsageError as exc:  # a bad or missing option, or no such command
+            _fail(EXIT_VALIDATION, f"error: {exc.format_message()}")
         except InfeasibleSchemeError as exc:
             _fail(EXIT_INFEASIBLE, f"infeasible: {exc}")
         except CertificateError as exc:
@@ -121,12 +123,10 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--scheme", type=click.Choice(envelope_mod.SCHEMES),
               default="unknown", show_default=True)
-@click.option("--trials", default=10, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, show_default="the config's seed")
 def verify(config_path: str, scheme: str, trials: int, seed: Optional[int]) -> None:
     """Bit-exact decode sweep over random distinct demands, run on the mixture `rate` prints."""
-    if trials < 1:
-        _fail(EXIT_VALIDATION, f"error: --trials must be at least 1, got {trials}")
     loaded = load_config(config_path)
     report = simulator_mod.adversarial_sweep(
         loaded.config, loaded.association, scheme=scheme, trials=trials,

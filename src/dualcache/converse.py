@@ -99,7 +99,7 @@ def certify(
         raise InfeasibleSchemeError("the converse needs a positive total memory")
     placement = place_unknown(config)  # H is drawn from its keys, which passed the size gate
     h1, h2 = build_h(config, assoc, demand, placement)
-    alpha = sum((len(h) * share / len(keys)
+    alpha = sum((Fraction(len(h) * share, len(keys))
                  for h, (keys, share) in zip((h1, h2), placement.parts) if keys), Fraction(0))
     kappa = rate_unknown(config, assoc.profile)
     acyclic = verify_acyclic(config, assoc, demand, h1 | h2, placement)

@@ -19,19 +19,16 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import bounds, model, simulator
+from . import bounds, model, scheme1, scheme2, scheme_unknown
 from .combin import binom
 from .model import Association, CertificateError, CornerPoint, InfeasibleSchemeError, NetworkConfig
-from .scheme1 import corner_feasible
-from .scheme2 import rate_scheme2_formula
-from .scheme_unknown import rate_unknown_general, unknown_mixture
 
-SCHEMES = ("unknown", "scheme1", "scheme2")
 UNREACHABLE = "no mixture of {} runs reaches this memory pair"
 
 
@@ -76,7 +73,7 @@ def scheme2_grid(n: int, lam: int, profile: tuple[int, ...]) -> tuple[CornerPoin
         ms = Fraction(t_s * n, lam)
         for t_p in range(0, l1 + 1):
             mp = (n - ms) * Fraction(t_p, l1)
-            rate = rate_scheme2_formula(lam, t_s, t_p, profile)
+            rate = scheme2.rate_scheme2_formula(lam, t_s, t_p, profile)
             if (ms, mp, rate) not in seen:
                 seen.add((ms, mp, rate))
                 corners.append(CornerPoint(ms, mp, rate, "scheme2", (t_s, t_p)))
@@ -91,7 +88,7 @@ def scheme1_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
     k, n, ms = config.num_users, config.num_files, config.helper_mem
     return [CornerPoint(ms, mem - ms, rate, "scheme1", (t,))
             for t, (mem, rate) in enumerate(bounds.man_hull(k, n))
-            if mem >= ms and corner_feasible(k, n, assoc.largest_group, t, ms)]
+            if mem >= ms and scheme1.corner_feasible(k, n, assoc.largest_group, t, ms)]
 
 
 def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoint]:
@@ -111,7 +108,7 @@ def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
         sub = config.with_memories(alpha * mem, (1 - alpha) * mem)
         corners.append(
             CornerPoint(sub.helper_mem, sub.private_mem,
-                        rate_unknown_general(sub, assoc.profile),
+                        scheme_unknown.rate_unknown_general(sub, assoc.profile),
                         "unknown", (mem,))
         )
     return corners
@@ -315,7 +312,7 @@ def _scheme1_first_level(config: NetworkConfig, assoc: Association) -> int:
     """The level of scheme1_corners(config, assoc)[0], found without listing the rest."""
     k, n, ms = config.num_users, config.num_files, config.helper_mem
     return next(t for t, (mem, _) in enumerate(bounds.man_hull(k, n))
-                if mem >= ms and corner_feasible(k, n, assoc.largest_group, t, ms))
+                if mem >= ms and scheme1.corner_feasible(k, n, assoc.largest_group, t, ms))
 
 
 def _scheme1_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
@@ -350,10 +347,30 @@ def _solution_mixture(
     for corner, weight in solution.weights:
         if corner.helper_mem == 0:
             sub = config.with_memories(corner.helper_mem, corner.private_mem)
-            mixture.extend(unknown_mixture(sub, assoc.profile, weight))
+            mixture.extend(scheme_unknown.unknown_mixture(sub, assoc.profile, weight))
         else:
             mixture.append((corner, weight))
     return mixture
+
+
+def _scheme2_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
+    """The LP optimum over scheme2_corners, run as _solution_mixture."""
+    sol = envelope_at(scheme2_corners(config, assoc), config.helper_mem, config.private_mem)
+    return None if sol is None else _solution_mixture(sol, config, assoc)
+
+
+# mixture(config, assoc), and a direct run's place(config, assoc) and deliver(config,
+# assoc, demand), which look their module's function up at each call: it may be rebound
+Scheme = namedtuple("Scheme", "mixture place deliver")
+SCHEMES = {  # in the order of `rate --scheme all` and of the curve's columns
+    "unknown": Scheme(lambda c, a: scheme_unknown.unknown_mixture(c, a.profile, Fraction(1)),
+                      lambda c, a: scheme_unknown.place_unknown(c),
+                      lambda c, a, d: scheme_unknown.deliver_unknown(c, a, d)),
+    "scheme1": Scheme(_scheme1_mixture, lambda c, a: scheme1.place_scheme1(c, a),
+                      lambda c, a, d: scheme1.deliver_scheme1(c, a, d)),
+    "scheme2": Scheme(_scheme2_mixture, lambda c, a: scheme2.place_scheme2(c, a),
+                      lambda c, a, d: scheme2.deliver_scheme2(c, a, d)),
+}
 
 
 def scheme_mixture(
@@ -363,14 +380,9 @@ def scheme_mixture(
     configured memory pair: weights sum to 1 and the corner memories
     average to (Ms, Mp).  None when no mixture reaches the pair."""
     model.validate_association(config, assoc)
-    if name == "unknown":
-        return unknown_mixture(config, assoc.profile, Fraction(1))
-    if name == "scheme1":
-        return _scheme1_mixture(config, assoc)
-    if name == "scheme2":
-        sol = envelope_at(scheme2_corners(config, assoc), config.helper_mem, config.private_mem)
-        return None if sol is None else _solution_mixture(sol, config, assoc)
-    raise ValueError(f"unknown scheme {name!r}")
+    if name not in SCHEMES:
+        raise ValueError(f"unknown scheme {name!r}")
+    return SCHEMES[name].mixture(config, assoc)
 
 
 def scheme_rate(
@@ -447,10 +459,11 @@ def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
 
 
 def _segments(mixture, config: NetworkConfig, assoc: Association):
-    return simulator.SegmentedRun(tuple(
-        simulator.build_segment(corner.scheme_tag,
-                                config.with_memories(corner.helper_mem, corner.private_mem),
-                                assoc, weight)
+    from .simulator import SegmentedRun, build_segment  # simulator imports this module
+    return SegmentedRun(tuple(
+        build_segment(corner.scheme_tag,
+                      config.with_memories(corner.helper_mem, corner.private_mem),
+                      assoc, weight)
         for corner, weight in mixture
     ))
 

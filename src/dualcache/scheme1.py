@@ -90,8 +90,9 @@ def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     return Placement(parts, helper_contents=helpers, private_contents=users)
 
 
-def deliver_scheme1(config: NetworkConfig, demand: Sequence[int]) -> list[Transmission]:
-    """The user split at t over the whole file."""
+def deliver_scheme1(config: NetworkConfig, assoc: Association,
+                    demand: Sequence[int]) -> list[Transmission]:
+    """The user split at t over the whole file; the association plays no part."""
     d = validate_demand(config, demand)
     return user_split_delivery(d, config.num_users, _integer_t(config))
 

@@ -1,8 +1,8 @@
 """Bit-exact execution: synthesize file bytes, fill caches, broadcast XOR
 payloads, and check that every user reconstructs its demanded file.
 
-A run is a list of weighted segments; each segment covers a contiguous
-slice of every file and is placed and delivered by one scheme.  A segment's
+A run is a list of weighted segments; each covers a contiguous slice of every
+file and runs the scheme its tag names in envelope.SCHEMES.  A segment's
 layout is its parts, (keys, share) laid end to end and each cut into equal
 pieces, and one pass turns the parts of every segment into bytes.  A piece is
 held as one int, its bytes being that int's big-endian bytes, and a payload
@@ -29,11 +29,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from heapq import heappop, heappush
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import model
+from .envelope import SCHEMES, scheme_run
 from .model import (
     Association,
     InfeasibleSchemeError,
@@ -43,20 +44,16 @@ from .model import (
     Transmission,
     tile,
 )
-from .scheme1 import deliver_scheme1, place_scheme1
-from .scheme2 import deliver_scheme2, place_scheme2
-from .scheme_unknown import deliver_unknown, place_unknown
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One weighted slice of every file: a scheme's placement and its bound delivery."""
+    """One weighted slice of every file: a direct run of the scheme its tag names."""
 
     tag: str
     weight: Fraction
     config: NetworkConfig
     placement: Placement
-    deliver: Callable[[Association, Sequence[int]], list[Transmission]]
 
     @property
     def extents(self) -> dict:
@@ -64,7 +61,7 @@ class Segment:
         return tile(*self.placement.parts)
 
     def transmissions(self, assoc: Association, demand: Sequence[int]) -> list[Transmission]:
-        return self.deliver(assoc, demand)
+        return SCHEMES[self.tag].deliver(self.config, assoc, demand)
 
 
 @dataclass(frozen=True)
@@ -75,18 +72,8 @@ class SegmentedRun:
 def build_segment(
     tag: str, config: NetworkConfig, assoc: Association, weight: Fraction
 ) -> Segment:
-    """Place one direct run and bind its delivery, read by its module name
-    now, so a name rebound before the build (say, to time it) is the one run."""
-    if tag == "scheme1":
-        placement, deliver1 = place_scheme1(config, assoc), deliver_scheme1
-        deliver = lambda _, demand: deliver1(config, demand)  # it needs no association
-    elif tag == "scheme2":
-        placement, deliver = place_scheme2(config, assoc), partial(deliver_scheme2, config)
-    elif tag == "unknown":
-        placement, deliver = place_unknown(config), partial(deliver_unknown, config)
-    else:
-        raise ValueError(f"unknown scheme tag {tag!r}")
-    return Segment(tag, Fraction(weight), config, placement, deliver)
+    """Place one direct run of the scheme registered as tag."""
+    return Segment(tag, Fraction(weight), config, SCHEMES[tag].place(config, assoc))
 
 
 def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[dict]]:
@@ -144,8 +131,6 @@ def _resolve_segments(
     if isinstance(scheme, SegmentedRun):
         return scheme.segments
     if isinstance(scheme, str):
-        from .envelope import scheme_run
-
         return scheme_run(scheme, config, assoc).segments
     raise TypeError(f"scheme must be a name or a SegmentedRun, got {scheme!r}")
 

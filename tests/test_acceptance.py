@@ -80,7 +80,7 @@ def test_criterion_2_single_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(6, 5), Fraction(14, 5))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     params = scheme1_params(config, assoc)
-    out = deliver_scheme1(config, (1, 2, 3, 4, 5, 6))
+    out = deliver_scheme1(config, assoc, (1, 2, 3, 4, 5, 6))
     size = piece_sizes(layout_scheme1(config))
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=0)
     ok = (

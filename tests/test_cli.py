@@ -332,6 +332,25 @@ def test_cli_survives_fuzzed_configs(tmp_path, payload, command):
         assert len(result.stderr.strip().splitlines()) == 1, (payload, command, result.stderr)
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--config", "MISSING"],
+    ["rate"],
+    ["rate", "--config", "CONFIG", "--scheme", "bogus"],
+    ["verify", "--config", "CONFIG", "--trials", "x"],
+    ["bogus"],
+], ids=["missing config file", "no config", "unknown scheme", "non-integer trials",
+        "unknown command"])
+def test_usage_errors_exit_1_with_one_line(config_path, tmp_path, argv):
+    paths = {"CONFIG": config_path, "MISSING": str(tmp_path / "missing.json")}
+    result = _stderr_runner().invoke(main, [paths.get(arg, arg) for arg in argv])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1, (
+        result.stderr)
+    assert "Traceback" not in result.stderr
+
+
 def test_converse_names_the_fractional_parameter(tmp_path):
     # the converse has no memory-sharing path, so the message gives no such advice
     path = tmp_path / "frac.json"

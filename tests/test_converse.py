@@ -1,16 +1,18 @@
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
+from dualcache import converse
 from dualcache.combin import binom
 from dualcache.converse import build_h, certify, verify_acyclic
 from dualcache.model import (
     InfeasibleSchemeError, NetworkConfig, SubfileId, build_association,
 )
-from dualcache.scheme1 import place_scheme1
+from dualcache.scheme1 import place_scheme1, rate_scheme1
 from dualcache.scheme2 import place_scheme2
 from dualcache.scheme_unknown import place_unknown, unknown_params
 from test_envelope import _half_step_grid
@@ -285,3 +287,24 @@ def test_placement_read_h_bounds_every_direct_run():
                 runs[name][0] += 1
                 runs[name][1] += alpha == rate
     assert runs == {"unknown": [112, 112], "scheme1": [39, 39], "scheme2": [26, 22]}
+
+
+def test_certify_keeps_alpha_exact_for_an_int_share(monkeypatch):
+    # scheme1's one layout part carries the int share 1; certified on scheme1's
+    # placement and rate, where that run is tight, alpha must stay a Fraction.
+    # certify reads two parts, as the oblivious placement has, so an empty
+    # second part follows scheme1's
+    n, lam, partition = NETWORKS[0]
+    config = NetworkConfig(n, n, lam, Fraction(1), Fraction(2))  # t = 3, helper quota 1
+    assoc = build_association(config, partition)
+
+    def place(config):
+        placement = place_scheme1(config, assoc)
+        return replace(placement, parts=[*placement.parts, ([], 0)])
+
+    monkeypatch.setattr(converse, "place_unknown", place)
+    monkeypatch.setattr(converse, "rate_unknown", lambda config, profile: rate_scheme1(config))
+    cert = certify(config, assoc, tuple(range(n, 0, -1)))
+    assert isinstance(cert.alpha_lower, Fraction)
+    assert cert.alpha_lower == cert.kappa_upper == Fraction(1, 4)
+    assert cert.tight

@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 
 from hypothesis import example, given, settings, strategies as st
 
-from dualcache import envelope
+from dualcache import envelope, scheme2
 from dualcache.bounds import (
     hull_mix,
     lower_convex_points,
@@ -420,13 +420,13 @@ def test_scheme2_corners_match_an_uncached_build():
 
 
 def test_a_sweep_builds_the_scheme2_grid_once(monkeypatch):
-    formula, calls = envelope.rate_scheme2_formula, []
+    formula, calls = scheme2.rate_scheme2_formula, []
 
     def counted(*args):
         calls.append(args)
         return formula(*args)
 
-    monkeypatch.setattr(envelope, "rate_scheme2_formula", counted)
+    monkeypatch.setattr(scheme2, "rate_scheme2_formula", counted)
     envelope.scheme2_grid.cache_clear()
     for config, partition in _k20_sweep():
         bound_report(config, build_association(config, partition))

@@ -10,9 +10,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "dualcache").glob("*.py"))
 FILES = [p for p in SRC + sorted((ROOT / "tests").glob("*.py")) if p.name != "__init__.py"]
 
-# run_end_to_end takes a scheme name, and envelope builds its segments
-# through simulator, so simulator reaches scheme_run at call time
-LOCAL_IMPORTS = {("simulator.py", "_resolve_segments", "envelope")}
+# simulator reads envelope's scheme registry, and envelope builds its segments
+# through simulator, so envelope reaches build_segment at call time
+LOCAL_IMPORTS = {("envelope.py", "_segments", "simulator")}
 
 
 def _imports(tree: ast.Module) -> list[tuple[ast.stmt, str | None]]:

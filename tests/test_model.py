@@ -172,7 +172,7 @@ def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two
         (place_unknown(net_4users[0]), tile(*layout_unknown(net_4users[0])),
          deliver_unknown(*net_4users, (1, 2, 3, 4))),
         (place_scheme1(*deep), tile(*layout_scheme1(deep[0])),
-         deliver_scheme1(deep[0], range(1, 7))),
+         deliver_scheme1(*deep, range(1, 7))),
         (place_scheme2(*two_level), tile(*layout_scheme2(*two_level)),
          deliver_scheme2(*two_level, range(1, 7))),
     ]

@@ -63,7 +63,7 @@ def test_placement_memory_and_coverage(net_6users_deep):
 
 def test_delivery_and_rate(net_6users_deep):
     config, assoc = net_6users_deep
-    out = deliver_scheme1(config, (1, 2, 3, 4, 5, 6))
+    out = deliver_scheme1(config, assoc, (1, 2, 3, 4, 5, 6))
     assert len(out) == 6
     size = piece_sizes(layout_scheme1(config))
     assert all({size[s.piece] for s in t.summands} == {Fraction(1, 15)} for t in out)
@@ -83,7 +83,7 @@ def test_full_memory_needs_no_transmissions():
     assoc = build_association(config, [[1, 2, 3], [4]])
     assert scheme1_params(config, assoc) == (4, 1)
     assert rate_scheme1(config) == 0
-    assert deliver_scheme1(config, (1, 2, 3, 4)) == []
+    assert deliver_scheme1(config, assoc, (1, 2, 3, 4)) == []
     report = run_end_to_end(config, assoc, (1, 2, 3, 4), scheme="scheme1", seed=9)
     assert report.ok, report.failure
     assert report.measured_rate == 0
@@ -94,7 +94,7 @@ def test_one_below_full_memory():
     assoc = build_association(config, [[1, 2, 3], [4]])
     assert scheme1_params(config, assoc) == (3, 1)
     assert rate_scheme1(config) == Fraction(1, 4)
-    assert len(deliver_scheme1(config, (1, 2, 3, 4))) == 1
+    assert len(deliver_scheme1(config, assoc, (1, 2, 3, 4))) == 1
     sim = run_end_to_end(config, assoc, (4, 3, 2, 1), scheme="scheme1", seed=2)
     assert sim.ok, sim.failure
     assert sim.measured_rate == Fraction(1, 4)

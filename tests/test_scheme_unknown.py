@@ -252,7 +252,7 @@ def test_extreme_points_run_the_component_schemes(n, lam, partition):
     for t in range(k + 1):
         config = NetworkConfig(n, k, lam, Fraction(0), Fraction(t * n, k))
         assoc = build_association(config, partition)
-        assert deliver_unknown(config, assoc, demand) == deliver_scheme1(config, demand)
+        assert deliver_unknown(config, assoc, demand) == deliver_scheme1(config, assoc, demand)
         assert tile(*layout_unknown(config)) == tile(*layout_scheme1(config))
 
 
