@@ -2,7 +2,8 @@
 runs, bound reports, and converse certificates.
 
 Exit codes: 0 success, 1 validation error, 2 infeasible scheme,
-3 verification or tightness failure.
+3 verification or tightness failure.  With no arguments it prints the
+command list and exits 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def _fail(code: int, message: str):
 
 class _Main(click.Group):
     """Turns the package's errors into a one-line message and an exit code."""
+
+    def parse_args(self, ctx, args):
+        if not args and not ctx.resilient_parsing:  # the command list, whatever click's version
+            click.echo(ctx.get_help())
+            ctx.exit()
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:  # an unknown option of the group itself
+            _fail(EXIT_VALIDATION, f"error: {exc.format_message()}")
 
     def invoke(self, ctx):
         try:

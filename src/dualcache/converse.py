@@ -63,25 +63,23 @@ def verify_acyclic(
     subfiles a user wants and lacks share their out-neighbours: the digraph
     is acyclic exactly when its quotient on users is, where u -> u' when u
     caches a set member that u' wants and lacks.  A cache holds the same
-    pieces of every file, so wanted subfiles are grouped by piece key.
+    pieces of every file, so the quotient is built from piece keys: one pass
+    gathers each receiver's keys in the set, one set difference per receiver
+    drops those its private and helper caches hold, and u -> u' exactly when
+    one of u's two caches meets what u' still wants (K^2 `isdisjoint` tests).
     """
     d = validate_demand(config, demand)
-    receiver = {n: user for user, n in enumerate(d, start=1)}
-
-    def caches(user: int) -> tuple[frozenset, frozenset]:
-        return (placement.private_contents[user - 1],
-                placement.helper_contents[assoc.helper_of(user) - 1])
-
-    wanted: dict[tuple, set[int]] = defaultdict(set)  # piece key -> receivers lacking it
-    for v in subfiles:
-        user = receiver.get(v.file)
-        if user is not None and not any(v.piece in cache for cache in caches(user)):
-            wanted[v.piece].add(user)
-    edges: dict[int, set[int]] = {user: set() for users in wanted.values() for user in users}
-    for user, outs in edges.items():
-        for cache in caches(user):
-            for key in cache & wanted.keys():
-                outs.update(wanted[key])
+    by_file: dict[int, set[tuple]] = defaultdict(set)  # file -> piece keys in the set
+    for n, idx_a, idx_b in subfiles:
+        by_file[n].add((idx_a, idx_b))
+    caches = {user: (placement.private_contents[user - 1],
+                     placement.helper_contents[assoc.helper_of(user) - 1])
+              for user in range(1, config.num_users + 1)}
+    wanted = {user: keys for user, n in enumerate(d, start=1)
+              if (keys := by_file[n].difference(*caches[user]))}
+    edges = {user: {other for other, keys in wanted.items()
+                    if not (private.isdisjoint(keys) and helper.isdisjoint(keys))}
+             for user, (private, helper) in caches.items()}
 
     try:
         TopologicalSorter(edges).prepare()  # raises on any cycle

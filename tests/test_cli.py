@@ -338,8 +338,9 @@ def test_cli_survives_fuzzed_configs(tmp_path, payload, command):
     ["rate", "--config", "CONFIG", "--scheme", "bogus"],
     ["verify", "--config", "CONFIG", "--trials", "x"],
     ["bogus"],
+    ["--bogus"],
 ], ids=["missing config file", "no config", "unknown scheme", "non-integer trials",
-        "unknown command"])
+        "unknown command", "unknown top-level option"])
 def test_usage_errors_exit_1_with_one_line(config_path, tmp_path, argv):
     paths = {"CONFIG": config_path, "MISSING": str(tmp_path / "missing.json")}
     result = _stderr_runner().invoke(main, [paths.get(arg, arg) for arg in argv])
@@ -349,6 +350,14 @@ def test_usage_errors_exit_1_with_one_line(config_path, tmp_path, argv):
     assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1, (
         result.stderr)
     assert "Traceback" not in result.stderr
+
+
+def test_no_arguments_prints_the_command_list():
+    result = _stderr_runner().invoke(main, [])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    assert "Commands:" in result.stdout
+    assert all(name in result.stdout for name in main.commands)
 
 
 def test_converse_names_the_fractional_parameter(tmp_path):

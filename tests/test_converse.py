@@ -10,10 +10,10 @@ from dualcache import converse
 from dualcache.combin import binom
 from dualcache.converse import build_h, certify, verify_acyclic
 from dualcache.model import (
-    InfeasibleSchemeError, NetworkConfig, SubfileId, build_association,
+    InfeasibleSchemeError, NetworkConfig, Placement, SubfileId, build_association,
 )
-from dualcache.scheme1 import place_scheme1, rate_scheme1
-from dualcache.scheme2 import place_scheme2
+from dualcache.scheme1 import place_scheme1, rate_scheme1, scheme1_params
+from dualcache.scheme2 import place_scheme2, scheme2_params
 from dualcache.scheme_unknown import place_unknown, unknown_params
 from test_envelope import _half_step_grid
 from test_scheme_rate import NETWORKS, _direct_rate
@@ -119,11 +119,10 @@ def _every_file(config, pieces):
     )
 
 
-def _subfile_graph_acyclic(config, assoc, demand, subfiles):
+def _subfile_graph_acyclic(config, assoc, demand, subfiles, placement):
     """Reference check: Kahn's algorithm over one node per subfile, with an
     edge from each wanted subfile to every set member its receiver caches."""
     nodes = set(subfiles)
-    placement = place_unknown(config)
     edges = {v: set() for v in nodes}
     for user in range(1, config.num_users + 1):
         side = _every_file(config, placement.private_contents[user - 1]
@@ -162,54 +161,96 @@ def _set_partitions(users, blocks):
             yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
 
 
+PLACES = {"unknown": lambda config, _: place_unknown(config),
+          "scheme1": place_scheme1, "scheme2": place_scheme2}
+PARAMS = {"unknown": lambda config, _: unknown_params(config),
+          "scheme1": scheme1_params, "scheme2": scheme2_params}
+
+
+def _runs_directly(name, config, assoc):
+    try:
+        PARAMS[name](config, assoc)
+    except InfeasibleSchemeError:
+        return False
+    return True
+
+
+def _half_step_configs(n, k, lam):
+    """The network at every half-step (Ms, Mp) with 0 < Ms + Mp <= N."""
+    half = [Fraction(i, 2) for i in range(2 * n + 1)]
+    return [NetworkConfig(n, k, lam, ms, mp) for ms in half for mp in half if 0 < ms + mp <= n]
+
+
 def _direct_memory_pairs(n, k, lam):
     """Half-step (Ms, Mp) with Ms + Mp > 0 at which the oblivious scheme runs directly."""
-    half = [Fraction(i, 2) for i in range(2 * n + 1)]
-    for ms in half:
-        for mp in half:
-            if 0 < ms + mp <= n:
-                try:
-                    unknown_params(NetworkConfig(n, k, lam, ms, mp))
-                except InfeasibleSchemeError:
-                    continue
-                yield ms, mp
+    return [(config.helper_mem, config.private_mem) for config in _half_step_configs(n, k, lam)
+            if _runs_directly("unknown", config, None)]
+
+
+def _direct_runs(name, n, k, lam):
+    """Every partition of [K] into Λ groups, paired off cyclically with the
+    half-step (Ms, Mp), Ms + Mp > 0, at which scheme `name` runs directly on it."""
+    every = _half_step_configs(n, k, lam)
+    runs = []
+    for partition in _set_partitions(list(range(1, k + 1)), lam):
+        assoc = build_association(every[0], partition)
+        runs.append((partition, [config for config in every
+                                 if _runs_directly(name, config, assoc)]))
+    for i in range(max(len(runs), max(len(configs) for _, configs in runs))):
+        partition, configs = runs[i % len(runs)]
+        if configs:
+            yield configs[i % len(configs)], partition
 
 
 def test_receiver_quotient_matches_subfile_graph():
-    # every partition and every direct memory pair of each network, paired
-    # off cyclically; the sets are H, H plus a few placed subfiles, and
-    # random sets of placed subfiles
-    rng = random.Random(2022)
-    outcomes = set()
-    for n, k, lam in [(4, 4, 2), (5, 4, 2), (6, 6, 3), (6, 5, 2)]:
-        pairs = list(_direct_memory_pairs(n, k, lam))
-        partitions = list(_set_partitions(list(range(1, k + 1)), lam))
-        for i in range(max(len(pairs), len(partitions))):
-            ms, mp = pairs[i % len(pairs)]
-            partition = partitions[i % len(partitions)]
-            config = NetworkConfig(n, k, lam, ms, mp)
-            assoc = build_association(config, partition)
-            demand = tuple(rng.sample(range(1, n + 1), k))
-            placement = place_unknown(config)
-            placed = sorted(
-                _every_file(config, frozenset().union(
-                    *placement.helper_contents, *placement.private_contents)),
-                key=lambda v: (v.file, v.idx_b is None, v.idx_a),
-            )
-            h = frozenset().union(*build_h(config, assoc, demand, placement))
-            candidates = [h] + [
-                h | set(rng.sample(placed, rng.randint(1, 3))) for _ in range(3)
-            ] + [
-                frozenset(rng.sample(placed, rng.randint(1, len(placed) // 3)))
-                for _ in range(3)
-            ]
-            for subfiles in candidates:
-                expected = _subfile_graph_acyclic(config, assoc, demand, subfiles)
-                assert verify_acyclic(config, assoc, demand, subfiles, placement) == expected, (
-                    config, partition, demand, sorted(map(repr, subfiles))
+    # each scheme's direct placements, over every partition of each network
+    # paired off cyclically with its direct memory pairs; the sets are H,
+    # H plus a few placed subfiles, and random sets of placed subfiles
+    outcomes = {}
+    for name, place in PLACES.items():
+        rng = random.Random(2022)
+        for n, k, lam in [(4, 4, 2), (5, 4, 2), (6, 6, 3), (6, 5, 2)]:
+            for config, partition in _direct_runs(name, n, k, lam):
+                assoc = build_association(config, partition)
+                demand = tuple(rng.sample(range(1, n + 1), k))
+                placement = place(config, assoc)
+                placed = sorted(
+                    _every_file(config, frozenset().union(
+                        *placement.helper_contents, *placement.private_contents)),
+                    key=lambda v: (v.file, v.idx_b is None, v.idx_a, v.idx_b or ()),
                 )
-                outcomes.add(expected)
-    assert outcomes == {True, False}
+                h = frozenset().union(*build_h(config, assoc, demand, placement))
+                candidates = [h] + [
+                    h | set(rng.sample(placed, rng.randint(1, 3))) for _ in range(3)
+                ] + [
+                    frozenset(rng.sample(placed, rng.randint(1, len(placed) // 3)))
+                    for _ in range(3)
+                ]
+                for subfiles in candidates:
+                    expected = _subfile_graph_acyclic(config, assoc, demand, subfiles, placement)
+                    assert verify_acyclic(config, assoc, demand, subfiles, placement) == expected, (
+                        name, config, partition, demand, sorted(map(repr, subfiles))
+                    )
+                    outcomes.setdefault(name, set()).add(expected)
+    assert outcomes == {name: {True, False} for name in PLACES}
+
+
+def test_helper_only_two_cycle_is_rejected():
+    # users 1 and 3 sit on helpers 1 and 2 and have empty private caches;
+    # helper 1 holds the piece user 3 wants and helper 2 the piece user 1
+    # wants, so each user's wanted subfile points at the other's
+    config = NetworkConfig(4, 4, 2, Fraction(1), Fraction(0))
+    assoc = build_association(config, [[1, 2], [3, 4]])
+    demand = (1, 2, 3, 4)
+    first, second = ((1,), ()), ((2,), ())
+    placement = Placement([([first, second], Fraction(1))],
+                          helper_contents=(frozenset({first}), frozenset({second})),
+                          private_contents=(frozenset(),) * 4)
+    cycle = {SubfileId(1, *second), SubfileId(3, *first)}
+    assert not verify_acyclic(config, assoc, demand, cycle, placement)
+    assert not _subfile_graph_acyclic(config, assoc, demand, cycle, placement)
+    for v in cycle:
+        assert verify_acyclic(config, assoc, demand, cycle - {v}, placement)
 
 
 def _listed_h(config, assoc, demand):
@@ -265,14 +306,12 @@ def test_placement_read_h_bounds_every_direct_run():
     # share / len(keys) each, is at most the scheme's rate; scheme1's user
     # split meets it.  Fractions throughout: scheme1 and scheme2 parts carry
     # the int share 1, where len(h) * share / len(keys) would be a float
-    places = {"unknown": lambda config, _: place_unknown(config),
-              "scheme1": place_scheme1, "scheme2": place_scheme2}
-    runs = {name: [0, 0] for name in places}  # runs, tight runs
+    runs = {name: [0, 0] for name in PLACES}  # runs, tight runs
     for network in NETWORKS:
         for config, partition in _half_step_grid(*network):
             assoc = build_association(config, partition)
             demand = tuple(range(config.num_users, 0, -1))
-            for name, place in places.items():
+            for name, place in PLACES.items():
                 rate = _direct_rate(name, config, assoc)
                 if rate is None:
                     continue
