@@ -112,8 +112,8 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
 
     mps = [start + i * step for i in range(int((stop - start) / step) + 1)]
     reports = envelope_mod.bound_reports((base.with_memories(ms, mp) for mp in mps), assoc)
-    rows = [(mp, *report.scheme_rates.values(), report.man_lower, report.pue_upper, report.cutset)
-            for mp, report in zip(mps, reports)]
+    rows = [(mp, *(report.scheme_rates[name] for name in envelope_mod.SCHEMES),
+             report.man_lower, report.pue_upper, report.cutset) for mp, report in zip(mps, reports)]
 
     def cell(value: Optional[Fraction]) -> str:
         return "" if value is None else fmt(value, fractions)

@@ -14,10 +14,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .model import (Association, InfeasibleSchemeError, NetworkConfig, Placement, SubfileId,
-                    validate_association, validate_demand)
+from .model import (Association, NetworkConfig, Placement, SubfileId, validate_association,
+                    validate_demand)
 from .scheme_unknown import place_unknown, rate_unknown
 
 
@@ -93,17 +94,15 @@ def certify(
 ) -> ConverseCertificate:
     """Match the size of H, in pieces of share / len(keys) each, against the achieved rate."""
     validate_association(config, assoc)
-    if config.total_mem == 0:
-        raise InfeasibleSchemeError("the converse needs a positive total memory")
     placement = place_unknown(config)  # H is drawn from its keys, which passed the size gate
-    h1, h2 = build_h(config, assoc, demand, placement)
-    alpha = sum((Fraction(len(h) * share, len(keys))
-                 for h, (keys, share) in zip((h1, h2), placement.parts) if keys), Fraction(0))
+    h = build_h(config, assoc, demand, placement)
+    alpha = sum((Fraction(len(kept) * share, len(keys))
+                 for kept, (keys, share) in zip(h, placement.parts) if keys), Fraction(0))
     kappa = rate_unknown(config, assoc.profile)
-    acyclic = verify_acyclic(config, assoc, demand, h1 | h2, placement)
+    acyclic = verify_acyclic(config, assoc, demand, chain(*h), placement)
     return ConverseCertificate(
-        h1=h1,
-        h2=h2,
+        h1=h[0],  # the fields name the oblivious layout's two parts
+        h2=h[1],
         alpha_lower=alpha,
         kappa_upper=kappa,
         acyclic=acyclic,

@@ -7,12 +7,13 @@ line up; arbitrary (Ms, Mp) targets are met by splitting files into
 weighted segments, one direct run per corner.  scheme_rate and scheme_run
 both read scheme_mixture, so a printed rate is the rate of the run.
 
+Every LP is one two-phase Bland solve of the columns it is given.
 bound_reports, behind `bounds` and `curve`, reads each scheme2 rate from its
 LP's checked optimum.  Along a sweep only Mp and the pinned corner move, so
-each LP starts from the previous row's optimal corners, and solves cold when
-they are infeasible.  The optimal value is unique, but a warm start can reach
-another optimal x, so scheme_mixture, which `rate` sums and `verify` runs,
-always solves cold.
+each LP lists the previous row's optimal corners first.  The optimal value is
+unique, but a reordered LP can reach another optimal x, so bound_reports reads
+only the value, and scheme_mixture, which `rate` sums and `verify` runs, lists
+the corners in scheme2_corners order.
 """
 
 from __future__ import annotations
@@ -169,23 +170,11 @@ class _Basis:
                 raise ArithmeticError("LP unbounded; mixture problems are always bounded")
             self.pivot(leaving, entering, alpha)
 
-    def warm(self, start, n: int) -> bool:
-        """Pivot each start column in over an artificial row it reaches; True when
-        the basis is then primal feasible with every artificial left at zero."""
-        for j in start:
-            alpha = self.column(j)
-            row = next((i for i, a in enumerate(alpha) if a and self.basis[i] >= n), None)
-            if row is not None:
-                self.pivot(row, j, alpha)
-        return all(beta * self.det >= 0 and (j < n or beta == 0)
-                   for beta, j in zip(self.beta, self.basis))
-
 
 def simplex_solve(
     columns: Sequence[Sequence[Fraction]],
     costs: Sequence[Fraction],
     rhs: Sequence[Fraction],
-    start: Optional[Sequence[int]] = None,
 ) -> Optional[tuple[Fraction, list[Fraction], list[Fraction]]]:
     """Minimize costs.x subject to columns.x = rhs, x >= 0.
 
@@ -195,11 +184,6 @@ def simplex_solve(
     denominators (its artificial column with it), and the costs by theirs.
     Positive scaling changes no reduced cost's sign and no ratio, so the
     solver visits the bases the tableau visits and returns the same optimum.
-
-    start, column indices, warm-starts: they are pivoted in over the
-    artificial basis, and if that basis is feasible phase 1 is skipped;
-    otherwise the cold path runs.  The value is the same either way, but
-    where the optimum is not unique x and the duals may differ.
     """
     m, n = len(rhs), len(columns)
     sign = [-1 if b < 0 else 1 for b in rhs]
@@ -209,12 +193,9 @@ def simplex_solve(
                      for i, row in enumerate(rows)))
     cols += [[scale[i] if r == i else 0 for r in range(m)] for i in range(m)]
     basis = _Basis(cols, b, scale, n)
-    if start is not None and not basis.warm(start, n):
-        basis, start = _Basis(cols, b, scale, n), None
-    if start is None:
-        basis.run([0] * n + [1] * m, range(n + m))
-        if any(beta for beta, j in zip(basis.beta, basis.basis) if j >= n):
-            return None
+    basis.run([0] * n + [1] * m, range(n + m))
+    if any(beta for beta, j in zip(basis.beta, basis.basis) if j >= n):
+        return None
     # drive leftover zero-level artificials out of the basis where possible
     for i in range(m):
         if basis.basis[i] >= n:
@@ -238,8 +219,7 @@ def simplex_solve(
 
 
 def envelope_at(
-    corners: Sequence[CornerPoint], helper_mem: Fraction, private_mem: Fraction,
-    start: Optional[Sequence[int]] = None,
+    corners: Sequence[CornerPoint], helper_mem: Fraction, private_mem: Fraction
 ) -> Optional[EnvelopeSolution]:
     """Cheapest convex mixture of corners hitting both memory targets exactly;
     raises CertificateError if its optimality certificate does not check."""
@@ -249,8 +229,7 @@ def envelope_at(
         (c.helper_mem, c.private_mem, Fraction(1)) for c in corners
     ]
     rhs = (Fraction(helper_mem), Fraction(private_mem), Fraction(1))
-    lp = (columns, [c.rate for c in corners], rhs)
-    result = simplex_solve(*lp) if start is None else simplex_solve(*lp, start)
+    result = simplex_solve(columns, [c.rate for c in corners], rhs)
     if result is None:
         return None
     value, x, duals = result
@@ -420,17 +399,21 @@ class BoundReport:
 
 def bound_reports(configs: Iterable[NetworkConfig], assoc: Association) -> Iterator[BoundReport]:
     """The bound_report of each config in turn.  Each scheme2 rate is the checked
-    optimum of one envelope_at call, warm-started from the last optimum's corners."""
-    support = None
+    optimum of one envelope_at call that lists the last optimum's corners first:
+    Bland's rule ends under any column order, and a basis near the last is found in
+    fewer pivots.  A reordered LP may reach another optimal x, so only achieved_rate,
+    the unique optimal value, is read, and it never feeds `verify`."""
+    support = ()  # indices into scheme2_corners, the same list on every row for this assoc
     for config in configs:
         model.validate_association(config, assoc)
         n, m = config.num_files, config.total_mem
         man = bounds.man_rate(config.num_users, n, m)
         pue = bounds.pue_rate(config.num_helpers, n, m, assoc.profile)
         cutset, u = bounds.cutset_bound(config, assoc)
-        sol = envelope_at(scheme2_corners(config, assoc), config.helper_mem, config.private_mem,
-                          support)
-        support = support if sol is None else sol.support
+        corners = scheme2_corners(config, assoc)
+        order = [*support, *(j for j in range(len(corners)) if j not in support)]
+        sol = envelope_at([corners[j] for j in order], config.helper_mem, config.private_mem)
+        support = support if sol is None else tuple(order[j] for j in sol.support)
         rates = {"unknown": scheme_rate("unknown", config, assoc)[0],
                  "scheme1": scheme_rate("scheme1", config, assoc)[0],
                  "scheme2": None if sol is None else sol.achieved_rate}

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,27 @@ def test_curve_csv_layout(config_path, tmp_path):
     for col in range(1, 7):
         values = [Fraction(row[col]) for row in rows[1:] if row[col] != ""]
         assert values == sorted(values, reverse=True)
+
+
+def test_curve_cells_follow_the_header_names(config_path, tmp_path, monkeypatch):
+    # each cell is read by its column's scheme name, not by the order of scheme_rates
+    def curve_csv(name):
+        out = tmp_path / name
+        result = CliRunner().invoke(main, [
+            "curve", "--config", config_path, "--ms", "1",
+            "--mp-range", "0:3:1/2", "--out", str(out), "--fractions",
+        ])
+        assert result.exit_code == 0, result.output
+        return out.read_bytes()
+
+    expected, reports = curve_csv("plain.csv"), envelope.bound_reports
+
+    def reversed_rates(*args):
+        for report in reports(*args):
+            yield replace(report, scheme_rates=dict(reversed(report.scheme_rates.items())))
+
+    monkeypatch.setattr(envelope, "bound_reports", reversed_rates)
+    assert curve_csv("reversed.csv") == expected
 
 
 def _assert_rejected(result, code=1):
@@ -258,8 +280,11 @@ def test_zero_memory_point(tmp_path):
     result = CliRunner().invoke(main, ["rate", "--config", str(path), "--fractions"])
     assert result.exit_code == 0
     assert result.output == "unknown: 4 (formula)\n"
-    # no certificate exists without cache memory: infeasible, not a crash
-    _assert_rejected(CliRunner().invoke(main, ["converse", "--config", str(path)]), code=2)
+    # with no cache memory every wanted file is in H whole, and sending all K is optimal
+    result = CliRunner().invoke(main, ["converse", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == ("|H1| = 0, |H2| = 4\nalpha_lower = 4\nkappa_upper = 4\n"
+                             "acyclic = True, tight = True\n")
 
 
 def test_verify_point_too_fine_to_simulate(tmp_path):

@@ -15,6 +15,7 @@ from dualcache.model import (
 from dualcache.scheme1 import place_scheme1, rate_scheme1, scheme1_params
 from dualcache.scheme2 import place_scheme2, scheme2_params
 from dualcache.scheme_unknown import place_unknown, unknown_params
+from dualcache.simulator import run_end_to_end
 from test_envelope import _half_step_grid
 from test_scheme_rate import NETWORKS, _direct_rate
 
@@ -92,11 +93,21 @@ def test_lower_bound_never_exceeds_rate():
         assert cert.alpha_lower <= cert.kappa_upper
 
 
-def test_zero_memory_rejected():
-    config = NetworkConfig(4, 4, 2, Fraction(0), Fraction(0))
-    assoc = build_association(config, [[1, 2, 3], [4]])
-    with pytest.raises(ValueError):
-        certify(config, assoc, (1, 2, 3, 4))
+def test_zero_memory_certificate():
+    # no cache holds anything, so H is every wanted file, whole, and the
+    # uncoded delivery of K files is optimal
+    networks = [(4, 2, [[1, 2, 3], [4]]), (4, 2, [[1, 2, 3, 4], []]),
+                (6, 3, [[1, 2, 3], [4, 5], [6]]), (5, 5, [[1], [2], [3], [4], [5]])]
+    for (k, lam, partition), extra in product(networks, (0, 2)):
+        config = NetworkConfig(k + extra, k, lam, Fraction(0), Fraction(0))
+        assoc = build_association(config, partition)
+        demand = tuple(range(k, 0, -1))
+        cert = certify(config, assoc, demand)
+        assert (len(cert.h1), len(cert.h2)) == (0, k), config
+        assert cert.alpha_lower == cert.kappa_upper == k, config
+        assert cert.acyclic and cert.tight, config
+        report = run_end_to_end(config, assoc, demand)
+        assert report.ok and report.measured_rate == k, config
 
 
 @pytest.mark.parametrize("k, lam, h_size", [(14, 7, 2072), (16, 4, 4392)])

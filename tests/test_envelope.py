@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualcache import envelope, scheme2
@@ -307,8 +308,8 @@ def _benchmark_sweeps():
 
 
 def _sweep_lps(monkeypatch, sweeps):
-    """Every argument tuple that bound_reports hands simplex_solve along the
-    sweeps: (columns, costs, rhs), and start after a sweep's first LP."""
+    """Every (columns, costs, rhs) that bound_reports hands simplex_solve along the
+    sweeps, the columns listing the last optimum's corners first."""
     lps, solve = [], envelope.simplex_solve
 
     def spy(*lp):
@@ -322,10 +323,6 @@ def _sweep_lps(monkeypatch, sweeps):
     return lps
 
 
-def _value(result):
-    return None if result is None else result[0]
-
-
 def test_simplex_matches_tableau_on_bound_report_lps(monkeypatch):
     points = [point for network in NETWORKS for point in _half_step_grid(*network)]
     # the smallest curve benchmark sweep: K=20, groups [10, 5, 3, 2], Ms = 5
@@ -335,12 +332,12 @@ def test_simplex_matches_tableau_on_bound_report_lps(monkeypatch):
     assert len(lps) == len(points)
     for lp in lps:
         assert simplex_solve(*lp) == _tableau_solve(*lp), lp
-    # the same points as sweeps: a warm start may reach another optimal x, never another value
+    # the same points as sweeps, whose LPs list the corners in another order
     sweeps = [*_network_sweeps(), (groups, [config for config, _ in points[-16:]])]
-    warm = [lp for lp in _sweep_lps(monkeypatch, sweeps) if len(lp) == 4]
-    assert len(warm) == len(points) - len(sweeps)
-    for lp in warm:
-        assert _value(simplex_solve(*lp)) == _value(_tableau_solve(*lp[:3])), lp
+    swept = _sweep_lps(monkeypatch, sweeps)
+    assert len(swept) == len(points)
+    for lp in swept:
+        assert simplex_solve(*lp) == _tableau_solve(*lp), lp
 
 
 def _outcome(solve, lp):
@@ -508,17 +505,10 @@ def test_scheme1_mixture_matches_a_fresh_hull_over_its_corners():
 
 
 # ---------------------------------------------------------------------------
-# curve sweeps: bound_reports warm-starts each LP from the last optimum's corners
+# curve sweeps: bound_reports lists the last optimum's corners first in each LP
 
 
-def test_swept_reports_match_cold_one_point_reports(monkeypatch):
-    outcomes, warm = [], envelope._Basis.warm
-
-    def spy(basis, *args):
-        outcomes.append(warm(basis, *args))
-        return outcomes[-1]
-
-    monkeypatch.setattr(envelope._Basis, "warm", spy)
+def test_swept_reports_match_cold_one_point_reports():
     unreachable_then_reachable = 0
     for partition, configs in [*_benchmark_sweeps(), *_network_sweeps()]:
         assoc = build_association(configs[0], partition)
@@ -529,9 +519,52 @@ def test_swept_reports_match_cold_one_point_reports(monkeypatch):
             assert report.scheme_rates["scheme2"] == scheme2, config
             reachable.append(report.scheme_rates["scheme2"] is not None)
         unreachable_then_reachable += any(not a and b for a, b in zip(reachable, reachable[1:]))
-    # some rows keep the last row's corners as a feasible basis, others solve cold
-    assert True in outcomes and False in outcomes
     assert unreachable_then_reachable > 0
+
+
+def _pivots(run) -> int:
+    """The number of _Basis.pivot calls that run() makes."""
+    count, pivot = [0], envelope._Basis.pivot
+
+    def counted(basis, *args):
+        count[0] += 1
+        return pivot(basis, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envelope._Basis, "pivot", counted)
+        run()
+    return count[0]
+
+
+def test_swept_lps_list_the_last_optimum_first(monkeypatch):
+    calls, solve = [], envelope.envelope_at
+
+    def spy(corners, *target):
+        calls.append((corners, solve(corners, *target)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(envelope, "envelope_at", spy)
+    sweeps = list(_benchmark_sweeps())
+    swept = _pivots(lambda: [list(bound_reports(configs, build_association(configs[0], partition)))
+                             for partition, configs in sweeps])
+    assert len(calls) == sum(len(configs) for _, configs in sweeps)
+    reordered, rows = 0, iter(calls)
+    for partition, configs in sweeps:
+        assoc, last = build_association(configs[0], partition), ()
+        for config, (corners, sol) in zip(configs, rows):
+            # scheme2_corners, the last optimum's corners first and the rest in their order
+            listed = scheme2_corners(config, assoc)
+            order = [listed.index(c) for c in corners]
+            assert order == [*last, *(j for j in range(len(listed)) if j not in last)], config
+            reordered += order != sorted(order)
+            last = last if sol is None else tuple(order[j] for j in sol.support)
+    assert reordered > 0
+    # the same LPs with the corners in their order take more pivots
+    cold = _pivots(lambda: [
+        envelope_at(scheme2_corners(config, build_association(config, partition)),
+                    config.helper_mem, config.private_mem)
+        for partition, configs in sweeps for config in configs])
+    assert swept < cold
 
 
 # ---------------------------------------------------------------------------
