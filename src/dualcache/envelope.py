@@ -7,13 +7,15 @@ line up; arbitrary (Ms, Mp) targets are met by splitting files into
 weighted segments, one direct run per corner.  scheme_rate and scheme_run
 both read scheme_mixture, so a printed rate is the rate of the run.
 
-Every LP is one two-phase Bland solve of the columns it is given.
-bound_reports, behind `bounds` and `curve`, reads each scheme2 rate from its
-LP's checked optimum.  Along a sweep only Mp and the pinned corner move, so
-each LP lists the previous row's optimal corners first.  The optimal value is
-unique, but a reordered LP can reach another optimal x, so bound_reports reads
-only the value, and scheme_mixture, which `rate` sums and `verify` runs, lists
-the corners in scheme2_corners order.
+Every LP is one two-phase Bland solve of the columns it is given, and
+lp_optimal, the one certificate check for any number of rows, checks each
+optimum; both run on _integer_lp's system, the one rule that puts an LP into
+integers.  bound_reports, behind `bounds` and `curve`, reads each scheme2
+rate from its LP's checked optimum.  Along a sweep only Mp and the pinned
+corner move, so each LP lists the previous row's optimal corners first.  The
+optimal value is unique, but a reordered LP can reach another optimal x, so
+bound_reports reads only the value, and scheme_mixture, which `rate` sums and
+`verify` runs, lists the corners in scheme2_corners order.
 """
 
 from __future__ import annotations
@@ -171,6 +173,24 @@ class _Basis:
             self.pivot(leaving, entering, alpha)
 
 
+def _over_lcm(values, sign: int = 1) -> tuple[list[int], int]:
+    """(ints, d): the values times d, the lcm of their denominators times sign."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(q for _, q in ratios)) * sign
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _integer_lp(columns, costs, rhs):
+    """The LP in integers, the one scaling rule: row i times factor[i], the lcm of
+    its denominators signed so that its rhs is >= 0, and the costs times unit,
+    the lcm of theirs.  Returns (cols, b, factor, c, unit); positive scaling keeps
+    every sign, and a flipped row keeps its equation."""
+    rows = [_over_lcm(row, -1 if row[-1] < 0 else 1) for row in zip(*columns, rhs)]
+    *cols, b = zip(*(row for row, _ in rows))
+    c, unit = _over_lcm(costs)
+    return cols, b, [f for _, f in rows], c, unit
+
+
 def simplex_solve(
     columns: Sequence[Sequence[Fraction]],
     costs: Sequence[Fraction],
@@ -179,18 +199,14 @@ def simplex_solve(
     """Minimize costs.x subject to columns.x = rhs, x >= 0.
 
     Returns (value, x, duals) or None when infeasible.  Two phases from an
-    artificial basis, as in the textbook tableau, but revised and in integers:
-    each row is flipped to a nonnegative rhs and multiplied by the lcm of its
-    denominators (its artificial column with it), and the costs by theirs.
-    Positive scaling changes no reduced cost's sign and no ratio, so the
-    solver visits the bases the tableau visits and returns the same optimum.
+    artificial basis, as in the textbook tableau, but revised and in integers,
+    on _integer_lp's system; row i's artificial column is |factor[i]| times a
+    unit column.  Positive scaling changes no reduced cost's sign and no ratio,
+    so the solver visits the bases the tableau visits and returns the same optimum.
     """
     m, n = len(rhs), len(columns)
-    sign = [-1 if b < 0 else 1 for b in rhs]
-    rows = [[*(c[i] for c in columns), rhs[i]] for i in range(m)]
-    scale = [math.lcm(*(v.denominator for v in row)) for row in rows]
-    *cols, b = zip(*([sign[i] * v.numerator * (scale[i] // v.denominator) for v in row]
-                     for i, row in enumerate(rows)))
+    cols, b, factor, phase2, unit = _integer_lp(columns, costs, rhs)
+    scale = [abs(f) for f in factor]
     cols += [[scale[i] if r == i else 0 for r in range(m)] for i in range(m)]
     basis = _Basis(cols, b, scale, n)
     basis.run([0] * n + [1] * m, range(n + m))
@@ -204,8 +220,7 @@ def simplex_solve(
                     basis.pivot(i, j, basis.column(j))
                     break
 
-    unit = math.lcm(*(c.denominator for c in costs))
-    phase2 = [c.numerator * (unit // c.denominator) for c in costs] + [0] * m
+    phase2 += [0] * m
     basis.run(phase2, range(n))
 
     level = dict(zip(basis.basis, basis.beta))
@@ -213,74 +228,55 @@ def simplex_solve(
     # costs[j] is phase2[j] / unit, and only basic columns have a nonzero x[j]
     value = Fraction(sum(phase2[j] * beta for j, beta in level.items() if j < n),
                      basis.det * unit)
-    duals = [Fraction(sign[i] * p * scale[i], basis.det * unit)
-             for i, p in enumerate(basis.prices(phase2))]
+    duals = [Fraction(p * f, basis.det * unit) for p, f in zip(basis.prices(phase2), factor)]
     return value, x, duals
+
+
+def lp_optimal(columns, costs, rhs, value, x, y) -> bool:
+    """Whether x and y certify value as the optimum of min costs.x subject to
+    columns.x = rhs, x >= 0, for any number of rows.  Primal: x >= 0,
+    columns.x = rhs and costs.x = value.  Dual: y.rhs = value and
+    y.column_j <= costs_j for every j.  Checked in ints on _integer_lp's
+    system, whose duals are y_i * unit / factor_i; x is read on its support."""
+    if len(x) != len(columns) or len(y) != len(rhs):
+        return False
+    cols, b, factor, c, unit = _integer_lp(columns, costs, rhs)
+    support = [j for j, w in enumerate(x) if w]
+    # x on its support is xs / dx, and the scaled system's duals are ys / dy
+    xs, dx = _over_lcm(x[j] for j in support)
+    ys, dy = _over_lcm(Fraction(y_i) * unit / f for y_i, f in zip(y, factor))
+    num, den = value.as_integer_ratio()
+    return (
+        all(w > 0 for w in xs)
+        and all(sum(cols[j][i] * w for j, w in zip(support, xs)) == b_i * dx
+                for i, b_i in enumerate(b))
+        and _dot([c[j] for j in support], xs) * den == num * unit * dx
+        and _dot(ys, b) * den == num * unit * dy
+        and all(_dot(ys, col) <= c_j * dy for col, c_j in zip(cols, c))
+    )
 
 
 def envelope_at(
     corners: Sequence[CornerPoint], helper_mem: Fraction, private_mem: Fraction
 ) -> Optional[EnvelopeSolution]:
     """Cheapest convex mixture of corners hitting both memory targets exactly;
-    raises CertificateError if its optimality certificate does not check."""
+    raises CertificateError if lp_optimal rejects its optimum."""
     if not corners:
         return None
-    columns = [
-        (c.helper_mem, c.private_mem, Fraction(1)) for c in corners
-    ]
+    columns = [(c.helper_mem, c.private_mem, Fraction(1)) for c in corners]
+    costs = [c.rate for c in corners]
     rhs = (Fraction(helper_mem), Fraction(private_mem), Fraction(1))
-    result = simplex_solve(columns, [c.rate for c in corners], rhs)
+    result = simplex_solve(columns, costs, rhs)
     if result is None:
         return None
     value, x, duals = result
-    support = tuple(j for j, w in enumerate(x) if w != 0)
-    sol = EnvelopeSolution(tuple((corners[j], x[j]) for j in support), value, tuple(duals), support)
-    if not certificate_holds(corners, sol, helper_mem, private_mem):
+    if not lp_optimal(columns, costs, rhs, value, x, duals):
         raise CertificateError(
             f"the LP certificate of rate {value} at (Ms, Mp) = "
             f"({helper_mem}, {private_mem}) does not hold"
         )
-    return sol
-
-
-def certificate_holds(
-    corners: Sequence[CornerPoint],
-    solution: EnvelopeSolution,
-    helper_mem: Fraction,
-    private_mem: Fraction,
-) -> bool:
-    """LP optimality check.  Primal: positive weights sum to 1, their corners
-    average to the memory target and cost achieved_rate.  Dual: the duals
-    support every corner and price the target at achieved_rate."""
-    weights = solution.weights
-    primal = (
-        all(w > 0 for _, w in weights)
-        and sum(w for _, w in weights) == 1
-        and sum(w * c.helper_mem for c, w in weights) == helper_mem
-        and sum(w * c.private_mem for c, w in weights) == private_mem
-        and sum(w * c.rate for c, w in weights) == solution.achieved_rate
-    )
-    y = solution.duals
-    return (
-        primal
-        and _duals_support(y, corners)
-        and y[0] * helper_mem + y[1] * private_mem + y[2] == solution.achieved_rate
-    )
-
-
-def _duals_support(y, corners: Sequence[CornerPoint]) -> bool:
-    """y[0]*Ms + y[1]*Mp + y[2] <= rate at every corner, checked in integers:
-    with one lcm L over every denominator, y.corner*L*L <= rate*L*L is the
-    same inequality scaled by L*L > 0."""
-    unit = math.lcm(*(v.denominator for v in y),
-                    *(v.denominator for c in corners for v in (c.helper_mem, c.private_mem, c.rate)))
-
-    def up(v) -> int:
-        return v.numerator * (unit // v.denominator)
-
-    y0, y1, y2 = map(up, y)
-    return all(y0 * up(c.helper_mem) + y1 * up(c.private_mem) + y2 * unit <= up(c.rate) * unit
-               for c in corners)
+    support = tuple(j for j, w in enumerate(x) if w != 0)
+    return EnvelopeSolution(tuple((corners[j], x[j]) for j in support), value, tuple(duals), support)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from dualcache.combin import binom, enumerate_ksubsets, rank_ksubset, unrank_ksu
 from dualcache.converse import certify
 from dualcache.envelope import (
     bound_report,
-    certificate_holds,
     envelope_at,
+    lp_optimal,
     materialize_shared_placement,
     scheme2_corners,
     scheme2_envelope_rate,
@@ -122,6 +122,10 @@ def test_criterion_4_memory_sharing():
     grid = {(c.helper_mem, c.private_mem) for c in corners}
     sol = envelope_at(corners, Fraction(1), Fraction(1))
     support = {(c.helper_mem, c.private_mem) for c, w in sol.weights if w > 0}
+    # the LP envelope_at solves, with the weights at their corners' columns
+    columns = [(c.helper_mem, c.private_mem, 1) for c in corners]
+    weight = dict(zip(sol.support, (w for _, w in sol.weights)))
+    x = [weight.get(j, 0) for j in range(len(corners))]
     run = materialize_shared_placement(sol, config, assoc)
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4), scheme=run, seed=0)
     needed = {
@@ -135,7 +139,7 @@ def test_criterion_4_memory_sharing():
         and needed <= support
         and sum(w for _, w in sol.weights) == 1
         and all(w >= 0 for _, w in sol.weights)
-        and certificate_holds(corners, sol, Fraction(1), Fraction(1))
+        and lp_optimal(columns, [c.rate for c in corners], (1, 1, 1), sol.achieved_rate, x, sol.duals)
         and sim.ok and sim.measured_rate == Fraction(11, 12)
     )
     _report("criterion-4 memory-sharing mixture at (1,1)", ok)

@@ -184,12 +184,14 @@ def test_verify_seed_flag_overrides_config(config_path, monkeypatch, flag, expec
     assert seeds == [expected]
 
 
-def test_failed_certificate_exits_3(config_path, tmp_path, monkeypatch):
+@pytest.mark.parametrize("i", [0, 1, 2], ids=["y_ms", "y_mp", "y_const"])
+def test_failed_certificate_exits_3(config_path, tmp_path, monkeypatch, i):
+    # at Ms = Mp = 1 every rhs entry is 1, so a unit more on any dual moves y.rhs
     solve = envelope.simplex_solve
 
     def tampered(*args):
-        value, x, (y_ms, y_mp, y_const) = solve(*args)
-        return value, x, [y_ms, y_mp, y_const + 1]
+        value, x, y = solve(*args)
+        return value, x, [v + 1 if r == i else v for r, v in enumerate(y)]
 
     monkeypatch.setattr(envelope, "simplex_solve", tampered)
     out = str(tmp_path / "curve.csv")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -16,11 +15,10 @@ from dualcache.bounds import (
 )
 from dualcache.combin import binom
 from dualcache.envelope import (
-    EnvelopeSolution,
     bound_report,
     bound_reports,
-    certificate_holds,
     envelope_at,
+    lp_optimal,
     scheme1_corners,
     scheme2_corners,
     scheme2_envelope_rate,
@@ -35,6 +33,22 @@ from dualcache.scheme2 import rate_scheme2_formula
 from dualcache.scheme_unknown import rate_unknown_general
 from dualcache.simulator import run_end_to_end
 from test_scheme_rate import NETWORKS
+
+F = Fraction
+
+
+def _corner_lp(corners, helper_mem, private_mem):
+    """envelope_at's LP: one column (Ms, Mp, 1) per corner, priced at its rate."""
+    return ([(c.helper_mem, c.private_mem, F(1)) for c in corners], [c.rate for c in corners],
+            (helper_mem, private_mem, F(1)))
+
+
+def _certified(corners, sol, helper_mem, private_mem) -> bool:
+    """lp_optimal on envelope_at's LP, with sol's weights at its support."""
+    x = [F(0)] * len(corners)
+    for j, (_, w) in zip(sol.support, sol.weights):
+        x[j] = w
+    return lp_optimal(*_corner_lp(corners, helper_mem, private_mem), sol.achieved_rate, x, sol.duals)
 
 
 def test_two_level_corner_grid(net_4users):
@@ -69,7 +83,7 @@ def test_mixture_at_intermediate_memory(net_4users):
         (Fraction(2), Fraction(2, 3)): Fraction(1, 4),
         (Fraction(2), Fraction(4, 3)): Fraction(1, 4),
     }
-    assert certificate_holds(corners, sol, Fraction(1), Fraction(1))
+    assert _certified(corners, sol, Fraction(1), Fraction(1))
 
 
 def test_mixture_decodes_at_its_rate(net_4users):
@@ -123,7 +137,7 @@ def test_duals_support_every_corner(net_4users):
         sol = envelope_at(corners, ms, mp)
         if sol is None:
             continue
-        assert certificate_holds(corners, sol, ms, mp)
+        assert _certified(corners, sol, ms, mp)
 
 
 def test_one_dimensional_mix():
@@ -162,17 +176,18 @@ def test_oblivious_run_off_the_lattice():
     assert report.measured_rate == rate_unknown_general(config, assoc.profile)
 
 
+# corners (Ms, 0) at Ms = 0, 2, 1 priced on rate = 2 - Ms, target (1, 0): the
+# duals (-1, 0, 2) meet every column's cost with equality and price the target at 1
+_LINE_LP = ([(F(ms), F(0), F(1)) for ms in (0, 2, 1)], [F(2 - ms) for ms in (0, 2, 1)],
+            (F(1), F(0), F(1)))
+
+
 def test_certificate_rejects_a_negative_weight():
-    # rate = 2 - Ms on all three corners, so the duals (-1, 0, 2) support every
-    # corner and price the target, and the weights sum to 1 and average to the
-    # target: only the negative weights are wrong
-    a, b, c = (CornerPoint(Fraction(ms), Fraction(0), Fraction(2 - ms), "scheme2", ())
-               for ms in (0, 2, 1))
-    half = Fraction(1, 2)
-    good = EnvelopeSolution(((c, Fraction(1)),), Fraction(1), (Fraction(-1), Fraction(0), Fraction(2)))
-    bad = EnvelopeSolution(((a, -half), (b, -half), (c, Fraction(2))), Fraction(1), good.duals)
-    assert certificate_holds([a, b, c], good, Fraction(1), Fraction(0))
-    assert not certificate_holds([a, b, c], bad, Fraction(1), Fraction(0))
+    # both x meet every row and cost 1: only the negative entries are wrong
+    good, bad, duals = [F(0), F(0), F(1)], [F(-1, 2), F(-1, 2), F(2)], [F(-1), F(0), F(2)]
+    for check in (lp_optimal, _reference_lp_optimal):
+        assert check(*_LINE_LP, F(1), good, duals)
+        assert not check(*_LINE_LP, F(1), bad, duals)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +281,25 @@ def _tableau_solve(
     return value, x, duals
 
 
-def _bound_report_lps(monkeypatch, points):
-    """Every (columns, costs, rhs) that bound_report hands simplex_solve."""
+def _captured_lps(run):
+    """Each (columns, costs, rhs) that run() hands simplex_solve, with its result."""
     lps, solve = [], envelope.simplex_solve
 
     def spy(*lp):
-        lps.append(lp)
-        return solve(*lp)
+        lps.append((lp, solve(*lp)))
+        return lps[-1][1]
 
-    monkeypatch.setattr(envelope, "simplex_solve", spy)
-    for config, partition in points:
-        bound_report(config, build_association(config, partition))
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(envelope, "simplex_solve", spy)
+        run()
     return lps
+
+
+@pytest.fixture(scope="module")
+def bound_report_lps():
+    """Each LP that bound_report solves at the _sweep_points(), with its result."""
+    return _captured_lps(lambda: [bound_report(config, build_association(config, partition))
+                                  for config, partition in _sweep_points()])
 
 
 def _half_step_grid(n, lam, partition):
@@ -307,37 +328,20 @@ def _benchmark_sweeps():
                           for i in range(int((n - ms) / step) + 1)]
 
 
-def _sweep_lps(monkeypatch, sweeps):
-    """Every (columns, costs, rhs) that bound_reports hands simplex_solve along the
-    sweeps, the columns listing the last optimum's corners first."""
-    lps, solve = [], envelope.simplex_solve
-
-    def spy(*lp):
-        lps.append(lp)
-        return solve(*lp)
-
-    monkeypatch.setattr(envelope, "simplex_solve", spy)
-    for partition, configs in sweeps:
-        list(bound_reports(configs, build_association(configs[0], partition)))
-    monkeypatch.undo()
-    return lps
-
-
-def test_simplex_matches_tableau_on_bound_report_lps(monkeypatch):
-    points = [point for network in NETWORKS for point in _half_step_grid(*network)]
-    # the smallest curve benchmark sweep: K=20, groups [10, 5, 3, 2], Ms = 5
-    groups = [list(range(1, 11)), list(range(11, 16)), [16, 17, 18], [19, 20]]
-    points += [(NetworkConfig(20, 20, 4, Fraction(5), Fraction(mp)), groups) for mp in range(16)]
-    lps = _bound_report_lps(monkeypatch, points)
-    assert len(lps) == len(points)
-    for lp in lps:
-        assert simplex_solve(*lp) == _tableau_solve(*lp), lp
+def test_simplex_matches_tableau_on_bound_report_lps(bound_report_lps):
+    # the test_scheme_rate grids and the smallest curve benchmark sweep
+    points = _sweep_points()
+    assert len(bound_report_lps) == len(points)
+    for lp, result in bound_report_lps:
+        assert result == _tableau_solve(*lp), lp
     # the same points as sweeps, whose LPs list the corners in another order
-    sweeps = [*_network_sweeps(), (groups, [config for config, _ in points[-16:]])]
-    swept = _sweep_lps(monkeypatch, sweeps)
+    k20 = _k20_sweep()
+    sweeps = [*_network_sweeps(), (k20[0][1], [config for config, _ in k20])]
+    swept = _captured_lps(lambda: [list(bound_reports(configs, build_association(configs[0], p)))
+                                   for p, configs in sweeps])
     assert len(swept) == len(points)
-    for lp in swept:
-        assert simplex_solve(*lp) == _tableau_solve(*lp), lp
+    for lp, result in swept:
+        assert result == _tableau_solve(*lp), lp
 
 
 def _outcome(solve, lp):
@@ -352,8 +356,8 @@ _ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 @st.composite
 def _small_lps(draw):
-    """m <= 4 rows, n <= 7 columns; sometimes a row is a multiple of the first."""
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    """m <= 6 rows, n <= 7 columns; sometimes a row is a multiple of the first."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
     columns = [draw(st.lists(_ENTRIES, min_size=m, max_size=m)) for _ in range(n)]
     costs = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
     rhs = draw(st.lists(_ENTRIES, min_size=m, max_size=m))
@@ -365,7 +369,13 @@ def _small_lps(draw):
     return columns, costs, rhs
 
 
-F = Fraction
+def _single_changes(x, y):
+    """(x, y) with one component of x or of y moved by 1 or by -1/6."""
+    for delta in (F(1), F(-1, 6)):
+        for j in range(len(x)):
+            yield [*x[:j], x[j] + delta, *x[j + 1:]], y
+        for i in range(len(y)):
+            yield x, [*y[:i], y[i] + delta, *y[i + 1:]]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -375,7 +385,13 @@ F = Fraction
 @example(lp=([[F(1), F(1)], [F(1), F(1)]], [F(1), F(0)], [F(1), F(2)]))  # infeasible
 @example(lp=([[F(1)], [F(-1)]], [F(-1), F(0)], [F(0)]))  # unbounded
 def test_simplex_matches_tableau_on_small_lps(lp):
-    assert _outcome(simplex_solve, lp) == _outcome(_tableau_solve, lp)
+    outcome = _outcome(simplex_solve, lp)
+    assert outcome == _outcome(_tableau_solve, lp)
+    if isinstance(outcome, tuple):
+        value, x, y = outcome
+        assert lp_optimal(*lp, value, x, y)
+        for changed in _single_changes(x, y):
+            assert lp_optimal(*lp, value, *changed) == _reference_lp_optimal(*lp, value, *changed)
 
 
 # ---------------------------------------------------------------------------
@@ -568,82 +584,61 @@ def test_swept_lps_list_the_last_optimum_first(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# differential reference for the dual check: the Fraction-arithmetic
-# certificate_holds that the integer check replaced
+# differential reference for lp_optimal: its conditions in Fraction arithmetic
 
 
-def _reference_certificate_holds(corners, solution, helper_mem, private_mem):
-    weights = solution.weights
-    primal = (
-        all(w > 0 for _, w in weights)
-        and sum(w for _, w in weights) == 1
-        and sum(w * c.helper_mem for c, w in weights) == helper_mem
-        and sum(w * c.private_mem for c, w in weights) == private_mem
-        and sum(w * c.rate for c, w in weights) == solution.achieved_rate
-    )
-    y = solution.duals
+def _reference_lp_optimal(columns, costs, rhs, value, x, y):
+    rows = range(len(rhs))
     return (
-        primal
-        and all(y[0] * c.helper_mem + y[1] * c.private_mem + y[2] <= c.rate for c in corners)
-        and y[0] * helper_mem + y[1] * private_mem + y[2] == solution.achieved_rate
+        len(x) == len(columns) and len(y) == len(rhs)
+        and all(w >= 0 for w in x)
+        and all(sum(col[i] * w for col, w in zip(columns, x)) == rhs[i] for i in rows)
+        and sum(cost * w for cost, w in zip(costs, x)) == value
+        and sum(y[i] * rhs[i] for i in rows) == value
+        and all(sum(y[i] * col[i] for i in rows) <= cost for col, cost in zip(columns, costs))
     )
 
 
-def _bound_report_certificates(monkeypatch, points):
-    """Every (corners, solution, Ms, Mp) that bound_report hands certificate_holds."""
-    seen, check = [], envelope.certificate_holds
+def _nudged_duals(columns, costs, rhs, y):
+    """Duals moved along d = ±(e_i - rhs_i e_last), which keeps y.rhs while the
+    last row is the weights' sum (rhs 1): to the tightest column, where they
+    still meet every column's cost, and a step of 1/L**2 past it, for L the lcm
+    of every denominator."""
+    def at(v, col):
+        return sum(a * b for a, b in zip(v, col))
 
-    def spy(*args):
-        seen.append(args)
-        return check(*args)
-
-    monkeypatch.setattr(envelope, "certificate_holds", spy)
-    for config, partition in points:
-        bound_report(config, build_association(config, partition))
-    monkeypatch.undo()
-    return seen
-
-
-def _nudged_duals(corners, duals, helper_mem, private_mem):
-    """Duals moved along a direction that keeps the target's price: to the
-    tightest corner, where they still support every corner, and one step
-    past it.  The step is 1/L**2 for L the lcm of every denominator, the
-    unit in which the scaled check compares."""
-    def at(y, c):
-        return y[0] * c.helper_mem + y[1] * c.private_mem + y[2]
-
-    for d in ((1, 0, -helper_mem), (-1, 0, helper_mem), (0, 1, -private_mem), (0, -1, private_mem)):
-        # moving t along d raises y.corner by t * at(d, c): corner c binds at slack / at(d, c)
-        reach = [(c.rate - at(duals, c)) / at(d, c) for c in corners if at(d, c) > 0]
-        if reach:
-            t = min(reach)
-            edge = tuple(y + t * di for y, di in zip(duals, d))
-            values = [*edge, *(v for c in corners for v in (c.helper_mem, c.private_mem, c.rate))]
-            step = Fraction(1, math.lcm(*(v.denominator for v in values)) ** 2)
-            return edge, tuple(y + step * di for y, di in zip(edge, d))
-    raise AssertionError("every corner sits at the target")
+    *heads, last = range(len(rhs))
+    for i in heads:
+        for sign in (1, -1):
+            d = [sign if r == i else -sign * rhs[i] if r == last else 0 for r in range(len(rhs))]
+            # moving t along d raises y.col by t * at(d, col): col binds at slack / at(d, col)
+            reach = [(cost - at(y, col)) / at(d, col)
+                     for col, cost in zip(columns, costs) if at(d, col) > 0]
+            if reach:
+                t = min(reach)
+                edge = [v + t * di for v, di in zip(y, d)]
+                values = [*edge, *costs, *(v for col in columns for v in col)]
+                step = F(1, math.lcm(*(v.denominator for v in values)) ** 2)
+                return edge, [v + step * di for v, di in zip(edge, d)]
+    raise AssertionError("every column sits at the target")
 
 
-def test_integer_certificate_matches_the_fraction_check(monkeypatch):
-    certificates = _bound_report_certificates(monkeypatch, _sweep_points())
-    assert len(certificates) > 300
-    for corners, solution, helper_mem, private_mem in certificates:
-        assert certificate_holds(corners, solution, helper_mem, private_mem)
-        assert _reference_certificate_holds(corners, solution, helper_mem, private_mem)
-        edge, past = _nudged_duals(corners, solution.duals, helper_mem, private_mem)
+def test_integer_certificate_matches_the_fraction_check(bound_report_lps):
+    optima = [(lp, result) for lp, result in bound_report_lps if result is not None]
+    assert len(optima) > 300
+    for lp, (value, x, y) in optima:
+        assert lp_optimal(*lp, value, x, y)
+        assert _reference_lp_optimal(*lp, value, x, y)
+        edge, past = _nudged_duals(*lp, y)
         for duals, verdict in ((edge, True), (past, False)):
-            nudged = dataclasses.replace(solution, duals=duals)
-            assert certificate_holds(corners, nudged, helper_mem, private_mem) == verdict
-            assert _reference_certificate_holds(corners, nudged, helper_mem, private_mem) == verdict
+            assert lp_optimal(*lp, value, x, duals) == verdict
+            assert _reference_lp_optimal(*lp, value, x, duals) == verdict
 
 
 def test_certificate_rejects_duals_one_unit_past_a_corner():
-    # integer corners on rate = 2 - Ms: the duals (0, 0, 1) still price the
-    # target Ms = 1 at 1, but overshoot the corner at Ms = 2 by exactly 1
-    a, b, c = (CornerPoint(Fraction(ms), Fraction(0), Fraction(2 - ms), "scheme2", ())
-               for ms in (0, 2, 1))
-    good = EnvelopeSolution(((c, Fraction(1)),), Fraction(1), (Fraction(-1), Fraction(0), Fraction(2)))
-    past = dataclasses.replace(good, duals=(Fraction(0), Fraction(0), Fraction(1)))
-    for check in (certificate_holds, _reference_certificate_holds):
-        assert check([a, b, c], good, Fraction(1), Fraction(0))
-        assert not check([a, b, c], past, Fraction(1), Fraction(0))
+    # the duals (0, 0, 1) still price the target Ms = 1 at 1, but overshoot the
+    # corner at Ms = 2 by exactly 1
+    x, good, past = [F(0), F(0), F(1)], [F(-1), F(0), F(2)], [F(0), F(0), F(1)]
+    for check in (lp_optimal, _reference_lp_optimal):
+        assert check(*_LINE_LP, F(1), x, good)
+        assert not check(*_LINE_LP, F(1), x, past)

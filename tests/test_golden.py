@@ -13,4 +13,4 @@ def test_outputs_match_the_recorded_corpus(tmp_path):
     actual = record.outputs(tmp_path)
     assert sum("ms" in r for r in actual) == 338
     for got, want in zip(actual, expected, strict=True):
-        assert got == want
+        assert got == want, (got["network"], got.get("ms"), got.get("mp"))
