@@ -111,22 +111,23 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
     base.with_memories(ms, stop)
 
     mps = [start + i * step for i in range(int((stop - start) / step) + 1)]
-    reports = envelope_mod.bound_reports((base.with_memories(ms, mp) for mp in mps), assoc)
-    rows = [(mp, *(report.scheme_rates[name] for name in envelope_mod.SCHEMES),
-             report.man_lower, report.pue_upper, report.cutset) for mp, report in zip(mps, reports)]
 
     def cell(value: Optional[Fraction]) -> str:
         return "" if value is None else fmt(value, fractions)
 
+    # open --out before solving any row, so a path that cannot be written fails at once
     try:
         with open(out_path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["Mp", *envelope_mod.SCHEMES, "man", "pue", "cutset"])
-            for row in rows:
+            reports = envelope_mod.bound_reports((base.with_memories(ms, mp) for mp in mps), assoc)
+            for mp, report in zip(mps, reports):
+                row = (mp, *(report.scheme_rates[name] for name in envelope_mod.SCHEMES),
+                       report.man_lower, report.pue_upper, report.cutset)
                 writer.writerow([cell(v) for v in row])
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"error: cannot write {out_path}: {exc}")
-    click.echo(f"wrote {len(rows)} rows to {out_path}")
+    click.echo(f"wrote {len(mps)} rows to {out_path}")
 
 
 @main.command()

@@ -9,13 +9,15 @@ both read scheme_mixture, so a printed rate is the rate of the run.
 
 Every LP is one two-phase Bland solve of the columns it is given, and
 lp_optimal, the one certificate check for any number of rows, checks each
-optimum; both run on _integer_lp's system, the one rule that puts an LP into
-integers.  bound_reports, behind `bounds` and `curve`, reads each scheme2
-rate from its LP's checked optimum.  Along a sweep only Mp and the pinned
-corner move, so each LP lists the previous row's optimal corners first.  The
-optimal value is unique, but a reordered LP can reach another optimal x, so
-bound_reports reads only the value, and scheme_mixture, which `rate` sums and
-`verify` runs, lists the corners in scheme2_corners order.
+optimum.  envelope_at puts each LP into integers once, with _integer_lp, the
+one scaling rule, and the solver and the check both read that one system,
+which the solver leaves as it is.  bound_reports, behind `bounds` and
+`curve`, reads each scheme2 rate from its LP's checked optimum.  Along a
+sweep only Mp and the pinned corner move, so each LP lists the previous
+row's optimal corners first.  The optimal value is unique, but a reordered
+LP can reach another optimal x, so bound_reports reads only the value, and
+scheme_mixture, which `rate` sums and `verify` runs, lists the corners in
+scheme2_corners order.
 """
 
 from __future__ import annotations
@@ -191,23 +193,20 @@ def _integer_lp(columns, costs, rhs):
     return cols, b, [f for _, f in rows], c, unit
 
 
-def simplex_solve(
-    columns: Sequence[Sequence[Fraction]],
-    costs: Sequence[Fraction],
-    rhs: Sequence[Fraction],
-) -> Optional[tuple[Fraction, list[Fraction], list[Fraction]]]:
-    """Minimize costs.x subject to columns.x = rhs, x >= 0.
+def simplex_solve(lp) -> Optional[tuple[Fraction, list[Fraction], list[Fraction]]]:
+    """Minimize costs.x subject to columns.x = rhs, x >= 0, given as
+    lp = _integer_lp(columns, costs, rhs), which it reads and leaves as it is.
 
     Returns (value, x, duals) or None when infeasible.  Two phases from an
-    artificial basis, as in the textbook tableau, but revised and in integers,
-    on _integer_lp's system; row i's artificial column is |factor[i]| times a
-    unit column.  Positive scaling changes no reduced cost's sign and no ratio,
-    so the solver visits the bases the tableau visits and returns the same optimum.
+    artificial basis, as in the textbook tableau, but revised and in integers;
+    row i's artificial column is |factor[i]| times a unit column.  Positive
+    scaling changes no reduced cost's sign and no ratio, so the solver visits
+    the bases the tableau visits and returns the same optimum.
     """
-    m, n = len(rhs), len(columns)
-    cols, b, factor, phase2, unit = _integer_lp(columns, costs, rhs)
+    cols, b, factor, c, unit = lp
+    m, n = len(b), len(cols)
     scale = [abs(f) for f in factor]
-    cols += [[scale[i] if r == i else 0 for r in range(m)] for i in range(m)]
+    cols = [*cols, *([scale[i] if r == i else 0 for r in range(m)] for i in range(m))]
     basis = _Basis(cols, b, scale, n)
     basis.run([0] * n + [1] * m, range(n + m))
     if any(beta for beta, j in zip(basis.beta, basis.basis) if j >= n):
@@ -220,27 +219,29 @@ def simplex_solve(
                     basis.pivot(i, j, basis.column(j))
                     break
 
-    phase2 += [0] * m
+    phase2 = [*c, *[0] * m]
     basis.run(phase2, range(n))
 
-    level = dict(zip(basis.basis, basis.beta))
-    x = [Fraction(level.get(j, 0), basis.det) for j in range(n)]
-    # costs[j] is phase2[j] / unit, and only basic columns have a nonzero x[j]
-    value = Fraction(sum(phase2[j] * beta for j, beta in level.items() if j < n),
-                     basis.det * unit)
+    # only basic columns have a nonzero x[j], and costs[j] is c[j] / unit
+    level = {j: beta for j, beta in zip(basis.basis, basis.beta) if j < n}
+    x = [Fraction(0)] * n
+    for j, beta in level.items():
+        x[j] = Fraction(beta, basis.det)
+    value = Fraction(sum(c[j] * beta for j, beta in level.items()), basis.det * unit)
     duals = [Fraction(p * f, basis.det * unit) for p, f in zip(basis.prices(phase2), factor)]
     return value, x, duals
 
 
-def lp_optimal(columns, costs, rhs, value, x, y) -> bool:
+def lp_optimal(lp, value, x, y) -> bool:
     """Whether x and y certify value as the optimum of min costs.x subject to
-    columns.x = rhs, x >= 0, for any number of rows.  Primal: x >= 0,
-    columns.x = rhs and costs.x = value.  Dual: y.rhs = value and
-    y.column_j <= costs_j for every j.  Checked in ints on _integer_lp's
-    system, whose duals are y_i * unit / factor_i; x is read on its support."""
-    if len(x) != len(columns) or len(y) != len(rhs):
+    columns.x = rhs, x >= 0, for any number of rows, given as
+    lp = _integer_lp(columns, costs, rhs).  Primal: x >= 0, columns.x = rhs and
+    costs.x = value.  Dual: y.rhs = value and y.column_j <= costs_j for every j.
+    Checked in ints on lp, whose duals are y_i * unit / factor_i; x is read on
+    its support."""
+    cols, b, factor, c, unit = lp
+    if len(x) != len(cols) or len(y) != len(b):
         return False
-    cols, b, factor, c, unit = _integer_lp(columns, costs, rhs)
     support = [j for j, w in enumerate(x) if w]
     # x on its support is xs / dx, and the scaled system's duals are ys / dy
     xs, dx = _over_lcm(x[j] for j in support)
@@ -263,14 +264,13 @@ def envelope_at(
     raises CertificateError if lp_optimal rejects its optimum."""
     if not corners:
         return None
-    columns = [(c.helper_mem, c.private_mem, Fraction(1)) for c in corners]
-    costs = [c.rate for c in corners]
-    rhs = (Fraction(helper_mem), Fraction(private_mem), Fraction(1))
-    result = simplex_solve(columns, costs, rhs)
+    lp = _integer_lp([(c.helper_mem, c.private_mem, 1) for c in corners],
+                     [c.rate for c in corners], (Fraction(helper_mem), Fraction(private_mem), 1))
+    result = simplex_solve(lp)
     if result is None:
         return None
     value, x, duals = result
-    if not lp_optimal(columns, costs, rhs, value, x, duals):
+    if not lp_optimal(lp, value, x, duals):
         raise CertificateError(
             f"the LP certificate of rate {value} at (Ms, Mp) = "
             f"({helper_mem}, {private_mem}) does not hold"
@@ -284,10 +284,13 @@ def envelope_at(
 
 
 def _scheme1_first_level(config: NetworkConfig, assoc: Association) -> int:
-    """The level of scheme1_corners(config, assoc)[0], found without listing the rest."""
-    k, n, ms = config.num_users, config.num_files, config.helper_mem
-    return next(t for t, (mem, _) in enumerate(bounds.man_hull(k, n))
-                if mem >= ms and scheme1.corner_feasible(k, n, assoc.largest_group, t, ms))
+    """The level of scheme1_corners(config, assoc)[0], found without listing the rest:
+    the first t >= max(L1, ceil(K*Ms/N)) under the cap, Ms*C(K, t) <= N*C(K-L1, t-L1),
+    tested in ints for Ms = a/b."""
+    k, n, l1 = config.num_users, config.num_files, assoc.largest_group
+    a, b = config.helper_mem.as_integer_ratio()
+    return next(t for t in range(max(l1, -(-k * a // (n * b))), k + 1)
+                if a * binom(k, t) <= b * n * binom(k - l1, t - l1))
 
 
 def _scheme1_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:

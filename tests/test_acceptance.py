@@ -20,6 +20,7 @@ from dualcache.cli import main as cli_main
 from dualcache.combin import binom, enumerate_ksubsets, rank_ksubset, unrank_ksubset
 from dualcache.converse import certify
 from dualcache.envelope import (
+    _integer_lp,
     bound_report,
     envelope_at,
     lp_optimal,
@@ -139,7 +140,8 @@ def test_criterion_4_memory_sharing():
         and needed <= support
         and sum(w for _, w in sol.weights) == 1
         and all(w >= 0 for _, w in sol.weights)
-        and lp_optimal(columns, [c.rate for c in corners], (1, 1, 1), sol.achieved_rate, x, sol.duals)
+        and lp_optimal(_integer_lp(columns, [c.rate for c in corners], (1, 1, 1)),
+                       sol.achieved_rate, x, sol.duals)
         and sim.ok and sim.measured_rate == Fraction(11, 12)
     )
     _report("criterion-4 memory-sharing mixture at (1,1)", ok)

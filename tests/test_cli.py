@@ -117,6 +117,39 @@ def test_curve_range_validation(config_path, tmp_path):
         _assert_rejected(result)
 
 
+def test_curve_unwritable_out_fails_before_any_row(config_path, tmp_path, monkeypatch):
+    entered = []
+    monkeypatch.setattr(envelope, "bound_reports", lambda *args: entered.append(args))
+    out = tmp_path / "missing" / "curve.csv"
+    result = CliRunner().invoke(main, [
+        "curve", "--config", config_path, "--ms", "1", "--mp-range", "0:3:1/2", "--out", str(out),
+    ])
+    _assert_rejected(result)
+    assert "cannot write" in result.output
+    assert entered == [] and not out.exists()
+
+
+def test_curve_failing_part_way_leaves_the_rows_before_the_failure(config_path, tmp_path,
+                                                                   monkeypatch):
+    argv = ["curve", "--config", config_path, "--ms", "1", "--mp-range", "0:3:1/2", "--fractions"]
+    clean = tmp_path / "clean.csv"
+    assert CliRunner().invoke(main, [*argv, "--out", str(clean)]).exit_code == 0
+    solve, calls = envelope.simplex_solve, []
+
+    def tampered(lp):  # each dual one unit more on the third row, Mp = 1
+        value, x, y = solve(lp)
+        calls.append(lp)
+        return value, x, [v + 1 for v in y] if len(calls) == 3 else y
+
+    monkeypatch.setattr(envelope, "simplex_solve", tampered)
+    out = tmp_path / "partial.csv"
+    result = CliRunner().invoke(main, [*argv, "--out", str(out)])
+    _assert_rejected(result, code=3)
+    assert "(1, 1)" in result.output
+    # the header and the rows at Mp = 0 and 1/2, as a clean sweep writes them
+    assert out.read_bytes().splitlines() == clean.read_bytes().splitlines()[:3]
+
+
 def test_verify_passes(config_path):
     result = CliRunner().invoke(main, [
         "verify", "--config", config_path, "--scheme", "scheme2", "--trials", "4",
@@ -189,8 +222,8 @@ def test_failed_certificate_exits_3(config_path, tmp_path, monkeypatch, i):
     # at Ms = Mp = 1 every rhs entry is 1, so a unit more on any dual moves y.rhs
     solve = envelope.simplex_solve
 
-    def tampered(*args):
-        value, x, y = solve(*args)
+    def tampered(lp):
+        value, x, y = solve(lp)
         return value, x, [v + 1 if r == i else v for r, v in enumerate(y)]
 
     monkeypatch.setattr(envelope, "simplex_solve", tampered)
@@ -221,8 +254,8 @@ def _moved_weight(x):
 def test_failed_primal_certificate_exits_3(config_path, tmp_path, monkeypatch, tamper):
     solve = envelope.simplex_solve
 
-    def tampered(*args):
-        value, x, duals = solve(*args)
+    def tampered(lp):
+        value, x, duals = solve(lp)
         return value, tamper(x), duals
 
     monkeypatch.setattr(envelope, "simplex_solve", tampered)

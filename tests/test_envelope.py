@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -15,6 +16,7 @@ from dualcache.bounds import (
 )
 from dualcache.combin import binom
 from dualcache.envelope import (
+    _integer_lp,
     bound_report,
     bound_reports,
     envelope_at,
@@ -43,12 +45,22 @@ def _corner_lp(corners, helper_mem, private_mem):
             (helper_mem, private_mem, F(1)))
 
 
+def _solve(columns, costs, rhs):
+    """simplex_solve on the integer system of (columns, costs, rhs)."""
+    return simplex_solve(_integer_lp(columns, costs, rhs))
+
+
+def _lp_optimal(columns, costs, rhs, value, x, y) -> bool:
+    """lp_optimal on the integer system of (columns, costs, rhs)."""
+    return lp_optimal(_integer_lp(columns, costs, rhs), value, x, y)
+
+
 def _certified(corners, sol, helper_mem, private_mem) -> bool:
     """lp_optimal on envelope_at's LP, with sol's weights at its support."""
     x = [F(0)] * len(corners)
     for j, (_, w) in zip(sol.support, sol.weights):
         x[j] = w
-    return lp_optimal(*_corner_lp(corners, helper_mem, private_mem), sol.achieved_rate, x, sol.duals)
+    return _lp_optimal(*_corner_lp(corners, helper_mem, private_mem), sol.achieved_rate, x, sol.duals)
 
 
 def test_two_level_corner_grid(net_4users):
@@ -116,13 +128,13 @@ def test_unreachable_target_is_reported(net_4users):
 
 def test_simplex_small_problems():
     # min x0 + 2*x1 s.t. x0 + x1 = 1
-    value, x, duals = simplex_solve(
+    value, x, duals = _solve(
         [(Fraction(1),), (Fraction(1),)], [Fraction(1), Fraction(2)], [Fraction(1)]
     )
     assert value == 1 and x == [Fraction(1), Fraction(0)]
     assert duals == [Fraction(1)]
     # infeasible: no nonnegative combination reaches a negative target
-    assert simplex_solve([(Fraction(1),)], [Fraction(1)], [Fraction(-1)]) is None
+    assert _solve([(Fraction(1),)], [Fraction(1)], [Fraction(-1)]) is None
 
 
 def test_duals_support_every_corner(net_4users):
@@ -185,7 +197,7 @@ _LINE_LP = ([(F(ms), F(0), F(1)) for ms in (0, 2, 1)], [F(2 - ms) for ms in (0, 
 def test_certificate_rejects_a_negative_weight():
     # both x meet every row and cost 1: only the negative entries are wrong
     good, bad, duals = [F(0), F(0), F(1)], [F(-1, 2), F(-1, 2), F(2)], [F(-1), F(0), F(2)]
-    for check in (lp_optimal, _reference_lp_optimal):
+    for check in (_lp_optimal, _reference_lp_optimal):
         assert check(*_LINE_LP, F(1), good, duals)
         assert not check(*_LINE_LP, F(1), bad, duals)
 
@@ -282,17 +294,25 @@ def _tableau_solve(
 
 
 def _captured_lps(run):
-    """Each (columns, costs, rhs) that run() hands simplex_solve, with its result."""
-    lps, solve = [], envelope.simplex_solve
+    """Each (columns, costs, rhs) that run() puts into integers with _integer_lp,
+    with simplex_solve's result on that integer system."""
+    made, solved = {}, []
+    scale, solve = envelope._integer_lp, envelope.simplex_solve
 
-    def spy(*lp):
-        lps.append((lp, solve(*lp)))
-        return lps[-1][1]
+    def scale_spy(*lp):
+        system = scale(*lp)
+        made[id(system)] = lp, system  # kept alive, so no later system takes its id
+        return system
+
+    def solve_spy(system):
+        solved.append((made[id(system)][0], solve(system)))
+        return solved[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(envelope, "simplex_solve", spy)
+        patch.setattr(envelope, "_integer_lp", scale_spy)
+        patch.setattr(envelope, "simplex_solve", solve_spy)
         run()
-    return lps
+    return solved
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +364,40 @@ def test_simplex_matches_tableau_on_bound_report_lps(bound_report_lps):
         assert result == _tableau_solve(*lp), lp
 
 
+def test_each_lp_is_scaled_once_for_the_solver_and_the_check():
+    # the K=30 curve benchmark sweep: one integer system per row, which the
+    # solver leaves as it is and the check then reads
+    partition, configs = list(_benchmark_sweeps())[-1]
+    scaled, solved, checked = [], [], []
+    scale, solve, check = envelope._integer_lp, envelope.simplex_solve, envelope.lp_optimal
+
+    def scale_spy(*lp):
+        scaled.append(scale(*lp))
+        return scaled[-1]
+
+    def solve_spy(system):
+        before = copy.deepcopy(system)
+        result = solve(system)
+        assert system == before
+        solved.append((system, result))
+        return result
+
+    def check_spy(system, *certificate):
+        checked.append(system)
+        return check(system, *certificate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, spy in (("_integer_lp", scale_spy), ("simplex_solve", solve_spy),
+                          ("lp_optimal", check_spy)):
+            patch.setattr(envelope, name, spy)
+        reports = list(bound_reports(configs, build_association(configs[0], partition)))
+    assert len(reports) == len(scaled) == len(solved) == len(configs)
+    assert [id(system) for system, _ in solved] == [id(system) for system in scaled]
+    optima = [system for system, result in solved if result is not None]
+    assert [id(system) for system in checked] == [id(system) for system in optima]
+    assert len(optima) > 0
+
+
 def _outcome(solve, lp):
     try:
         return solve(*lp)
@@ -385,13 +439,14 @@ def _single_changes(x, y):
 @example(lp=([[F(1), F(1)], [F(1), F(1)]], [F(1), F(0)], [F(1), F(2)]))  # infeasible
 @example(lp=([[F(1)], [F(-1)]], [F(-1), F(0)], [F(0)]))  # unbounded
 def test_simplex_matches_tableau_on_small_lps(lp):
-    outcome = _outcome(simplex_solve, lp)
+    outcome = _outcome(_solve, lp)
     assert outcome == _outcome(_tableau_solve, lp)
     if isinstance(outcome, tuple):
         value, x, y = outcome
-        assert lp_optimal(*lp, value, x, y)
+        system = _integer_lp(*lp)
+        assert lp_optimal(system, value, x, y)
         for changed in _single_changes(x, y):
-            assert lp_optimal(*lp, value, *changed) == _reference_lp_optimal(*lp, value, *changed)
+            assert lp_optimal(system, value, *changed) == _reference_lp_optimal(*lp, value, *changed)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +682,11 @@ def test_integer_certificate_matches_the_fraction_check(bound_report_lps):
     optima = [(lp, result) for lp, result in bound_report_lps if result is not None]
     assert len(optima) > 300
     for lp, (value, x, y) in optima:
-        assert lp_optimal(*lp, value, x, y)
+        assert _lp_optimal(*lp, value, x, y)
         assert _reference_lp_optimal(*lp, value, x, y)
         edge, past = _nudged_duals(*lp, y)
         for duals, verdict in ((edge, True), (past, False)):
-            assert lp_optimal(*lp, value, x, duals) == verdict
+            assert _lp_optimal(*lp, value, x, duals) == verdict
             assert _reference_lp_optimal(*lp, value, x, duals) == verdict
 
 
@@ -639,6 +694,6 @@ def test_certificate_rejects_duals_one_unit_past_a_corner():
     # the duals (0, 0, 1) still price the target Ms = 1 at 1, but overshoot the
     # corner at Ms = 2 by exactly 1
     x, good, past = [F(0), F(0), F(1)], [F(-1), F(0), F(2)], [F(0), F(0), F(1)]
-    for check in (lp_optimal, _reference_lp_optimal):
+    for check in (_lp_optimal, _reference_lp_optimal):
         assert check(*_LINE_LP, F(1), x, good)
         assert not check(*_LINE_LP, F(1), x, past)
