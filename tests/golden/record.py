@@ -5,7 +5,10 @@
 Over each network's half-step (Ms, Mp) grid it records every scheme_rate value
 and label, every bound_report field and the scheme2 envelope_at solution
 (value, weighted corners, duals, support), and per network the curve CSV at
-Ms = 1, Mp from 0 to N - 1 in quarter steps, one JSON record a line.
+Ms = 1, Mp from 0 to N - 1 in quarter steps, one JSON record a line.  Then,
+at every grid point where the oblivious scheme has a direct run, the
+converse certificate (|H1|, |H2|, alpha, kappa, acyclic, tight) for demand
+1..K and for its reverse.
 tests/test_golden.py recomputes all of it through `outputs`; re-record only
 when an output is meant to change, and say why in the change that does it.
 """
@@ -22,8 +25,9 @@ HERE = Path(__file__).resolve().parent
 OUTPUTS = HERE / "outputs.jsonl"
 sys.path.insert(0, str(HERE.parent))  # test_scheme_rate, when run as a script
 
-from dualcache import cli, envelope  # noqa: E402
-from dualcache.model import NetworkConfig, build_association  # noqa: E402
+from dualcache import cli, converse, envelope  # noqa: E402
+from dualcache.model import InfeasibleSchemeError, NetworkConfig, build_association  # noqa: E402
+from dualcache.scheme_unknown import unknown_params  # noqa: E402
 from test_scheme_rate import NETWORKS  # noqa: E402
 
 
@@ -76,16 +80,39 @@ def _curve_csv(n: int, lam: int, partition, workdir: Path) -> str:
     return out.read_bytes().decode()
 
 
+def _certificate(config, assoc, demand) -> dict:
+    cert = converse.certify(config, assoc, demand)
+    return {"h1": len(cert.h1), "h2": len(cert.h2), "alpha": str(cert.alpha_lower),
+            "kappa": str(cert.kappa_upper), "acyclic": cert.acyclic, "tight": cert.tight}
+
+
+def _grid(n: int, lam: int):
+    """The half-step (Ms, Mp) configs in grid order."""
+    for ms2 in range(2 * n + 1):
+        for mp2 in range(2 * n - ms2 + 1):
+            yield NetworkConfig(n, n, lam, Fraction(ms2, 2), Fraction(mp2, 2))
+
+
 def outputs(workdir: Path) -> list[dict]:
-    """Per network, one record per grid point in grid order, then its curve CSV."""
+    """Per network, one record per grid point in grid order, then its curve CSV;
+    after every network, one certificate record per direct oblivious run."""
     recorded = []
     for n, lam, partition in NETWORKS:
         network = [n, lam, partition]
-        for ms2 in range(2 * n + 1):
-            for mp2 in range(2 * n - ms2 + 1):
-                config = NetworkConfig(n, n, lam, Fraction(ms2, 2), Fraction(mp2, 2))
-                recorded.append(_point(network, config, build_association(config, partition)))
+        for config in _grid(n, lam):
+            recorded.append(_point(network, config, build_association(config, partition)))
         recorded.append({"network": network, "curve_csv": _curve_csv(n, lam, partition, workdir)})
+    for n, lam, partition in NETWORKS:
+        for config in _grid(n, lam):
+            try:
+                unknown_params(config)
+            except InfeasibleSchemeError:
+                continue
+            assoc = build_association(config, partition)
+            recorded.append({"network": [n, lam, partition],
+                             "certify_at": [str(config.helper_mem), str(config.private_mem)],
+                             "forward": _certificate(config, assoc, range(1, n + 1)),
+                             "reverse": _certificate(config, assoc, range(n, 0, -1))})
     return recorded
 
 
