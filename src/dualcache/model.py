@@ -8,10 +8,13 @@ output.
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class ConfigError(ValueError):
@@ -211,13 +214,51 @@ class SubfileId(NamedTuple):
         return (self.idx_a, self.idx_b)
 
 
-def stored_by(keys: Sequence[tuple], n: int) -> tuple[frozenset, ...]:
-    """Per cache i in [1..n], the piece keys whose idx_a holds i."""
-    caches: list[set] = [set() for _ in range(n)]
+def stored_by(keys: Sequence[tuple], n: int, field: int = 0) -> tuple[int, ...]:
+    """Per cache i in [1..n], as bits (bit j is keys[j]), the keys whose
+    key[field] holds i: one row of digits per cache, read as an int once."""
+    rows = [bytearray(b"0" * len(keys)) for _ in range(n)]
+    digit = len(keys)  # keys[0] is a row's last digit, bit 0
     for key in keys:
-        for i in key[0]:
-            caches[i - 1].add(key)
-    return tuple(map(frozenset, caches))
+        digit -= 1
+        for i in key[field]:
+            rows[i - 1][digit] = 49  # ord("1")
+    return tuple(int(row, 2) if row else 0 for row in rows)
+
+
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
+
+def members(items: Iterable, bits: int) -> Iterator:
+    """The items that bits selects, in order: bit j selects the j-th item."""
+    return compress(items, bin(bits)[:1:-1].encode().translate(_SELECT))
+
+
+class BitSet(Set):
+    """A read-only set view of layout keys held as (label, bits) rows: bit j
+    is the layout's j-th key, a member as itself under the label None, else
+    as SubfileId(label, *key).  len is the bit count, iteration decodes, and
+    set operators return frozensets."""
+
+    _from_iterable = frozenset
+
+    def __init__(self, parts: list, rows: Sequence[tuple[Optional[int], int]]) -> None:
+        self.parts, self.rows = parts, rows
+
+    def __len__(self) -> int:
+        return sum(bits.bit_count() for _, bits in self.rows)
+
+    def __iter__(self) -> Iterator:
+        for label, bits in self.rows:
+            keys = members(chain.from_iterable(keys for keys, _ in self.parts), bits)
+            yield from keys if label is None else (SubfileId(label, *key) for key in keys)
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self)
+
+    def __contains__(self, value) -> bool:
+        return value in self._members
 
 
 def tile(*parts: tuple[Sequence, Fraction]) -> dict:
@@ -250,14 +291,25 @@ class Transmission:
 
 @dataclass(frozen=True)
 class Placement:
-    """A scheme's layout, its (keys, share) parts, and the contents of every
-    helper and every user as piece keys (SubfileId.piece).  Placement is
-    uncoded and the same for every file, so a key stands for that piece
-    of every file."""
+    """A scheme's layout, its (keys, share) parts, and every helper's and
+    every user's cache as one int over the layout's keys laid end to end:
+    bit j is the j-th key across all parts.  Placement is uncoded and the
+    same for every file, so a key stands for that piece of every file."""
 
     parts: list
-    helper_contents: tuple[frozenset, ...]
-    private_contents: tuple[frozenset, ...]
+    helper_bits: tuple[int, ...]
+    private_bits: tuple[int, ...]
+
+    # each cache's piece keys (SubfileId.piece), as read-only views of its bits
+    helper_contents = cached_property(lambda self: tuple(
+        BitSet(self.parts, [(None, bits)]) for bits in self.helper_bits))
+    private_contents = cached_property(lambda self: tuple(
+        BitSet(self.parts, [(None, bits)]) for bits in self.private_bits))
+
+    def known(self, assoc: Association) -> list[int]:
+        """Per user in 1..K, its private cache and its helper's as one int."""
+        helpers = self.helper_bits
+        return [bits | helpers[h - 1] for bits, h in zip(self.private_bits, assoc.cache_of)]
 
 
 @dataclass(frozen=True)

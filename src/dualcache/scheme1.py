@@ -10,6 +10,8 @@ whatever a user's helper could not hold lands in that user's private cache.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import Sequence
 
 from . import bounds
@@ -76,18 +78,23 @@ def user_split_delivery(demand: Sequence[int], k: int, t: int) -> list:
     return out
 
 
+def _lowest(bits: int, q: int) -> int:
+    """The q lowest set bits of bits, or all of them when it has fewer."""
+    gaps = bin(bits)[:1:-1].split("1", q)[:q]  # the zeros before each of the first q ones
+    return bits & ((1 << sum(map(len, gaps)) + len(gaps)) - 1)
+
+
 def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     """Helpers take the q lexicographically smallest group-covering subsets;
     users absorb the rest of their own subsets."""
     q = scheme1_params(config, assoc)[1]
-    k = config.num_users
     (keys, _), = parts = layout_scheme1(config)
-    helpers = tuple(
-        frozenset([key for key in keys if set(group) <= set(key[0])][:q])
-        for group in assoc.groups
-    )
-    users = tuple(own - helpers[h - 1] for own, h in zip(stored_by(keys, k), assoc.cache_of))
-    return Placement(parts, helper_contents=helpers, private_contents=users)
+    own = stored_by(keys, config.num_users)
+    every = (1 << len(keys)) - 1
+    helpers = tuple(_lowest(reduce(and_, (own[u - 1] for u in group), every), q)
+                    for group in assoc.groups)
+    users = tuple(bits & ~helpers[h - 1] for bits, h in zip(own, assoc.cache_of))
+    return Placement(parts, helpers, users)
 
 
 def deliver_scheme1(config: NetworkConfig, assoc: Association,

@@ -75,15 +75,13 @@ def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
     """A helper stores the keys whose tau holds it; the j-th user of a
     helper outside tau stores those whose rho holds j."""
     (keys, _), = parts = layout_scheme2(config, assoc)
-    users: list[set] = [set() for _ in range(config.num_users)]
-    for key in keys:
-        tau, rho = key
-        for helper, group in enumerate(assoc.groups, start=1):
-            if helper not in tau:
-                for j in rho:
-                    if j <= len(group):
-                        users[group[j - 1] - 1].add(key)
-    return Placement(parts, stored_by(keys, config.num_helpers), tuple(map(frozenset, users)))
+    helpers = stored_by(keys, config.num_helpers)
+    at = stored_by(keys, assoc.largest_group, field=1)  # per position j, the keys whose rho holds j
+    users = [0] * config.num_users
+    for helper, group in enumerate(assoc.groups, start=1):
+        for j, user in enumerate(group, start=1):
+            users[user - 1] = at[j - 1] & ~helpers[helper - 1]
+    return Placement(parts, helpers, tuple(users))
 
 
 def deliver_scheme2(

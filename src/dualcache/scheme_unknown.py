@@ -66,8 +66,9 @@ def place_unknown(config: NetworkConfig) -> Placement:
     """Fill helper caches over helper subsets and user caches over user subsets;
     at t_p = 0 no user stores a helper-split piece."""
     (helper_keys, _), (user_keys, _) = parts = layout_unknown(config)
+    users = stored_by(user_keys, config.num_users)
     return Placement(parts, stored_by(helper_keys, config.num_helpers),
-                     stored_by(user_keys, config.num_users))
+                     tuple(bits << len(helper_keys) for bits in users))
 
 
 def deliver_unknown(

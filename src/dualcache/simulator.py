@@ -150,11 +150,11 @@ def run_end_to_end(
     laid end to end: (file - 1) * file_len + start.  Pieces have positive
     length and the segments tile the file, so a start names one (segment,
     piece key).  A cache holds the same pieces of every file, so it is a set
-    of starts, and a user knows an address when its start is cached or a
-    transmission released it.  The fixpoint records only which payload
-    released each address; the rebuild then XORs, as ints, just the
-    released pieces of the user's own file and compares each with the
-    library's piece."""
+    of starts, read from its bits over each segment's keys, and a user
+    knows an address when its start is cached or a transmission released
+    it.  The fixpoint records only which payload released each address;
+    the rebuild then XORs, as ints, just the released pieces of the user's
+    own file and compares each with the library's piece."""
     model.validate_association(config, assoc)
     segments = _resolve_segments(scheme, config, assoc)
     # (start, length) in the file of every (segment, piece key)
@@ -162,14 +162,15 @@ def run_end_to_end(
     length_at = {start: length for seg_slots in slots for start, length in seg_slots.values()}
     tiled = sum(length for seg_slots in slots for _, length in seg_slots.values()) == file_len
 
-    def starts(contents) -> set[int]:
-        """The in-file starts of one cache's pieces across all segments."""
-        return {slots[i][key][0] for i, keys in enumerate(contents) for key in keys}
+    # each segment's piece starts in key order, the order of a cache's bits
+    key_starts = [[start for start, _ in seg_slots.values()] for seg_slots in slots]
 
-    helper_cache = [
-        starts(contents)
-        for contents in zip(*(seg.placement.helper_contents for seg in segments))
-    ]
+    def starts(caches) -> set[int]:
+        """The in-file starts of one cache's pieces, from its bits in each segment."""
+        return {s for i, bits in enumerate(caches) for s in model.members(key_starts[i], bits)}
+
+    helper_cache = [starts(caches)
+                    for caches in zip(*(seg.placement.helper_bits for seg in segments))]
 
     sent = [
         [(s.file - 1) * file_len + seg_slots[s.piece][0] for s in trans.summands]
@@ -206,7 +207,7 @@ def run_end_to_end(
     private_bytes, helper_bytes, air_bytes, per_user_ok = [], [], [], []
     failure = None
     for user in range(1, config.num_users + 1):
-        private = starts(seg.placement.private_contents[user - 1] for seg in segments)
+        private = starts(seg.placement.private_bits[user - 1] for seg in segments)
         helper = helper_cache[assoc.helper_of(user) - 1]
         private_bytes.append(config.num_files * sum(length_at[s] for s in private))
         helper_bytes.append(config.num_files * sum(length_at[s] for s in helper - private))

@@ -28,6 +28,19 @@ def _private_sub(n, rho):
     return SubfileId(n, rho, None)
 
 
+def _kept_bits(placement, demand, subfiles):
+    """A SubfileId set as verify_acyclic takes it: per user, the bits (over the
+    placement's keys laid end to end) of the set's pieces of the file it wants;
+    pieces of files no user wants have no receiver and are dropped."""
+    index = {key: j for j, key in enumerate(key for keys, _ in placement.parts for key in keys)}
+    receiver = {n: user for user, n in enumerate(demand)}
+    kept = [0] * len(demand)
+    for s in subfiles:
+        if s.file in receiver:
+            kept[receiver[s.file]] |= 1 << index[s.piece]
+    return kept
+
+
 def test_positions_follow_group_order(net_4users):
     _, assoc = net_4users
     assert assoc.ordered_users() == (1, 2, 3, 4)
@@ -54,12 +67,13 @@ def test_certificate_is_tight_and_acyclic(net_4users):
 
 def test_adding_a_known_subfile_creates_a_cycle(net_4users):
     config, assoc = net_4users
-    h1, h2 = build_h(config, assoc, (1, 2, 3, 4), place_unknown(config))
-    assert verify_acyclic(config, assoc, (1, 2, 3, 4), h1 | h2, place_unknown(config))
+    placement, demand = place_unknown(config), (1, 2, 3, 4)
+    h1, h2 = build_h(config, assoc, demand, placement)
+    assert verify_acyclic(assoc, _kept_bits(placement, demand, h1 | h2), placement)
     # user 1 wants file 1 and caches W2's {1,3} piece; user 2 wants file 2
     # and caches W1's {2,3} piece, closing a 2-cycle
     poisoned = h1 | h2 | {_private_sub(2, (1, 3))}
-    assert not verify_acyclic(config, assoc, (1, 2, 3, 4), poisoned, place_unknown(config))
+    assert not verify_acyclic(assoc, _kept_bits(placement, demand, poisoned), placement)
 
 
 def test_set_sizes_match_closed_forms(net_4users):
@@ -239,7 +253,8 @@ def test_receiver_quotient_matches_subfile_graph():
                 ]
                 for subfiles in candidates:
                     expected = _subfile_graph_acyclic(config, assoc, demand, subfiles, placement)
-                    assert verify_acyclic(config, assoc, demand, subfiles, placement) == expected, (
+                    kept = _kept_bits(placement, demand, subfiles)
+                    assert verify_acyclic(assoc, kept, placement) == expected, (
                         name, config, partition, demand, sorted(map(repr, subfiles))
                     )
                     outcomes.setdefault(name, set()).add(expected)
@@ -254,14 +269,14 @@ def test_helper_only_two_cycle_is_rejected():
     assoc = build_association(config, [[1, 2], [3, 4]])
     demand = (1, 2, 3, 4)
     first, second = ((1,), ()), ((2,), ())
+    # helper 1 caches the layout's key 0 (first), helper 2 its key 1 (second)
     placement = Placement([([first, second], Fraction(1))],
-                          helper_contents=(frozenset({first}), frozenset({second})),
-                          private_contents=(frozenset(),) * 4)
+                          helper_bits=(0b01, 0b10), private_bits=(0,) * 4)
     cycle = {SubfileId(1, *second), SubfileId(3, *first)}
-    assert not verify_acyclic(config, assoc, demand, cycle, placement)
+    assert not verify_acyclic(assoc, _kept_bits(placement, demand, cycle), placement)
     assert not _subfile_graph_acyclic(config, assoc, demand, cycle, placement)
     for v in cycle:
-        assert verify_acyclic(config, assoc, demand, cycle - {v}, placement)
+        assert verify_acyclic(assoc, _kept_bits(placement, demand, cycle - {v}), placement)
 
 
 def _listed_h(config, assoc, demand):
@@ -328,7 +343,8 @@ def test_placement_read_h_bounds_every_direct_run():
                     continue
                 placement = place(config, assoc)
                 h = build_h(config, assoc, demand, placement)
-                assert verify_acyclic(config, assoc, demand, frozenset().union(*h), placement)
+                kept = _kept_bits(placement, demand, frozenset().union(*h))
+                assert verify_acyclic(assoc, kept, placement)
                 alpha = sum((Fraction(len(part) * share, len(keys))
                              for part, (keys, share) in zip(h, placement.parts) if keys),
                             Fraction(0))
