@@ -8,7 +8,10 @@ and label, every bound_report field and the scheme2 envelope_at solution
 Ms = 1, Mp from 0 to N - 1 in quarter steps, one JSON record a line.  Then,
 at every grid point where the oblivious scheme has a direct run, the
 converse certificate (|H1|, |H2|, alpha, kappa, acyclic, tight) for demand
-1..K and for its reverse.
+1..K and for its reverse.  Then, at every grid point, each scheme's mixture
+(every corner's Ms, Mp, rate, tag and params, with its weight, or null), and
+last every DecodeReport field of a few runs on N=K=4, Lambda=2, [[1, 2, 3], [4]]
+for demand 1..4 and seeds 0 and 1.
 tests/test_golden.py recomputes all of it through `outputs`; re-record only
 when an output is meant to change, and say why in the change that does it.
 """
@@ -28,6 +31,7 @@ sys.path.insert(0, str(HERE.parent))  # test_scheme_rate, when run as a script
 from dualcache import cli, converse, envelope  # noqa: E402
 from dualcache.model import InfeasibleSchemeError, NetworkConfig, build_association  # noqa: E402
 from dualcache.scheme_unknown import unknown_params  # noqa: E402
+from dualcache.simulator import run_end_to_end  # noqa: E402
 from test_scheme_rate import NETWORKS  # noqa: E402
 
 
@@ -86,6 +90,27 @@ def _certificate(config, assoc, demand) -> dict:
             "kappa": str(cert.kappa_upper), "acyclic": cert.acyclic, "tight": cert.tight}
 
 
+def _mixture(name, config, assoc):
+    mixture = envelope.scheme_mixture(name, config, assoc)
+    return None if mixture is None else [[_corner(c), _text(w)] for c, w in mixture]
+
+
+# (scheme, Ms, Mp) of the recorded decode runs: the oblivious scheme as one direct
+# run, as four corners, with only its private share and with only its helper share;
+# scheme1 at two helper quotas; scheme2 as the zero-helper corner plus a grid corner
+DECODE_NETWORK = [4, 2, [[1, 2, 3], [4]]]
+DECODE_RUNS = [("unknown", "1", "1"), ("unknown", "1/2", "1"), ("unknown", "0", "1/2"),
+               ("unknown", "1", "0"), ("scheme1", "1/2", "5/2"), ("scheme2", "1/2", "0")]
+
+
+def _decode_report(name, ms, mp, seed) -> dict:
+    n, lam, partition = DECODE_NETWORK
+    config = NetworkConfig(n, n, lam, Fraction(ms), Fraction(mp))
+    report = run_end_to_end(config, build_association(config, partition), range(1, n + 1),
+                            scheme=name, seed=seed)
+    return {field: _text(value) for field, value in vars(report).items()}
+
+
 def _grid(n: int, lam: int):
     """The half-step (Ms, Mp) configs in grid order."""
     for ms2 in range(2 * n + 1):
@@ -95,7 +120,8 @@ def _grid(n: int, lam: int):
 
 def outputs(workdir: Path) -> list[dict]:
     """Per network, one record per grid point in grid order, then its curve CSV;
-    after every network, one certificate record per direct oblivious run."""
+    after every network, one certificate record per direct oblivious run, then
+    one mixture record per grid point, then the decode reports."""
     recorded = []
     for n, lam, partition in NETWORKS:
         network = [n, lam, partition]
@@ -113,6 +139,17 @@ def outputs(workdir: Path) -> list[dict]:
                              "certify_at": [str(config.helper_mem), str(config.private_mem)],
                              "forward": _certificate(config, assoc, range(1, n + 1)),
                              "reverse": _certificate(config, assoc, range(n, 0, -1))})
+    for n, lam, partition in NETWORKS:
+        for config in _grid(n, lam):
+            assoc = build_association(config, partition)
+            recorded.append({"network": [n, lam, partition],
+                             "mixture_at": [str(config.helper_mem), str(config.private_mem)],
+                             "mixtures": {name: _mixture(name, config, assoc)
+                                          for name in envelope.SCHEMES}})
+    for name, ms, mp in DECODE_RUNS:
+        for seed in (0, 1):
+            recorded.append({"network": DECODE_NETWORK, "decode_at": [name, ms, mp, seed],
+                             "report": _decode_report(name, ms, mp, seed)})
     return recorded
 
 
