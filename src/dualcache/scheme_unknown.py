@@ -4,7 +4,9 @@ Each file is split into a helper part (fraction F1 = Ms/(Ms+Mp)) and a
 private part (F2 = Mp/(Ms+Mp)), with t_s = Lambda*(Ms+Mp)/N and
 t_p = K*(Ms+Mp)/N.  The helper part runs scheme2's helper split at
 (t_s, 0), the shared-cache scheme; the private part runs scheme1's user
-split at t_p, the dedicated-cache scheme.
+split at t_p, the dedicated-cache scheme.  These are the lattice points of
+bounds.pue_hull and bounds.man_hull at M = Ms + Mp; anywhere else each
+nonzero share is mixed along its own lattice, walked once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from . import bounds
 from .model import (
     Association,
     CornerPoint,
-    InfeasibleSchemeError,
     NetworkConfig,
     Placement,
     Transmission,
@@ -86,42 +87,31 @@ def deliver_unknown(
 
 
 def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
-    """Worst-case rate at integer split parameters for a given profile."""
-    params = unknown_params(config)
-    n, k, lam = config.num_files, config.num_users, config.num_helpers
-    rate = Fraction(0)
-    if params.f1 > 0:
-        rate += params.f1 * bounds.pue_hull(lam, n, tuple(profile))[params.t_s][1]
-    if params.f2 > 0:
-        rate += params.f2 * bounds.man_hull(k, n)[params.t_p][1]
-    return rate
+    """The direct run's worst-case rate; unknown_params raises off the integer split."""
+    unknown_params(config)
+    return rate_unknown_general(config, profile)
 
 
 def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fraction) -> list:
     """Weighted corners whose direct runs realize the scheme at config's
-    memory pair, scaled to a total of weight: one corner at integer split
-    parameters, else the helper and private shares each mixed along their
-    own cached lattice, up to four corners."""
-    m = config.total_mem
-    try:
-        rate = rate_unknown(config, profile)
+    memory pair, scaled to a total of weight.  Each nonzero share walks its
+    own cached lattice once at M = Ms + Mp (at M = 0, only the private share
+    at level 0): one direct-run corner when every walk lands on a lattice
+    point, else each share's one or two lattice points, up to four corners."""
+    n, m = config.num_files, config.total_mem
+    alpha = config.helper_mem / m if m else Fraction(0)
+    walks = []  # (share, the share's lattice walked at m, a lattice memory's corner memories)
+    if alpha > 0:
+        lattice = bounds.pue_hull(config.num_helpers, n, tuple(profile))
+        walks.append((alpha, bounds.hull_mix(lattice, m), lambda mem: (mem, Fraction(0))))
+    if alpha < 1:
+        lattice = bounds.man_hull(config.num_users, n)
+        walks.append((1 - alpha, bounds.hull_mix(lattice, m), lambda mem: (Fraction(0), mem)))
+    if all(len(mix) == 1 for _, mix, _ in walks):
+        rate = sum((share * mix[0][1] for share, mix, _ in walks), Fraction(0))
         return [(CornerPoint(config.helper_mem, config.private_mem, rate, "unknown", (m,)), weight)]
-    except InfeasibleSchemeError:
-        pass
-    n, k, lam = config.num_files, config.num_users, config.num_helpers
-    alpha = config.helper_mem / m
-    mixture = []
-    for share, lattice, memories in (
-        (alpha, bounds.pue_hull(lam, n, tuple(profile)), lambda mem: (mem, Fraction(0))),
-        (1 - alpha, bounds.man_hull(k, n), lambda mem: (Fraction(0), mem)),
-    ):
-        if share == 0:
-            continue
-        for mem, rate, w in bounds.hull_mix(lattice, m):
-            if share * w > 0:
-                corner = CornerPoint(*memories(mem), rate, "unknown", (mem,))
-                mixture.append((corner, weight * share * w))
-    return mixture
+    return [(CornerPoint(*memories(mem), rate, "unknown", (mem,)), weight * share * w)
+            for share, mix, memories in walks for mem, rate, w in mix]
 
 
 def rate_unknown_general(config: NetworkConfig, profile: Sequence[int]) -> Fraction:

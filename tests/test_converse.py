@@ -216,11 +216,14 @@ def _direct_runs(name, n, k, lam):
     """Every partition of [K] into Λ groups, paired off cyclically with the
     half-step (Ms, Mp), Ms + Mp > 0, at which scheme `name` runs directly on it."""
     every = _half_step_configs(n, k, lam)
+    gated = {}  # a gate reads the association only through its profile
     runs = []
     for partition in _set_partitions(list(range(1, k + 1)), lam):
         assoc = build_association(every[0], partition)
-        runs.append((partition, [config for config in every
-                                 if _runs_directly(name, config, assoc)]))
+        if assoc.profile not in gated:
+            gated[assoc.profile] = [config for config in every
+                                    if _runs_directly(name, config, assoc)]
+        runs.append((partition, gated[assoc.profile]))
     for i in range(max(len(runs), max(len(configs) for _, configs in runs))):
         partition, configs = runs[i % len(runs)]
         if configs:

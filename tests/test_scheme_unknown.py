@@ -1,11 +1,13 @@
+import json
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from dualcache import scheme_unknown
 from dualcache.bounds import man_rate, pue_rate
 from dualcache.combin import enumerate_ksubsets, without
-from dualcache.envelope import scheme_run
+from dualcache.envelope import scheme_rate, scheme_run
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
@@ -24,6 +26,7 @@ from dualcache.scheme_unknown import (
     unknown_params,
 )
 from dualcache.simulator import run_end_to_end
+from golden import record
 from layout_bytes import air, cache_load, piece_sizes
 from test_converse import _set_partitions
 from test_scheme_rate import NETWORKS
@@ -182,6 +185,31 @@ def test_general_rate_mixes_the_two_curves():
                 expected = (alpha * pue_rate(lam, n, m, assoc.profile)
                             + (1 - alpha) * man_rate(n, n, m))
                 assert rate_unknown_general(config, assoc.profile) == expected, config
+
+
+def test_mixture_walks_the_lattices_without_the_direct_run_gate(monkeypatch):
+    # with rate_unknown and unknown_params refusing every call, the mixture, its
+    # rate and the scheme's printed rate and label still read as recorded at
+    # every half-step point of the test_scheme_rate grids
+    def refuse(*args):
+        raise AssertionError("the mixture walks the lattices itself")
+
+    monkeypatch.setattr(scheme_unknown, "rate_unknown", refuse)
+    monkeypatch.setattr(scheme_unknown, "unknown_params", refuse)
+    records = [json.loads(line) for line in record.OUTPUTS.read_text().splitlines()]
+    printed = {(str(r["network"]), r["ms"], r["mp"]): r["scheme_rate"]["unknown"]
+               for r in records if "ms" in r}
+    mixtures = [r for r in records if "mixture_at" in r]
+    assert len(mixtures) == len(printed) == 338
+    for r in mixtures:
+        n, lam, partition = r["network"]
+        config = NetworkConfig(n, n, lam, *map(Fraction, r["mixture_at"]))
+        assoc = build_association(config, partition)
+        mixture = scheme_unknown.unknown_mixture(config, assoc.profile, Fraction(1))
+        assert [[record._corner(c), str(w)] for c, w in mixture] == r["mixtures"]["unknown"]
+        value, label = printed[(str(r["network"]), *r["mixture_at"])]
+        assert str(scheme_unknown.rate_unknown_general(config, assoc.profile)) == value
+        assert record._text(scheme_rate("unknown", config, assoc)) == [value, label]
 
 
 def test_malformed_profiles_are_rejected():
