@@ -100,7 +100,7 @@ def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fract
     point, else each share's one or two lattice points, up to four corners."""
     n, m = config.num_files, config.total_mem
     alpha = config.helper_mem / m if m else Fraction(0)
-    walks = []  # (share, the share's lattice walked at m, a lattice memory's corner memories)
+    walks = []  # (share, hull_mix of its lattice at m, a lattice memory -> the corner's (Ms, Mp))
     if alpha > 0:
         lattice = bounds.pue_hull(config.num_helpers, n, tuple(profile))
         walks.append((alpha, bounds.hull_mix(lattice, m), lambda mem: (mem, Fraction(0))))
