@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import bounds, model, scheme1, scheme2, scheme_unknown
-from .combin import binom
 from .model import Association, CertificateError, CornerPoint, InfeasibleSchemeError, NetworkConfig
 
 UNREACHABLE = "no mixture of {} runs reaches this memory pair"
@@ -87,7 +86,7 @@ def scheme2_grid(n: int, lam: int, profile: tuple[int, ...]) -> tuple[CornerPoin
 
 def scheme1_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoint]:
     """Feasible single-level corners at this fixed Ms: memory pairs (Ms, t*N/K - Ms)
-    for integer t passing the coverage and cap gates.  Their levels are t = first..K,
+    for integer t passing scheme1.corner_feasible.  Their levels are t = first..K,
     never empty: t >= L1 and t*N/K >= Ms grow with t, the cap N*C(K-L1, t-L1)/C(K, t)
     is nondecreasing (t -> t+1 multiplies it by (t+1)/(t+1-L1) >= 1) and is N at K."""
     k, n, ms = config.num_users, config.num_files, config.helper_mem
@@ -283,39 +282,6 @@ def envelope_at(
 # mixtures: weighted corners, each one direct run of its scheme
 
 
-def _scheme1_first_level(config: NetworkConfig, assoc: Association) -> int:
-    """The level of scheme1_corners(config, assoc)[0], found without listing the rest:
-    the first t >= max(L1, ceil(K*Ms/N)) under the cap, Ms*C(K, t) <= N*C(K-L1, t-L1),
-    tested in ints for Ms = a/b."""
-    k, n, l1 = config.num_users, config.num_files, assoc.largest_group
-    a, b = config.helper_mem.as_integer_ratio()
-    return next(t for t in range(max(l1, -(-k * a // (n * b))), k + 1)
-                if a * binom(k, t) <= b * n * binom(k - l1, t - l1))
-
-
-def _scheme1_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
-    """The cached dedicated-cache hull from scheme1's first feasible level, walked
-    at Ms + Mp (every dedicated-cache point is a hull vertex, so man_hull(K, N)[t]
-    is level t); a corner with fractional helper quota q = Ms*C(K,t)/N runs as two
-    corners at the same t, with quotas floor(q) and floor(q) + 1 weighted to average q."""
-    k, n = config.num_users, config.num_files
-    first = _scheme1_first_level(config, assoc)
-    mix = bounds.hull_mix(bounds.man_hull(k, n)[first:], config.total_mem)
-    if mix is None:
-        return None
-    mixture = []
-    for mem, rate, weight in mix:
-        t = int(mem * k / n)
-        unit = Fraction(n, binom(k, t))  # helper memory of one quota step
-        quota = config.helper_mem / unit
-        low = math.floor(quota)
-        for q, share in ((low, 1 - (quota - low)), (low + 1, quota - low)):
-            if share > 0:
-                corner = CornerPoint(q * unit, mem - q * unit, rate, "scheme1", (t,))
-                mixture.append((corner, weight * share))
-    return mixture
-
-
 def _solution_mixture(
     solution: EnvelopeSolution, config: NetworkConfig, assoc: Association
 ) -> list:
@@ -344,7 +310,7 @@ SCHEMES = {  # in the order of `rate --scheme all` and of the curve's columns
     "unknown": Scheme(lambda c, a: scheme_unknown.unknown_mixture(c, a.profile, Fraction(1)),
                       lambda c, a: scheme_unknown.place_unknown(c),
                       lambda c, a, d: scheme_unknown.deliver_unknown(c, a, d)),
-    "scheme1": Scheme(_scheme1_mixture, lambda c, a: scheme1.place_scheme1(c, a),
+    "scheme1": Scheme(scheme1.scheme1_mixture, lambda c, a: scheme1.place_scheme1(c, a),
                       lambda c, a, d: scheme1.deliver_scheme1(c, a, d)),
     "scheme2": Scheme(_scheme2_mixture, lambda c, a: scheme2.place_scheme2(c, a),
                       lambda c, a, d: scheme2.deliver_scheme2(c, a, d)),

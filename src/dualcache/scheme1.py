@@ -2,22 +2,26 @@
 dedicated-cache-style delivery at rate (K-t)/(t+1).
 
 Each file is split over t-subsets of users (the user split, which the
-oblivious scheme also runs).  A helper may only store subfiles covering
-the whole of its user group; the per-helper quota q is what Ms buys, and
-whatever a user's helper could not hold lands in that user's private cache.
+oblivious scheme also runs).  A helper stores only subfiles covering its
+whole user group, the quota q that Ms buys, and a user's private cache takes
+what its helper could not hold.  corner_feasible is the one coverage-and-cap
+test; scheme1_mixture walks the dedicated-cache lattice from the first level
+it passes (_first_level), running a fractional quota as two runs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import and_
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import bounds
 from .combin import binom, enumerate_ksubsets
 from .model import (
     Association,
+    CornerPoint,
     InfeasibleSchemeError,
     NetworkConfig,
     Placement,
@@ -30,18 +34,13 @@ from .model import (
 )
 
 
-def _helper_cap(k: int, n: int, largest_group: int, t: int) -> Fraction:
-    """Scheme1's helper memory cap at t: N·C(K−L1, t−L1)/C(K, t)."""
-    return Fraction(n * binom(k - largest_group, t - largest_group), binom(k, t))
-
-
 def corner_feasible(k: int, n: int, largest_group: int, t: int, helper_mem: Fraction) -> bool:
-    """Envelope-corner gate: t covers the largest group and Ms fits the cap.
-
-    Quota integrality is not required here; fractional quotas only block a
-    direct single-run placement, not a memory-sharing corner.
-    """
-    return largest_group <= t <= k and helper_mem <= _helper_cap(k, n, largest_group, t)
+    """The one coverage-and-cap test, in ints for Ms = a/b: L1 <= t <= K and Ms
+    under the helper cap N*C(K-L1, t-L1)/C(K, t).  Quota integrality is not
+    required: a fractional quota blocks a direct run, not a mixture's corner."""
+    a, b = helper_mem.as_integer_ratio()
+    return (largest_group <= t <= k
+            and a * binom(k, t) <= b * n * binom(k - largest_group, t - largest_group))
 
 
 def _integer_t(config: NetworkConfig) -> int:
@@ -56,8 +55,8 @@ def scheme1_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
     t = _integer_t(config)
     if t < l1:
         raise InfeasibleSchemeError(f"t = {t} is below the largest group size {l1}")
-    cap = _helper_cap(k, n, l1, t)
-    if config.helper_mem > cap:
+    if not corner_feasible(k, n, l1, t, config.helper_mem):
+        cap = Fraction(n * binom(k - l1, t - l1), binom(k, t))
         raise InfeasibleSchemeError(f"Ms = {config.helper_mem} exceeds the helper cap {cap}")
     return t, integral("helper quota q", config.helper_mem * binom(k, t) / n)
 
@@ -102,6 +101,36 @@ def deliver_scheme1(config: NetworkConfig, assoc: Association,
     """The user split at t over the whole file; the association plays no part."""
     d = validate_demand(config, demand)
     return user_split_delivery(d, config.num_users, _integer_t(config))
+
+
+def _first_level(config: NetworkConfig, assoc: Association) -> int:
+    """The level of envelope.scheme1_corners(config, assoc)[0], found without
+    listing the rest: the first t with t*N/K >= Ms that passes corner_feasible."""
+    k, n, ms = config.num_users, config.num_files, config.helper_mem
+    a, b = ms.as_integer_ratio()
+    return next(t for t in range(-(-k * a // (n * b)), k + 1)
+                if corner_feasible(k, n, assoc.largest_group, t, ms))
+
+
+def scheme1_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
+    """The cached dedicated-cache hull from the first feasible level, walked at
+    Ms + Mp (every dedicated-cache point is a hull vertex, so man_hull(K, N)[t]
+    is level t); a corner with fractional helper quota q runs as two corners at
+    the same t, with quotas floor(q) and floor(q) + 1 weighted to average q."""
+    k, n = config.num_users, config.num_files
+    mix = bounds.hull_mix(bounds.man_hull(k, n)[_first_level(config, assoc):], config.total_mem)
+    if mix is None:
+        return None
+    mixture = []
+    for mem, rate, weight in mix:
+        t = int(mem * k / n)
+        quota = config.helper_mem * binom(k, t) / n
+        low = math.floor(quota)
+        for q, share in ((low, 1 - (quota - low)), (low + 1, quota - low)):
+            if share > 0:
+                ms = Fraction(q * n, binom(k, t))  # a helper's memory at quota q
+                mixture.append((CornerPoint(ms, mem - ms, rate, "scheme1", (t,)), weight * share))
+    return mixture
 
 
 def rate_scheme1(config: NetworkConfig) -> Fraction:

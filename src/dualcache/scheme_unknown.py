@@ -1,17 +1,17 @@
 """Association-oblivious scheme: two-tier placement, delivery, and rate.
 
-Each file is split into a helper part (fraction F1 = Ms/(Ms+Mp)) and a
-private part (F2 = Mp/(Ms+Mp)), with t_s = Lambda*(Ms+Mp)/N and
-t_p = K*(Ms+Mp)/N.  The helper part runs scheme2's helper split at
-(t_s, 0), the shared-cache scheme; the private part runs scheme1's user
-split at t_p, the dedicated-cache scheme.  These are the lattice points of
-bounds.pue_hull and bounds.man_hull at M = Ms + Mp; anywhere else each
-nonzero share is mixed along its own lattice, walked once.
+Each file is split into a helper part F1 = Ms/(Ms+Mp) and a private part
+F2 = 1 - F1, shares that only the layout holds; the gate unknown_params
+returns only the levels t_s = Lambda*(Ms+Mp)/N and t_p = K*(Ms+Mp)/N.
+The helper part runs scheme2's helper split at (t_s, 0), the shared-cache
+scheme; the private part runs scheme1's user split at t_p, the
+dedicated-cache scheme.  These are the lattice points of bounds.pue_hull
+and bounds.man_hull at M = Ms + Mp; anywhere else each nonzero share is
+mixed along its own lattice, walked once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,37 +30,27 @@ from .scheme1 import user_split_delivery, user_split_keys
 from .scheme2 import helper_split_delivery, helper_split_keys
 
 
-@dataclass(frozen=True)
-class UnknownSchemeParams:
-    """Integer split parameters; a side is None when its memory share is zero.
-    Zero memory is the private tier at t_p = 0 (F1 = 0, F2 = 1): uncoded."""
-
-    t_s: Optional[int]
-    t_p: Optional[int]
-    f1: Fraction
-    f2: Fraction
-
-
-def unknown_params(config: NetworkConfig) -> UnknownSchemeParams:
-    """Derive (t_s, t_p, F1, F2); raises when a direct run needs memory sharing."""
-    m = config.total_mem
+def unknown_params(config: NetworkConfig) -> tuple[Optional[int], Optional[int]]:
+    """The direct run's levels (t_s, t_p), None for a zero share (at M = 0 the
+    private share runs uncoded, at t_p = 0); raises off the integer split."""
+    m, n = config.total_mem, config.num_files
     if m == 0:
-        return UnknownSchemeParams(t_s=None, t_p=0, f1=Fraction(0), f2=Fraction(1))
-    f1 = config.helper_mem / m
-    f2 = config.private_mem / m
-    t_s = integral("t_s", Fraction(config.num_helpers) * m / config.num_files) if f1 > 0 else None
-    t_p = integral("t_p", Fraction(config.num_users) * m / config.num_files) if f2 > 0 else None
-    return UnknownSchemeParams(t_s=t_s, t_p=t_p, f1=f1, f2=f2)
+        return None, 0
+    t_s = integral("t_s", Fraction(config.num_helpers) * m / n) if config.helper_mem else None
+    t_p = integral("t_p", Fraction(config.num_users) * m / n) if config.private_mem else None
+    return t_s, t_p
 
 
 def layout_unknown(config: NetworkConfig) -> list:
     """The layout's two parts: the helper split at (t_s, 0) over [0, F1), then
-    the user split at t_p over [F1, 1); no keys for a zero share, and at
-    t_p = 0 the position count does not matter."""
-    params = unknown_params(config)
-    helper = helper_split_keys(config.num_helpers, 0, params.t_s, 0) if params.f1 > 0 else []
-    user = user_split_keys(config.num_users, params.t_p) if params.f2 > 0 else []
-    return [(helper, params.f1), (user, params.f2)]
+    the user split at t_p over [F1, 1), F1 = Ms/M and F2 = 1 - F1 (F2 = 1 at
+    M = 0); no keys for a zero share, and at t_p = 0 the position count does
+    not matter."""
+    t_s, t_p = unknown_params(config)
+    f1 = config.helper_mem / config.total_mem if t_s is not None else Fraction(0)
+    helper = helper_split_keys(config.num_helpers, 0, t_s, 0) if t_s is not None else []
+    user = user_split_keys(config.num_users, t_p) if t_p is not None else []
+    return [(helper, f1), (user, 1 - f1)]
 
 
 def place_unknown(config: NetworkConfig) -> Placement:
@@ -77,12 +67,12 @@ def deliver_unknown(
 ) -> list[Transmission]:
     """The helper split at (t_s, 0) on F1, then the user split at t_p on F2."""
     d = validate_demand(config, demand)
-    params = unknown_params(config)
+    t_s, t_p = unknown_params(config)
     out: list[Transmission] = []
-    if params.f1 > 0:
-        out += helper_split_delivery(assoc, d, params.t_s, 0)
-    if params.f2 > 0:
-        out += user_split_delivery(d, config.num_users, params.t_p)
+    if t_s is not None:
+        out += helper_split_delivery(assoc, d, t_s, 0)
+    if t_p is not None:
+        out += user_split_delivery(d, config.num_users, t_p)
     return out
 
 

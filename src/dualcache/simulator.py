@@ -17,9 +17,9 @@ the payloads that can release something: first those that touch a start it
 caches or have one summand, then those holding an address just released.
 It visits them pass by pass in payload order, a later payload still in the
 same pass, so each address is released by the payload a scan of every
-payload on every pass would pick.  The rebuild then XORs only the released
-pieces of the user's own file, through the decoded summands each was built
-from, and compares them with the library's.
+payload on every pass would pick.  The rebuild walks only the keys that the
+user's caches lack and XORs each released piece of its own file through the
+decoded summands it was built from, comparing it with the library's.
 """
 
 from __future__ import annotations
@@ -149,12 +149,12 @@ def run_end_to_end(
     Inside, a piece is named by its byte address in the library, the files
     laid end to end: (file - 1) * file_len + start.  Pieces have positive
     length and the segments tile the file, so a start names one (segment,
-    piece key).  A cache holds the same pieces of every file, so it is a set
-    of starts, read from its bits over each segment's keys, and a user
-    knows an address when its start is cached or a transmission released
-    it.  The fixpoint records only which payload released each address;
-    the rebuild then XORs, as ints, just the released pieces of the user's
-    own file and compares each with the library's piece."""
+    piece key).  A cache holds the same pieces of every file; a user's two
+    caches are read once per segment as Placement.known bits over its keys,
+    and it knows an address when its start is cached or a transmission
+    released it.  The fixpoint records only which payload released each
+    address; the rebuild walks only the keys those bits lack and compares
+    each released piece of its file, rebuilt by int XORs, with the library's."""
     model.validate_association(config, assoc)
     segments = _resolve_segments(scheme, config, assoc)
     # (start, length) in the file of every (segment, piece key)
@@ -165,12 +165,11 @@ def run_end_to_end(
     # each segment's piece starts in key order, the order of a cache's bits
     key_starts = [[start for start, _ in seg_slots.values()] for seg_slots in slots]
 
-    def starts(caches) -> set[int]:
-        """The in-file starts of one cache's pieces, from its bits in each segment."""
-        return {s for i, bits in enumerate(caches) for s in model.members(key_starts[i], bits)}
+    known = [seg.placement.known(assoc) for seg in segments]  # per segment, per user
 
-    helper_cache = [starts(caches)
-                    for caches in zip(*(seg.placement.helper_bits for seg in segments))]
+    def starts(caches) -> list[int]:
+        """The in-file starts of one cache's pieces, from its bits in each segment."""
+        return [s for i, bits in enumerate(caches) for s in model.members(key_starts[i], bits)]
 
     sent = [
         [(s.file - 1) * file_len + seg_slots[s.piece][0] for s in trans.summands]
@@ -207,11 +206,12 @@ def run_end_to_end(
     private_bytes, helper_bytes, air_bytes, per_user_ok = [], [], [], []
     failure = None
     for user in range(1, config.num_users + 1):
-        private = starts(seg.placement.private_bits[user - 1] for seg in segments)
-        helper = helper_cache[assoc.helper_of(user) - 1]
-        private_bytes.append(config.num_files * sum(length_at[s] for s in private))
-        helper_bytes.append(config.num_files * sum(length_at[s] for s in helper - private))
-        cached = private | helper
+        mine = [bits[user - 1] for bits in known]
+        private = [seg.placement.private_bits[user - 1] for seg in segments]
+        private_bytes.append(config.num_files * sum(length_at[s] for s in starts(private)))
+        helper_bytes.append(config.num_files * sum(
+            length_at[s] for s in starts(bits & ~own for bits, own in zip(mine, private))))
+        cached = set(starts(mine))
         released: dict[int, int] = {}  # address -> index of the payload that released it
         # one pass pops its payloads in index order; a payload holding an
         # address released at j joins this pass above j, the next one below
@@ -238,10 +238,9 @@ def run_end_to_end(
         user_ok = True
         intact = tiled
         for i, seg in enumerate(segments):
-            for key, (start, _) in slots[i].items():
+            lacked = ((1 << len(key_starts[i])) - 1) & ~mine[i]
+            for key, start in model.members(zip(slots[i], key_starts[i]), lacked):
                 address = file_base + start
-                if start in cached:
-                    continue
                 if address not in released:
                     user_ok = False
                     if failure is None:

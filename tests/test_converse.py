@@ -288,19 +288,19 @@ def _listed_h(config, assoc, demand):
     c, keeps the helper subsets avoiding helpers 1..c and the user subsets
     avoiding the first p ordered users."""
     d = tuple(demand)
-    params = unknown_params(config)
+    t_s, t_p = unknown_params(config)
     k, lam = config.num_users, config.num_helpers
     ordered = assoc.ordered_users()
     h1 = frozenset(
         SubfileId(d[user - 1], tau, ())
         for user in range(1, k + 1)
-        for tau in combinations(range(assoc.helper_of(user) + 1, lam + 1), params.t_s)
-    ) if params.f1 > 0 else frozenset()
+        for tau in combinations(range(assoc.helper_of(user) + 1, lam + 1), t_s)
+    ) if t_s is not None else frozenset()
     h2 = frozenset(
         SubfileId(d[user - 1], rho, None)
         for p, user in enumerate(ordered)
-        for rho in combinations(sorted(ordered[p + 1:]), params.t_p)
-    ) if params.f2 > 0 else frozenset()
+        for rho in combinations(sorted(ordered[p + 1:]), t_p)
+    ) if t_p is not None else frozenset()
     return h1, h2
 
 

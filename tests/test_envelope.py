@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualcache import envelope, scheme2
+from dualcache import envelope, scheme1, scheme2
 from dualcache.bounds import (
     hull_mix,
     lower_convex_points,
@@ -561,7 +561,7 @@ def test_scheme1_first_level_is_the_first_corners_level():
                for partition, configs in _benchmark_sweeps() for config in configs]
     for config, partition in points:
         assoc = build_association(config, partition)
-        first = envelope._scheme1_first_level(config, assoc)
+        first = scheme1._first_level(config, assoc)
         assert first == scheme1_corners(config, assoc)[0].params[0], config
 
 

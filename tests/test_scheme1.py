@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from dualcache.bounds import man_rate
-from dualcache.combin import enumerate_ksubsets
+from dualcache.combin import binom, enumerate_ksubsets
 from dualcache.model import (
     InfeasibleSchemeError,
     NetworkConfig,
@@ -127,6 +128,24 @@ def test_large_network_feasibility_windows(l1, ms, lo, hi):
         t for t in range(21) if corner_feasible(20, 20, l1, t, Fraction(ms))
     ]
     assert feasible == list(range(lo, hi + 1))
+
+
+def _fraction_cap(k, n, l1, t):
+    """The reference helper cap at t, in Fractions: N·C(K−L1, t−L1)/C(K, t)."""
+    return Fraction(n * binom(k - l1, t - l1), binom(k, t))
+
+
+def test_corner_gate_matches_the_fraction_cap():
+    # N = K <= 10, every L1 and t, Ms in quarter steps over [0, N], and Ms at
+    # the cap and a quarter above it, where an int rewrite of the cap
+    # inequality would slip (below L1 the reference cap is 0 and never read)
+    quarter = Fraction(1, 4)
+    for k in range(1, 11):
+        for l1, t in product(range(1, k + 1), range(k + 1)):
+            cap = _fraction_cap(k, k, l1, t)
+            for ms in [*(i * quarter for i in range(4 * k + 1)), cap, cap + quarter]:
+                expected = l1 <= t and ms <= cap
+                assert corner_feasible(k, k, l1, t, ms) == expected, (k, l1, t, ms)
 
 
 def test_corner_gate_ignores_quota_integrality():

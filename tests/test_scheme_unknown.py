@@ -63,9 +63,8 @@ def pue_reference_transmissions(assoc, t_s, demand):
 
 def test_params_split_evenly(net_4users):
     config, _ = net_4users
-    params = unknown_params(config)
-    assert (params.t_s, params.t_p) == (1, 2)
-    assert params.f1 == params.f2 == Fraction(1, 2)
+    assert unknown_params(config) == (1, 2)
+    assert [share for _, share in layout_unknown(config)] == [Fraction(1, 2)] * 2
 
 
 def test_params_reject_fractional_levels():
@@ -160,11 +159,9 @@ def test_uniform_association_tier1_closed_form():
     # (K/Lam) * (Lam - t_s) / (t_s + 1)
     config = NetworkConfig(8, 8, 4, Fraction(2), Fraction(2))
     assoc = build_association(config, [[1, 2], [3, 4], [5, 6], [7, 8]])
-    params = unknown_params(config)
-    t_s, t_p = params.t_s, params.t_p
-    expected = params.f1 * Fraction(2 * (4 - t_s), t_s + 1) + params.f2 * Fraction(
-        8 - t_p, t_p + 1
-    )
+    t_s, t_p = unknown_params(config)
+    (_, f1), (_, f2) = layout_unknown(config)
+    expected = f1 * Fraction(2 * (4 - t_s), t_s + 1) + f2 * Fraction(8 - t_p, t_p + 1)
     assert rate_unknown(config, assoc.profile) == expected
 
 
