@@ -9,7 +9,7 @@ the canonical order used throughout is lexicographic on those tuples.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 
 def binom(n: int, k: int) -> int:
@@ -24,6 +24,19 @@ def enumerate_ksubsets(n: int, k: int) -> list[tuple[int, ...]]:
     if k < 0 or k > n:
         return []
     return list(combinations(range(1, n + 1), k))
+
+
+def member_bits(n: int, t: int) -> tuple[int, ...]:
+    """Per element i of [1..n], as bits over the lexicographic t-subsets of [1..n], those
+    holding i.  The C(m-1, s-1) s-subsets of [1..m] holding 1 come first (1's bits), then
+    i's are i-1's over [1..m-1] at s-1 OR i-1's at s shifted past them; built up in m."""
+    rows = {}  # by s >= 1, over [1..m]; a missing row holds no bits
+    for m in range(1, n + 1):
+        rows = {s: [(1 << (first := math.comb(m - 1, s - 1))) - 1] + [
+                    low | high << first
+                    for low, high in zip_longest(rows.get(s - 1, ()), rows.get(s, ()), fillvalue=0)]
+                for s in range(max(1, t - n + m), min(t, m) + 1)}
+    return tuple(rows.get(t, [0] * n))
 
 
 def without(subset: tuple[int, ...], element: int) -> tuple[int, ...]:

@@ -7,9 +7,9 @@ user by user, the pieces of its file no cache of it or of an earlier user holds 
 Tuninetti and Piantanida, ITW 2016): no cache holds a piece kept for its user or a
 later one, so every edge points back and any uncoded placement gives an acyclic set.
 
-Caches are ints over the layout's keys (model.Placement), so the walk is one
-`rest &= ~cache` per user, alpha is a bit count per part, and the acyclicity check
-is K^2 `&` tests; H's pieces become SubfileIds only when a caller iterates H.
+Caches are ints over the layout's keys, read from its splits (model.Split) with no key
+listed, so the walk is one `rest &= ~cache` per user, alpha is a bit count per part, and
+the acyclicity check is K^2 `&` tests; keys are listed only when a caller iterates H.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def certify(
 ) -> ConverseCertificate:
     """Match the size of H, in pieces of share / len(keys) each, against the achieved rate."""
     validate_association(config, assoc)
-    placement = place_unknown(config)  # H is drawn from its keys, which passed the size gate
+    placement = place_unknown(config)  # its splits passed the size gate; no key is listed
     h = build_h(config, assoc, demand, placement)
     alpha = sum((Fraction(len(part) * share, len(keys))
                  for part, (keys, share) in zip(h, placement.parts) if keys), Fraction(0))

@@ -8,13 +8,16 @@ output.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, product, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+from .combin import binom, enumerate_ksubsets, member_bits, unrank_ksubset
 
 
 class ConfigError(ValueError):
@@ -40,8 +43,8 @@ def integral(name: str, value: Fraction) -> int:
 
 
 def check_pieces(label: str, count: int) -> None:
-    """The size gate a split passes before listing its keys: each piece takes
-    at least a byte, so more than FILE_LEN_CAP pieces per file never fit."""
+    """The size gate every Split passes when it is made: each piece takes at
+    least a byte, so more than FILE_LEN_CAP pieces per file never fit."""
     if count > FILE_LEN_CAP:
         raise InfeasibleSchemeError(f"{label} = {count} pieces per file exceed the file "
                                     f"length cap {FILE_LEN_CAP}; pick a coarser grid point")
@@ -214,16 +217,46 @@ class SubfileId(NamedTuple):
         return (self.idx_a, self.idx_b)
 
 
-def stored_by(keys: Sequence[tuple], n: int, field: int = 0) -> tuple[int, ...]:
-    """Per cache i in [1..n], as bits (bit j is keys[j]), the keys whose
-    key[field] holds i: one row of digits per cache, read as an int once."""
-    rows = [bytearray(b"0" * len(keys)) for _ in range(n)]
-    digit = len(keys)  # keys[0] is a row's last digit, bit 0
-    for key in keys:
-        digit -= 1
-        for i in key[field]:
-            rows[i - 1][digit] = 49  # ord("1")
-    return tuple(int(row, 2) if row else 0 for row in rows)
+@dataclass(frozen=True, init=False)
+class Split(Sequence):
+    """A layout part's piece keys in lexicographic order, held as levels and never
+    listed: the user split Split((n, t)) keys (rho, None) by t-subsets of [n], the
+    helper split Split((lam, t_s), (l1, t_p)) keys (tau, rho) by their product.
+    len is the piece count, size-gated when made; key j is unranked via combin."""
+
+    levels: tuple[tuple[int, int], ...]
+
+    def __init__(self, *levels: tuple[int, int]) -> None:
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "count", math.prod(binom(n, t) for n, t in levels))
+        check_pieces(" * ".join(f"C({n}, {t})" for n, t in levels), self.count)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[tuple]:
+        lists = [enumerate_ksubsets(n, t) for n, t in self.levels]
+        return product(*lists) if len(lists) == 2 else zip(*lists, repeat(None))
+
+    def __getitem__(self, j: int) -> tuple:
+        if not -len(self) <= j < len(self):
+            raise IndexError(f"key {j} out of range for {self}")
+        j %= len(self)
+        ranks = divmod(j, binom(*self.levels[1])) if len(self.levels) == 2 else (j,)
+        key = [unrank_ksubset(n, t, rank) for (n, t), rank in zip(self.levels, ranks)]
+        return (*key, None)[:2]  # the user split's key is (rho, None)
+
+    def bits(self, field: int = 0) -> tuple[int, ...]:
+        """Per element i of field's ground set, as bits over the keys (bit j is key
+        j), the keys whose key[field] holds i: member_bits at that field's levels,
+        each bit spread over the later field and the whole tiled over the earlier."""
+        (n, t), size = self.levels[field], binom(*self.levels[field])
+        if len(self) == size:  # no other field to spread or tile over
+            return member_bits(n, t)
+        tiles, later = (binom(*self.levels[0]), 1) if field else (1, len(self) // size)
+        spread = {48: "0" * later, 49: "1" * later}  # ord("0"), ord("1")
+        return tuple(int(format(bits, f"0{size}b").translate(spread) * tiles, 2)
+                     for bits in member_bits(n, t))
 
 
 _SELECT = bytes.maketrans(b"01", b"\0\1")
@@ -263,10 +296,9 @@ class BitSet(Set):
 
 def tile(*parts: tuple[Sequence, Fraction]) -> dict:
     """The per-piece view of a layout, key -> (offset, size) in one unit
-    file.  A layout is its parts (keys, share), laid end to end, each cut
+    file.  A layout is its parts (split, share), laid end to end, each cut
     into equal pieces over its keys; the simulator reads the parts."""
-    extents: dict = {}
-    base = Fraction(0)
+    extents, base = {}, Fraction(0)
     for keys, share in parts:
         if keys:
             size = Fraction(share, len(keys))
@@ -291,7 +323,7 @@ class Transmission:
 
 @dataclass(frozen=True)
 class Placement:
-    """A scheme's layout, its (keys, share) parts, and every helper's and
+    """A scheme's layout, its (split, share) parts, and every helper's and
     every user's cache as one int over the layout's keys laid end to end:
     bit j is the j-th key across all parts.  Placement is uncoded and the
     same for every file, so a key stands for that piece of every file."""

@@ -25,11 +25,10 @@ from .model import (
     InfeasibleSchemeError,
     NetworkConfig,
     Placement,
+    Split,
     SubfileId,
     Transmission,
-    check_pieces,
     integral,
-    stored_by,
     validate_demand,
 )
 
@@ -61,12 +60,6 @@ def scheme1_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
     return t, integral("helper quota q", config.helper_mem * binom(k, t) / n)
 
 
-def user_split_keys(k: int, t: int) -> list[tuple]:
-    """User-split piece keys (rho, None), rho a t-subset of [K], in lexicographic order."""
-    check_pieces(f"C({k}, {t})", binom(k, t))
-    return [(rho, None) for rho in enumerate_ksubsets(k, t)]
-
-
 def user_split_delivery(demand: Sequence[int], k: int, t: int) -> list:
     """One XOR per (t+1)-subset S of users, exactly the dedicated-cache delivery."""
     out = []
@@ -88,8 +81,7 @@ def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     users absorb the rest of their own subsets."""
     q = scheme1_params(config, assoc)[1]
     (keys, _), = parts = layout_scheme1(config)
-    own = stored_by(keys, config.num_users)
-    every = (1 << len(keys)) - 1
+    own, every = keys.bits(), (1 << len(keys)) - 1
     helpers = tuple(_lowest(reduce(and_, (own[u - 1] for u in group), every), q)
                     for group in assoc.groups)
     users = tuple(bits & ~helpers[h - 1] for bits, h in zip(own, assoc.cache_of))
@@ -138,5 +130,5 @@ def rate_scheme1(config: NetworkConfig) -> Fraction:
 
 
 def layout_scheme1(config: NetworkConfig) -> list:
-    """The layout's one part: the whole file over the t-subset keys."""
-    return [(user_split_keys(config.num_users, _integer_t(config)), 1)]
+    """The layout's one part: the whole file over the user split at t."""
+    return [(Split((config.num_users, _integer_t(config))), 1)]

@@ -20,11 +20,10 @@ from .model import (
     InfeasibleSchemeError,
     NetworkConfig,
     Placement,
+    Split,
     SubfileId,
     Transmission,
-    check_pieces,
     integral,
-    stored_by,
     validate_demand,
 )
 
@@ -41,14 +40,6 @@ def scheme2_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
     if config.helper_mem == n:
         return t_s, 0
     return t_s, integral("t_p", assoc.largest_group * config.private_mem / (n - config.helper_mem))
-
-
-def helper_split_keys(lam: int, l1: int, t_s: int, t_p: int) -> list[tuple]:
-    """Helper-split piece keys (tau, rho), tau a t_s-subset of [Lambda] and
-    rho a t_p-subset of [L1], in lexicographic (tau, rho) order."""
-    check_pieces(f"C({lam}, {t_s}) * C({l1}, {t_p})", binom(lam, t_s) * binom(l1, t_p))
-    rhos = enumerate_ksubsets(l1, t_p)
-    return [(tau, rho) for tau in enumerate_ksubsets(lam, t_s) for rho in rhos]
 
 
 def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> list:
@@ -75,13 +66,10 @@ def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
     """A helper stores the keys whose tau holds it; the j-th user of a
     helper outside tau stores those whose rho holds j."""
     (keys, _), = parts = layout_scheme2(config, assoc)
-    helpers = stored_by(keys, config.num_helpers)
-    at = stored_by(keys, assoc.largest_group, field=1)  # per position j, the keys whose rho holds j
-    users = [0] * config.num_users
-    for helper, group in enumerate(assoc.groups, start=1):
-        for j, user in enumerate(group, start=1):
-            users[user - 1] = at[j - 1] & ~helpers[helper - 1]
-    return Placement(parts, helpers, tuple(users))
+    helpers, at = keys.bits(), keys.bits(1)  # at: per position j, the keys whose rho holds j
+    users = tuple(at[assoc.groups[h - 1].index(user)] & ~helpers[h - 1]
+                  for user, h in enumerate(assoc.cache_of, start=1))
+    return Placement(parts, helpers, users)
 
 
 def deliver_scheme2(
@@ -107,6 +95,6 @@ def rate_scheme2(config: NetworkConfig, assoc: Association) -> Fraction:
 
 
 def layout_scheme2(config: NetworkConfig, assoc: Association) -> list:
-    """The layout's one part: the whole file over the (tau, rho) grid."""
+    """The layout's one part: the whole file over the helper split at (t_s, t_p)."""
     t_s, t_p = scheme2_params(config, assoc)
-    return [(helper_split_keys(config.num_helpers, assoc.largest_group, t_s, t_p), 1)]
+    return [(Split((config.num_helpers, t_s), (assoc.largest_group, t_p)), 1)]

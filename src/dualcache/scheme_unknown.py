@@ -21,13 +21,13 @@ from .model import (
     CornerPoint,
     NetworkConfig,
     Placement,
+    Split,
     Transmission,
     integral,
-    stored_by,
     validate_demand,
 )
-from .scheme1 import user_split_delivery, user_split_keys
-from .scheme2 import helper_split_delivery, helper_split_keys
+from .scheme1 import user_split_delivery
+from .scheme2 import helper_split_delivery
 
 
 def unknown_params(config: NetworkConfig) -> tuple[Optional[int], Optional[int]]:
@@ -48,18 +48,18 @@ def layout_unknown(config: NetworkConfig) -> list:
     not matter."""
     t_s, t_p = unknown_params(config)
     f1 = config.helper_mem / config.total_mem if t_s is not None else Fraction(0)
-    helper = helper_split_keys(config.num_helpers, 0, t_s, 0) if t_s is not None else []
-    user = user_split_keys(config.num_users, t_p) if t_p is not None else []
+    helper = Split((config.num_helpers, t_s), (0, 0)) if t_s is not None else []
+    user = Split((config.num_users, t_p)) if t_p is not None else []
     return [(helper, f1), (user, 1 - f1)]
 
 
 def place_unknown(config: NetworkConfig) -> Placement:
     """Fill helper caches over helper subsets and user caches over user subsets;
     at t_p = 0 no user stores a helper-split piece."""
-    (helper_keys, _), (user_keys, _) = parts = layout_unknown(config)
-    users = stored_by(user_keys, config.num_users)
-    return Placement(parts, stored_by(helper_keys, config.num_helpers),
-                     tuple(bits << len(helper_keys) for bits in users))
+    (helper, _), (user, _) = parts = layout_unknown(config)
+    users = user.bits() if user else (0,) * config.num_users
+    return Placement(parts, helper.bits() if helper else (0,) * config.num_helpers,
+                     tuple(bits << len(helper) for bits in users))
 
 
 def deliver_unknown(

@@ -3,12 +3,12 @@ payloads, and check that every user reconstructs its demanded file.
 
 A run is a list of weighted segments; each covers a contiguous slice of every
 file and runs the scheme its tag names in envelope.SCHEMES.  A segment's
-layout is its parts, (keys, share) laid end to end and each cut into equal
-pieces, and one pass turns the parts of every segment into bytes.  A piece is
-held as one int, its bytes being that int's big-endian bytes, and a payload
-is the int XOR of its summands.  Only the pieces some payload carries are
-ever read, so only they are drawn: random.Random(seed).getrandbits(8 * length)
-for each, in order of file, then start.
+layout is its parts, (split, share) laid end to end and each cut into equal
+pieces; one pass turns the parts of every segment into bytes, and is the only
+place a run lists a split's keys.  A piece is held as one int, its bytes being
+that int's big-endian bytes, and a payload is the int XOR of its summands.
+Only the pieces some payload carries are ever read, so only they are drawn:
+random.Random(seed).getrandbits(8 * length) for each, in order of file, then start.
 Decoding is a fixpoint over piece addresses only: a transmission releases
 its one unknown summand to any user that already holds the rest, and the
 user records which payload released it.  Two indexes built once per run,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualcache import combin, model, scheme1, scheme2, simulator
+from dualcache import combin, converse, model, scheme1, scheme2, simulator
 from dualcache.envelope import (
     SCHEMES, envelope_at, materialize_shared_placement, scheme2_corners, scheme_run,
 )
@@ -34,29 +34,38 @@ def test_minimal_file_length(net_4users, net_6users_two_level):
     assert choose_file_len([seg2]) == 9
 
 
-def test_each_split_is_listed_once_per_segment(monkeypatch, net_6users_deep,
-                                              net_6users_two_level):
-    # a segment's placement carries the layout it listed, so building it
-    # lists each key class once; the two levels of scheme2's split at
-    # (t_s, t_p) = (1, 1) over Lambda = L1 = 3 are both C(3, 1)
+def test_placing_a_segment_lists_no_key(monkeypatch, net_6users_deep, net_6users_two_level):
+    # a segment's placement holds its splits as levels and reads every cache's
+    # bits from them, and the converse reads only those bits, so neither lists
+    # a subset nor iterates or indexes a split; scheme2's split at
+    # (t_s, t_p) = (1, 1) over Lambda = L1 = 3 has both levels C(3, 1)
     listed = Counter()
 
-    def spy(n, k):
-        listed[n, k] += 1
-        return combin.enumerate_ksubsets(n, k)
+    def spy(name, original):
+        def wrapper(*args):
+            listed[name] += 1
+            return original(*args)
+        return wrapper
 
-    for module in (scheme1, scheme2):
-        monkeypatch.setattr(module, "enumerate_ksubsets", spy)
+    for module in (model, scheme1, scheme2):
+        monkeypatch.setattr(module, "enumerate_ksubsets",
+                            spy("enumerate_ksubsets", combin.enumerate_ksubsets))
+    for method in ("__iter__", "__getitem__"):
+        monkeypatch.setattr(model.Split, method, spy(method, getattr(model.Split, method)))
     config = NetworkConfig(16, 16, 4, Fraction(4), Fraction(4))
     contiguous = (config, build_association(config, [range(g, g + 4) for g in (1, 5, 9, 13)]))
     for tag, network, expected in (
-        ("unknown", contiguous, {(16, 8): 1, (4, 2): 1, (0, 0): 1}),
-        ("scheme1", net_6users_deep, {(6, 4): 1}),
-        ("scheme2", net_6users_two_level, {(3, 1): 2}),
+        ("unknown", contiguous, [model.Split((4, 2), (0, 0)), model.Split((16, 8))]),
+        ("scheme1", net_6users_deep, [model.Split((6, 4))]),
+        ("scheme2", net_6users_two_level, [model.Split((3, 1), (3, 1))]),
     ):
-        listed.clear()
-        build_segment(tag, *network, Fraction(1))
-        assert listed == expected, tag
+        seg = build_segment(tag, *network, Fraction(1))
+        assert [keys for keys, _ in seg.placement.parts] == expected, tag
+        assert listed == Counter(), tag
+    cert = converse.certify(*contiguous, range(1, 17))
+    assert (len(cert.h1), len(cert.h2), cert.alpha_lower, cert.tight) == \
+        (16, 11440, Fraction(16, 9), True)
+    assert listed == Counter()
 
 
 def test_file_length_for_mixtures(net_4users):
