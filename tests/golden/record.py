@@ -11,7 +11,8 @@ converse certificate (|H1|, |H2|, alpha, kappa, acyclic, tight) for demand
 1..K and for its reverse.  Then, at every grid point, each scheme's mixture
 (every corner's Ms, Mp, rate, tag and params, with its weight, or null), and
 last every DecodeReport field of a few runs on N=K=4, Lambda=2, [[1, 2, 3], [4]]
-for demand 1..4 and seeds 0 and 1.
+for demand 1..4 and seeds 0 and 1, and of three runs on N=K=12, Lambda=4 with
+contiguous groups for demand 1..12 and seed 0.
 tests/test_golden.py recomputes all of it through `outputs`; re-record only
 when an output is meant to change, and say why in the change that does it.
 """
@@ -22,6 +23,7 @@ import json
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -101,10 +103,21 @@ def _mixture(name, config, assoc):
 DECODE_NETWORK = [4, 2, [[1, 2, 3], [4]]]
 DECODE_RUNS = [("unknown", "1", "1"), ("unknown", "1/2", "1"), ("unknown", "0", "1/2"),
                ("unknown", "1", "0"), ("scheme1", "1/2", "5/2"), ("scheme2", "1/2", "0")]
+# (group sizes, scheme, Ms, Mp) of the N=K=12, Lambda=4 runs at seed 0, thousands of
+# pieces per file: the oblivious four-corner mixture and the scheme2 envelope over
+# [6, 3, 2, 1], and scheme1 at its helper cap over [3, 3, 3, 3]
+DECODE_K12 = [((6, 3, 2, 1), "unknown", "3/2", "5/2"), ((6, 3, 2, 1), "scheme2", "3/2", "5/2"),
+              ((3, 3, 3, 3), "scheme1", "12/11", "54/11")]
 
 
-def _decode_report(name, ms, mp, seed) -> dict:
-    n, lam, partition = DECODE_NETWORK
+def _contiguous(sizes) -> list[list[int]]:
+    """Groups of these sizes over users 1..K in order."""
+    ends = accumulate(sizes)
+    return [list(range(end - size + 1, end + 1)) for size, end in zip(sizes, ends)]
+
+
+def _decode_report(network, name, ms, mp, seed) -> dict:
+    n, lam, partition = network
     config = NetworkConfig(n, n, lam, Fraction(ms), Fraction(mp))
     report = run_end_to_end(config, build_association(config, partition), range(1, n + 1),
                             scheme=name, seed=seed)
@@ -149,7 +162,11 @@ def outputs(workdir: Path) -> list[dict]:
     for name, ms, mp in DECODE_RUNS:
         for seed in (0, 1):
             recorded.append({"network": DECODE_NETWORK, "decode_at": [name, ms, mp, seed],
-                             "report": _decode_report(name, ms, mp, seed)})
+                             "report": _decode_report(DECODE_NETWORK, name, ms, mp, seed)})
+    for sizes, name, ms, mp in DECODE_K12:
+        network = [12, 4, _contiguous(sizes)]
+        recorded.append({"network": network, "decode_at": [name, ms, mp, 0],
+                         "report": _decode_report(network, name, ms, mp, 0)})
     return recorded
 
 
