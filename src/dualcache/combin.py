@@ -9,7 +9,9 @@ the canonical order used throughout is lexicographic on those tuples.
 from __future__ import annotations
 
 import math
-from itertools import combinations, zip_longest
+from itertools import accumulate, combinations, zip_longest
+from operator import getitem, sub
+from typing import Iterator
 
 
 def binom(n: int, k: int) -> int:
@@ -37,6 +39,19 @@ def member_bits(n: int, t: int) -> tuple[int, ...]:
                     for low, high in zip_longest(rows.get(s - 1, ()), rows.get(s, ()), fillvalue=0)]
                 for s in range(max(1, t - n + m), min(t, m) + 1)}
     return tuple(rows.get(t, [0] * n))
+
+
+def drop_ranks(n: int, t: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each (t+1)-subset S of [1..n] in lexicographic order, with the rank of S minus u
+    among the t-subsets for each u in S, in O(t) per S: rank(R) = C(n, t) - 1 - the sum of
+    C(n - R[i], t - i + 1) over 1-based i, as a prefix sum before u and a suffix after."""
+    before = [[math.comb(n - e, t - i) for e in range(n + 1)] for i in range(t + 1)]
+    after = [[math.comb(n - e, t - i + 1) for e in range(n + 1)] for i in range(t, -1, -1)]
+    top = math.comb(n, t) - 1
+    for s in combinations(range(1, n + 1), t + 1):
+        heads = accumulate(map(getitem, before, s), sub, initial=top)
+        tails = [*accumulate(map(getitem, after, reversed(s)), initial=0)]
+        yield s, [*map(sub, heads, tails[-2::-1])]
 
 
 def without(subset: tuple[int, ...], element: int) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .model import (Association, BitSet, NetworkConfig, Placement, validate_association,
                     validate_demand)
@@ -34,19 +34,24 @@ class ConverseCertificate:
     tight: bool
 
 
-def build_h(
-    config: NetworkConfig, assoc: Association, demand: Sequence[int], placement: Placement
-) -> tuple[BitSet, ...]:
-    """The acyclic set, one view per layout part: walking assoc.ordered_users(),
-    each user keeps, labelled with its file, the keys no cache of it or of an earlier
-    user holds; its caches hold none kept for it or a later user, so H is acyclic.
-    Per user in 1..K, a part's view holds the walk's int as that user left it."""
-    d = validate_demand(config, demand)
-    known = placement.known(assoc)
-    rest = (1 << sum(len(keys) for keys, _ in placement.parts)) - 1
-    kept = [0] * config.num_users
+def walk(assoc: Association, known: Sequence[int], placement: Placement) -> list[int]:
+    """Per user in 1..K, the keys it keeps as bits: walking assoc.ordered_users(), those
+    no cache (known, per user) of it or of an earlier user holds."""
+    kept, rest = [0] * assoc.num_users, (1 << sum(len(keys) for keys, _ in placement.parts)) - 1
     for user in assoc.ordered_users():
         rest = kept[user - 1] = rest & ~known[user - 1]
+    return kept
+
+
+def build_h(
+    config: NetworkConfig, assoc: Association, demand: Sequence[int], placement: Placement,
+    kept: Optional[Sequence[int]] = None,
+) -> tuple[BitSet, ...]:
+    """The acyclic set, one view per layout part: per user in 1..K, labelled with its
+    file, the walk's kept bits (walked here unless given).  Its caches hold none kept
+    for it or a later user, so H is acyclic."""
+    d = validate_demand(config, demand)
+    kept = walk(assoc, placement.known(assoc), placement) if kept is None else kept
     h, low = [], 1
     for keys, _ in placement.parts:
         high = low << len(keys)
@@ -55,17 +60,17 @@ def build_h(
     return tuple(h)
 
 
-def verify_acyclic(assoc: Association, kept: Sequence[int], placement: Placement) -> bool:
-    """Whether the side-information digraph the placement induces on a set of wanted
-    pieces is acyclic, where kept[u - 1] holds the set's pieces of user u's file as
-    bits over the layout's keys.  A wanted piece points to every set member its
-    receiver caches.  Demands are distinct, so all pieces a user wants and lacks share
-    their out-neighbours, and the digraph is acyclic exactly when its quotient on users
-    is: u -> u' when u's two caches, one int, meet what u' still wants (K^2 `&` tests).
-    """
-    known = placement.known(assoc)  # users 0..K-1 from here on
+def verify_acyclic(kept: Sequence[int], known: Sequence[int]) -> bool:
+    """Whether the side-information digraph a placement induces on a set of wanted
+    pieces is acyclic, where kept[u - 1] holds the set's pieces of user u's file and
+    known[u - 1] user u's two caches, as bits over the layout's keys.  A wanted piece
+    points to every set member its receiver caches.  Demands are distinct, so all
+    pieces a user wants and lacks share their out-neighbours, and the digraph is
+    acyclic exactly when its quotient on users is: u -> u' when u's caches meet what
+    u' still wants (K^2 `&` tests).  Users are 0..K-1 here; bits that miss their
+    user's caches, as a walk's do, are not copied."""
     wanted = {u: lacked for u, (bits, cache) in enumerate(zip(kept, known))
-              if (lacked := bits & ~cache)}
+              if (lacked := bits & ~cache if bits & cache else bits)}
     edges = {u: {w for w, bits in wanted.items() if cache & bits} for u, cache in enumerate(known)}
     try:
         TopologicalSorter(edges).prepare()  # raises on any cycle
@@ -80,13 +85,14 @@ def certify(
     """Match the size of H, in pieces of share / len(keys) each, against the achieved rate."""
     validate_association(config, assoc)
     placement = place_unknown(config)  # its splits passed the size gate; no key is listed
-    h = build_h(config, assoc, demand, placement)
+    known = placement.known(assoc)
+    kept = walk(assoc, known, placement)
+    acyclic = verify_acyclic(kept, known)
+    del known  # before H's views are cut from kept, so the two never peak together
+    h = build_h(config, assoc, demand, placement, kept)
     alpha = sum((Fraction(len(part) * share, len(keys))
                  for part, (keys, share) in zip(h, placement.parts) if keys), Fraction(0))
     kappa = rate_unknown(config, assoc.profile)
-    # a user's kept bits are its rows across the parts, which are disjoint
-    kept = [sum(bits for _, bits in rows) for rows in zip(*(part.rows for part in h))]
-    acyclic = verify_acyclic(assoc, kept, placement)
     return ConverseCertificate(
         h1=h[0],  # the fields name the oblivious layout's two parts
         h2=h[1],

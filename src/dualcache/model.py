@@ -133,10 +133,6 @@ class Association:
     def helper_of(self, user: int) -> int:
         return self.cache_of[user - 1]
 
-    def user_at(self, helper: int, position: int) -> int:
-        """The position-th listed user of an internal helper (both 1-based)."""
-        return self.groups[helper - 1][position - 1]
-
     def ordered_users(self) -> tuple[int, ...]:
         """Users listed group by group in internal helper order."""
         return tuple(u for group in self.groups for u in group)
@@ -262,9 +258,14 @@ class Split(Sequence):
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
+def flags(bits: int, width: int = 0) -> bytes:
+    """One byte per bit of bits, 1 where set, bit j at index j, zero-padded to width."""
+    return format(bits, f"0{width}b")[::-1].encode().translate(_SELECT)
+
+
 def members(items: Iterable, bits: int) -> Iterator:
     """The items that bits selects, in order: bit j selects the j-th item."""
-    return compress(items, bin(bits)[:1:-1].encode().translate(_SELECT))
+    return compress(items, flags(bits))
 
 
 class BitSet(Set):
@@ -307,18 +308,13 @@ def tile(*parts: tuple[Sequence, Fraction]) -> dict:
     return extents
 
 
-@dataclass(frozen=True)
-class Transmission:
-    """One XOR broadcast: a generating label and its summands.  The summands
-    have one layout size, which is the broadcast's size; only the layout
-    sizes a piece."""
+class Transmission(NamedTuple):
+    """One XOR broadcast: a layout part and its summands, each (file, rank), the
+    piece of that file at key rank of the part's split.  The part sizes the
+    broadcast; its summands all have the part's one piece size."""
 
-    label: tuple
-    summands: frozenset
-
-    def __post_init__(self) -> None:
-        if not self.summands:
-            raise ValueError("a transmission must have at least one summand")
+    part: int
+    summands: tuple
 
 
 @dataclass(frozen=True)

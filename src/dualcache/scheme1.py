@@ -18,7 +18,7 @@ from operator import and_
 from typing import Optional, Sequence
 
 from . import bounds
-from .combin import binom, enumerate_ksubsets
+from .combin import binom, drop_ranks
 from .model import (
     Association,
     CornerPoint,
@@ -26,7 +26,6 @@ from .model import (
     NetworkConfig,
     Placement,
     Split,
-    SubfileId,
     Transmission,
     integral,
     validate_demand,
@@ -60,14 +59,12 @@ def scheme1_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
     return t, integral("helper quota q", config.helper_mem * binom(k, t) / n)
 
 
-def user_split_delivery(demand: Sequence[int], k: int, t: int) -> list:
-    """One XOR per (t+1)-subset S of users, exactly the dedicated-cache delivery."""
-    out = []
-    for big_s in enumerate_ksubsets(k, t + 1):
-        summands = frozenset(SubfileId(demand[user - 1], big_s[:i] + big_s[i + 1:])
-                             for i, user in enumerate(big_s))
-        out.append(Transmission(("S", big_s), summands))
-    return out
+def user_split_delivery(demand: Sequence[int], k: int, t: int, part: int = 0) -> list:
+    """One XOR per (t+1)-subset S of users, exactly the dedicated-cache delivery: each
+    user in S gets its file's piece keyed S minus it, by rank in the user split at part."""
+    files = (0, *demand)  # by user
+    return [Transmission(part, tuple(zip(map(files.__getitem__, big_s), ranks)))
+            for big_s, ranks in drop_ranks(k, t)]
 
 
 def _lowest(bits: int, q: int) -> int:

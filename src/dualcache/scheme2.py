@@ -14,14 +14,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bounds
-from .combin import binom, enumerate_ksubsets, without
+from .combin import binom, drop_ranks
 from .model import (
     Association,
     InfeasibleSchemeError,
     NetworkConfig,
     Placement,
     Split,
-    SubfileId,
     Transmission,
     integral,
     validate_demand,
@@ -43,22 +42,21 @@ def scheme2_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
 
 
 def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> list:
-    """One XOR per T x S pair with at least one present (helper, position) slot."""
-    # each S with its positions j and S minus j, built once for every T
-    big_ss = [(big_s, [(j, without(big_s, j)) for j in big_s])
-              for big_s in enumerate_ksubsets(assoc.largest_group, t_p + 1)]
+    """One XOR per T x S pair with at least one present (helper, position) slot: the
+    j-th user of each helper in T gets its file's piece keyed (T minus the helper,
+    S minus j), ranked tau * C(L1, t_p) + rho in the helper split, part 0.  S runs
+    over the positions [L1] also at t_p = 0, where rho is empty, of rank 0."""
+    big_ss = list(drop_ranks(assoc.largest_group, t_p))  # each S with the ranks of S minus j
+    width = binom(assoc.largest_group, t_p)
+    files = [[demand[user - 1] for user in group] for group in assoc.groups]  # by position
     out = []
-    for big_t in enumerate_ksubsets(assoc.num_helpers, t_s + 1):
-        taus = [(helper, without(big_t, helper)) for helper in big_t]
+    for big_t, taus in drop_ranks(assoc.num_helpers, t_s):
+        rows = [(files[helper - 1], tau * width) for helper, tau in zip(big_t, taus)]
         for big_s, rhos in big_ss:
-            summands = set()
-            for helper, tau in taus:
-                for j, rho in rhos:
-                    if j <= assoc.profile[helper - 1]:
-                        user = assoc.user_at(helper, j)
-                        summands.add(SubfileId(demand[user - 1], tau, rho))
+            summands = tuple((at[j - 1], base + rho) for at, base in rows
+                             for j, rho in zip(big_s, rhos) if j <= len(at))
             if summands:
-                out.append(Transmission(("T", big_t, big_s), frozenset(summands)))
+                out.append(Transmission(0, summands))
     return out
 
 

@@ -65,15 +65,11 @@ def place_unknown(config: NetworkConfig) -> Placement:
 def deliver_unknown(
     config: NetworkConfig, assoc: Association, demand: Sequence[int]
 ) -> list[Transmission]:
-    """The helper split at (t_s, 0) on F1, then the user split at t_p on F2."""
+    """The helper split at (t_s, 0) on F1, part 0, then the user split at t_p on F2, part 1."""
     d = validate_demand(config, demand)
     t_s, t_p = unknown_params(config)
-    out: list[Transmission] = []
-    if t_s is not None:
-        out += helper_split_delivery(assoc, d, t_s, 0)
-    if t_p is not None:
-        out += user_split_delivery(d, config.num_users, t_p)
-    return out
+    return ((helper_split_delivery(assoc, d, t_s, 0) if t_s is not None else [])
+            + (user_split_delivery(d, config.num_users, t_p, part=1) if t_p is not None else []))
 
 
 def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:

@@ -2,24 +2,20 @@
 payloads, and check that every user reconstructs its demanded file.
 
 A run is a list of weighted segments; each covers a contiguous slice of every
-file and runs the scheme its tag names in envelope.SCHEMES.  A segment's
-layout is its parts, (split, share) laid end to end and each cut into equal
-pieces; one pass turns the parts of every segment into bytes, and is the only
-place a run lists a split's keys.  A piece is held as one int, its bytes being
-that int's big-endian bytes, and a payload is the int XOR of its summands.
-Only the pieces some payload carries are ever read, so only they are drawn:
-random.Random(seed).getrandbits(8 * length) for each, in order of file, then start.
-Decoding is a fixpoint over piece addresses only: a transmission releases
-its one unknown summand to any user that already holds the rest, and the
-user records which payload released it.  Two indexes built once per run,
-in-file start -> payloads and address -> payloads, let a user visit only
-the payloads that can release something: first those that touch a start it
-caches or have one summand, then those holding an address just released.
-It visits them pass by pass in payload order, a later payload still in the
-same pass, so each address is released by the payload a scan of every
-payload on every pass would pick.  The rebuild walks only the keys that the
-user's caches lack and XORs each released piece of its own file through the
-decoded summands it was built from, comparing it with the library's.
+file and runs the scheme its tag names in envelope.SCHEMES.  A segment's layout
+is its parts, (split, share) laid end to end and each cut into equal pieces, so
+a part is its first key, byte start and piece length, and a delivery summand,
+(file, rank) in one part, finds its piece by arithmetic: no key is listed, and
+one is unranked only to name the first failure.  A piece is one int, its bytes
+that int's big-endian bytes; a payload is the int XOR of its summands.  Only the
+pieces some payload carries are drawn: random.Random(seed).getrandbits(8 * length)
+for each, in order of file, then start.  Decoding is a fixpoint over addresses:
+a transmission releases its one unknown summand to a user that holds the rest.
+Two indexes built once per run, key -> payloads and address -> payloads, let a
+user visit only payloads that can release something: first those holding a key
+it caches or one summand, then those holding an address just released, pass by
+pass in payload order, so each address is released by the payload a scan of every
+payload on every pass would pick.  The rebuild walks only the keys the user lacks.
 """
 
 from __future__ import annotations
@@ -76,31 +72,29 @@ def build_segment(
     return Segment(tag, Fraction(weight), config, SCHEMES[tag].place(config, assoc))
 
 
-def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[dict]]:
-    """The file length and, per segment, key -> (start, length) in bytes: one
-    Fraction start and piece length per part, the lcm of their denominators
-    scaled up to min_len (errors past FILE_LEN_CAP), then ints per piece."""
-    runs = []  # (segment index, keys, first start, piece length)
-    base = Fraction(0)
-    for i, seg in enumerate(segments):
-        start = base
+def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[list]]:
+    """The file length and, per segment, per layout part, (first key, start, piece
+    length): its first key among every segment's keys laid end to end, as the run's
+    bits number them, then its bytes in the file, length 0 for a part with no keys.
+    One Fraction start and piece length per part, the lcm of their denominators
+    scaled up to min_len (errors past FILE_LEN_CAP), then ints."""
+    rows, first, base = [], 0, Fraction(0)
+    for seg in segments:
+        rows.append(row := [])
+        start, base = base, base + seg.weight
         for keys, share in seg.placement.parts:
-            if keys:
-                runs.append((i, keys, start, seg.weight * share / len(keys)))
-            start += seg.weight * share
-        base += seg.weight
-    denom = math.lcm(*(v.denominator for _, _, start, size in runs for v in (start, size)))
+            row.append((first, start, seg.weight * share / len(keys) if keys else 0))
+            first, start = first + len(keys), start + seg.weight * share
+    denom = math.lcm(*(v.denominator for row in rows for _, start, size in row if size
+                       for v in (start, size)))
     if base != 1:
         raise ValueError(f"segment weights sum to {base}, expected 1")
     file_len = denom * max(1, -(-min_len // denom))
     if file_len > model.FILE_LEN_CAP:
         raise InfeasibleSchemeError(f"required file length {file_len} exceeds the cap "
                                     f"{model.FILE_LEN_CAP}; pick a coarser grid point")
-    slots: list[dict] = [{} for _ in segments]
-    for i, keys, start, size in runs:
-        start, size = int(start * file_len), int(size * file_len)
-        slots[i].update((key, (start + j * size, size)) for j, key in enumerate(keys))
-    return file_len, slots
+    return file_len, [[(first, int(start * file_len), int(size * file_len))
+                       for first, start, size in row] for row in rows]
 
 
 def choose_file_len(segments: Sequence[Segment], min_len: int = 1) -> int:
@@ -122,7 +116,7 @@ class DecodeReport:
     failure: Optional[str]
 
 
-_xor = operator.xor  # read at each reduce, so a patched _xor sees every XOR
+_xor = operator.xor  # looked up at each use, so a patched _xor sees every XOR
 
 
 def _resolve_segments(
@@ -146,114 +140,111 @@ def run_end_to_end(
     """Full broadcast round: every user must reconstruct its file byte-for-byte.
     A scheme name runs envelope.scheme_run, the mixture scheme_rate reports.
 
-    Inside, a piece is named by its byte address in the library, the files
-    laid end to end: (file - 1) * file_len + start.  Pieces have positive
-    length and the segments tile the file, so a start names one (segment,
-    piece key).  A cache holds the same pieces of every file; a user's two
-    caches are read once per segment as Placement.known bits over its keys,
-    and it knows an address when its start is cached or a transmission
-    released it.  The fixpoint records only which payload released each
-    address; the rebuild walks only the keys those bits lack and compares
-    each released piece of its file, rebuilt by int XORs, with the library's."""
+    Inside, a piece's address is its place in the library, the files laid end to
+    end, each as every segment's keys laid end to end: (file - 1) * width + its
+    part's first key + rank, width the keys per file, so addresses run in (file,
+    byte start) order.  A user's two caches are read once, as one int over a file's
+    keys; it holds an address when that bit is set or a transmission released it.
+    The fixpoint records only which payload released each address; the rebuild
+    compares each released piece of its file, rebuilt by int XORs, with the library's."""
     model.validate_association(config, assoc)
     segments = _resolve_segments(scheme, config, assoc)
-    # (start, length) in the file of every (segment, piece key)
-    file_len, slots = _byte_layout(segments, min_len)
-    length_at = {start: length for seg_slots in slots for start, length in seg_slots.values()}
-    tiled = sum(length for seg_slots in slots for _, length in seg_slots.values()) == file_len
-
-    # each segment's piece starts in key order, the order of a cache's bits
-    key_starts = [[start for start, _ in seg_slots.values()] for seg_slots in slots]
-
+    file_len, layout = _byte_layout(segments, min_len)
+    parts = [(i, keys, first, size) for i, (seg, row) in enumerate(zip(segments, layout))
+             for (keys, _), (first, _, size) in zip(seg.placement.parts, row)]
+    width = sum(len(keys) for _, keys, _, _ in parts)
+    tiled = sum(len(keys) * size for _, keys, _, size in parts) == file_len
     known = [seg.placement.known(assoc) for seg in segments]  # per segment, per user
 
-    def starts(caches) -> list[int]:
-        """The in-file starts of one cache's pieces, from its bits in each segment."""
-        return [s for i, bits in enumerate(caches) for s in model.members(key_starts[i], bits)]
-
-    sent = [
-        [(s.file - 1) * file_len + seg_slots[s.piece][0] for s in trans.summands]
-        for seg_slots, seg in zip(slots, segments)
-        for trans in seg.transmissions(assoc, demand)
-    ]
-    # only the pieces some payload carries are ever read, so only they are drawn
-    needed = {a for summands in sent for a in summands}
-    rng = random.Random(seed)
-    piece = {a: rng.getrandbits(8 * length_at[a % file_len]) for a in sorted(needed)}
-    payloads = [(summands, reduce(_xor, (piece[a] for a in summands))) for summands in sent]
-    total_air = sum(length_at[summands[0] % file_len] for summands, _ in payloads)
-    # each payload's summand starts in the file; the payloads with a summand
-    # at each in-file start and at each address; the one-summand payloads
-    in_file = [tuple(a % file_len for a in summands) for summands in sent]
-    at_start: dict[int, list[int]] = {}
+    sent, length = [], []  # per payload, its summands' addresses and its pieces' length
+    for seg, row in zip(segments, layout):
+        bases = [(first - width, size) for first, _, size in row]
+        for part, summands in seg.transmissions(assoc, demand):
+            base, size = bases[part]
+            sent.append(tuple(width * n + base + rank for n, rank in summands))
+            length.append(size)
+    # the payloads with a summand at each address, and at each key of any file
     holders: dict[int, list[int]] = {}
+    at_key: dict[int, list[int]] = {}
     for j, summands in enumerate(sent):
-        for a, s in zip(summands, in_file[j]):
-            at_start.setdefault(s, []).append(j)
+        for a in summands:
             holders.setdefault(a, []).append(j)
+            at_key.setdefault(a % width, []).append(j)
     singles = [j for j, summands in enumerate(sent) if len(summands) == 1]
+    # only the pieces some payload carries are ever read, so only they are drawn
+    rng = random.Random(seed)
+    piece = {a: rng.getrandbits(8 * length[holders[a][0]]) for a in sorted(holders)}
+    payloads = [reduce(_xor, map(piece.__getitem__, summands)) for summands in sent]
 
     def materialize(address: int, released: dict, decoded: dict) -> int:
         """A released piece: its payload XOR the other summands as the user
         holds them, rebuilding a decoded summand first."""
         if address not in decoded:
-            summands, payload = payloads[released[address]]
-            others = (materialize(a, released, decoded) if a in released else piece[a]
-                      for a in summands if a != address)
-            decoded[address] = reduce(_xor, others, payload)
+            j = released[address]
+            value = payloads[j]
+            for a in sent[j]:
+                if a != address:
+                    value = _xor(value, materialize(a, released, decoded) if a in released
+                                 else piece[a])
+            decoded[address] = value
         return decoded[address]
+
+    def spread(caches) -> int:
+        """A cache's bits in each segment as one int over every segment's keys."""
+        return sum(bits << row[0][0] for bits, row in zip(caches, layout))
+
+    def cached_bytes(bits: int) -> int:
+        """The bytes of every file a cache holds: per part, its bits times its length."""
+        return config.num_files * sum(((bits >> first) & ((1 << len(keys)) - 1)).bit_count()
+                                      * size for _, keys, first, size in parts)
 
     private_bytes, helper_bytes, air_bytes, per_user_ok = [], [], [], []
     failure = None
     for user in range(1, config.num_users + 1):
-        mine = [bits[user - 1] for bits in known]
-        private = [seg.placement.private_bits[user - 1] for seg in segments]
-        private_bytes.append(config.num_files * sum(length_at[s] for s in starts(private)))
-        helper_bytes.append(config.num_files * sum(
-            length_at[s] for s in starts(bits & ~own for bits, own in zip(mine, private))))
-        cached = set(starts(mine))
+        cached = spread(bits[user - 1] for bits in known)
+        private = spread(seg.placement.private_bits[user - 1] for seg in segments)
+        private_bytes.append(cached_bytes(private))
+        helper_bytes.append(cached_bytes(cached & ~private))
+        held = bytearray(model.flags(cached, width)) * config.num_files  # by address
         released: dict[int, int] = {}  # address -> index of the payload that released it
-        # one pass pops its payloads in index order; a payload holding an
-        # address released at j joins this pass above j, the next one below
-        queue = sorted({j for s in cached for j in at_start.get(s, ())}.union(singles))
+        # a pass pops its payloads in index order, the first those holding a cached key
+        # or one summand; a payload holding an address released at j joins this pass
+        # above j, the next one below
+        queue = sorted({j for g in model.members(range(width), cached)
+                        for j in at_key.get(g, ())}.union(singles))
         while queue:
             queued, later = set(queue), set()
             while queue:
                 j = heappop(queue)
-                missing = [a for a, s in zip(sent[j], in_file[j])
-                           if s not in cached and a not in released]
+                missing = [a for a in sent[j] if not held[a]]
                 if len(missing) == 1:
-                    released[missing[0]] = j
-                    for i in holders[missing[0]]:
+                    a = missing[0]
+                    held[a], released[a] = 1, j
+                    for i in holders[a]:
                         if i < j:
                             later.add(i)
                         elif i not in queued:
                             queued.add(i)
                             heappush(queue, i)
             queue = sorted(later)
-        air_bytes.append(sum(length_at[a % file_len] for a in released))
+        air_bytes.append(sum(map(length.__getitem__, released.values())))
         decoded: dict[int, int] = {}
         wanted = demand[user - 1]
-        file_base = (wanted - 1) * file_len
-        user_ok = True
-        intact = tiled
-        for i, seg in enumerate(segments):
-            lacked = ((1 << len(key_starts[i])) - 1) & ~mine[i]
-            for key, start in model.members(zip(slots[i], key_starts[i]), lacked):
-                address = file_base + start
+        user_ok, intact = True, tiled
+        for i, keys, first, _ in parts:
+            lacked = ~(cached >> first) & ((1 << len(keys)) - 1)
+            for rank in model.members(range(len(keys)), lacked):
+                address = (wanted - 1) * width + first + rank
                 if address not in released:
                     user_ok = False
-                    if failure is None:
-                        failure = (
-                            f"user {user} could not recover {SubfileId(wanted, *key)} "
-                            f"in segment {i} ({seg.tag}); no transmission completed it"
-                        )
+                    failure = failure or (
+                        f"user {user} could not recover {SubfileId(wanted, *keys[rank])} in "
+                        f"segment {i} ({segments[i].tag}); no transmission completed it")
                     continue
                 intact = intact and materialize(address, released, decoded) == piece[address]
         if user_ok and not intact:
             user_ok = False
-            if failure is None:
-                failure = f"user {user} rebuilt a corrupted copy of file {wanted}"
+            failure = failure or f"user {user} rebuilt a corrupted copy of file {wanted}"
         per_user_ok.append(user_ok)
 
     return DecodeReport(
@@ -263,8 +254,8 @@ def run_end_to_end(
         private_bytes=tuple(private_bytes),
         helper_bytes=tuple(helper_bytes),
         air_bytes=tuple(air_bytes),
-        total_air_bytes=total_air,
-        measured_rate=Fraction(total_air, file_len),
+        total_air_bytes=sum(length),
+        measured_rate=Fraction(sum(length), file_len),
         failure=failure,
     )
 

@@ -46,7 +46,7 @@ from dualcache.scheme_unknown import (
     rate_unknown_general,
 )
 from dualcache.simulator import run_end_to_end
-from layout_bytes import cache_load, piece_sizes
+from layout_bytes import cache_load, summand_sizes
 
 SKEWED_20 = [list(range(1, 11)), list(range(11, 16)), [16, 17, 18], [19, 20]]
 UNIFORM_20 = [list(range(5 * i + 1, 5 * i + 6)) for i in range(4)]
@@ -64,8 +64,8 @@ def test_criterion_1_four_user_reference():
     demand = (1, 2, 3, 4)
     rate = rate_unknown(config, assoc.profile)
     out = deliver_unknown(config, assoc, demand)
-    tier1 = sum(1 for t in out if t.label[0] == "T")
-    tier2 = sum(1 for t in out if t.label[0] == "S")
+    tier1 = sum(1 for t in out if t.part == 0)  # the helper split
+    tier2 = sum(1 for t in out if t.part == 1)  # the user split
     sim = run_end_to_end(config, assoc, demand, seed=0)
     elapsed = time.perf_counter() - start
     ok = (
@@ -82,13 +82,13 @@ def test_criterion_2_single_level_reference():
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     params = scheme1_params(config, assoc)
     out = deliver_scheme1(config, assoc, (1, 2, 3, 4, 5, 6))
-    size = piece_sizes(layout_scheme1(config))
+    parts = layout_scheme1(config)
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=0)
     ok = (
         params == (4, 3)
         and rate_scheme1(config) == Fraction(2, 5)
         and len(out) == 6
-        and all({size[s.piece] for s in t.summands} == {Fraction(1, 15)} for t in out)
+        and all(summand_sizes(parts, t) == {Fraction(1, 15)} for t in out)
         and sim.ok and sim.measured_rate == Fraction(2, 5)
     )
     _report("criterion-2 single-level reference run", ok)
@@ -98,7 +98,7 @@ def test_criterion_3_two_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(4, 3))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
-    size = piece_sizes(layout_scheme2(config, assoc))
+    parts = layout_scheme2(config, assoc)
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme2", seed=0)
     uniform = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
     uni_assoc = build_association(uniform, [[1, 4], [2, 5], [3, 6]])
@@ -108,7 +108,7 @@ def test_criterion_3_two_level_reference():
     ok = (
         rate_scheme2(config, assoc) == 1
         and len(out) == 9
-        and all({size[s.piece] for s in t.summands} == {Fraction(1, 9)} for t in out)
+        and all(summand_sizes(parts, t) == {Fraction(1, 9)} for t in out)
         and sim.ok and sim.measured_rate == 1
         and gain == 4
         and all(len(t.summands) == gain for t in uni_out)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from dualcache.combin import (
     binom,
+    drop_ranks,
     enumerate_ksubsets,
     rank_ksubset,
     unrank_ksubset,
@@ -85,3 +86,13 @@ def test_rank_of_random_subset(n, data):
         st.sets(st.integers(min_value=1, max_value=max(n, 1)), min_size=k, max_size=k)
     ))) if n else ()
     assert unrank_ksubset(n, k, rank_ksubset(n, elements)) == elements
+
+
+def test_drop_ranks_match_rank_ksubset():
+    # every (t+1)-subset S of [1..n] in lexicographic order, each with the ranks
+    # of S minus u for u in S, for every n <= 10 and t < n
+    for n in range(1, 11):
+        for t in range(n):
+            assert list(drop_ranks(n, t)) == [
+                (s, [rank_ksubset(n, without(s, u)) for u in s])
+                for s in enumerate_ksubsets(n, t + 1)], (n, t)

@@ -69,11 +69,11 @@ def test_adding_a_known_subfile_creates_a_cycle(net_4users):
     config, assoc = net_4users
     placement, demand = place_unknown(config), (1, 2, 3, 4)
     h1, h2 = build_h(config, assoc, demand, placement)
-    assert verify_acyclic(assoc, _kept_bits(placement, demand, h1 | h2), placement)
+    assert verify_acyclic(_kept_bits(placement, demand, h1 | h2), placement.known(assoc))
     # user 1 wants file 1 and caches W2's {1,3} piece; user 2 wants file 2
     # and caches W1's {2,3} piece, closing a 2-cycle
     poisoned = h1 | h2 | {_private_sub(2, (1, 3))}
-    assert not verify_acyclic(assoc, _kept_bits(placement, demand, poisoned), placement)
+    assert not verify_acyclic(_kept_bits(placement, demand, poisoned), placement.known(assoc))
 
 
 def test_set_sizes_match_closed_forms(net_4users):
@@ -257,7 +257,7 @@ def test_receiver_quotient_matches_subfile_graph():
                 for subfiles in candidates:
                     expected = _subfile_graph_acyclic(config, assoc, demand, subfiles, placement)
                     kept = _kept_bits(placement, demand, subfiles)
-                    assert verify_acyclic(assoc, kept, placement) == expected, (
+                    assert verify_acyclic(kept, placement.known(assoc)) == expected, (
                         name, config, partition, demand, sorted(map(repr, subfiles))
                     )
                     outcomes.setdefault(name, set()).add(expected)
@@ -276,10 +276,10 @@ def test_helper_only_two_cycle_is_rejected():
     placement = Placement([([first, second], Fraction(1))],
                           helper_bits=(0b01, 0b10), private_bits=(0,) * 4)
     cycle = {SubfileId(1, *second), SubfileId(3, *first)}
-    assert not verify_acyclic(assoc, _kept_bits(placement, demand, cycle), placement)
+    assert not verify_acyclic(_kept_bits(placement, demand, cycle), placement.known(assoc))
     assert not _subfile_graph_acyclic(config, assoc, demand, cycle, placement)
     for v in cycle:
-        assert verify_acyclic(assoc, _kept_bits(placement, demand, cycle - {v}), placement)
+        assert verify_acyclic(_kept_bits(placement, demand, cycle - {v}), placement.known(assoc))
 
 
 def _listed_h(config, assoc, demand):
@@ -347,7 +347,7 @@ def test_placement_read_h_bounds_every_direct_run():
                 placement = place(config, assoc)
                 h = build_h(config, assoc, demand, placement)
                 kept = _kept_bits(placement, demand, frozenset().union(*h))
-                assert verify_acyclic(assoc, kept, placement)
+                assert verify_acyclic(kept, placement.known(assoc))
                 alpha = sum((Fraction(len(part) * share, len(keys))
                              for part, (keys, share) in zip(h, placement.parts) if keys),
                             Fraction(0))

@@ -19,6 +19,7 @@ from dualcache.scheme1 import deliver_scheme1, layout_scheme1, place_scheme1, sc
 from dualcache.scheme2 import deliver_scheme2, layout_scheme2, place_scheme2, scheme2_params
 from dualcache.scheme_unknown import deliver_unknown, layout_unknown, place_unknown, unknown_params
 from dualcache.simulator import run_end_to_end
+from subfile_delivery import subfiles
 
 
 def test_parse_fraction_forms():
@@ -52,7 +53,7 @@ def test_association_relabels_by_group_size():
     assert assoc.profile == (3, 2, 1)
     assert assoc.groups == ((1, 2, 3), (4, 5), (6,))
     assert assoc.helper_of(6) == 3
-    assert assoc.user_at(1, 2) == 2
+    assert assoc.groups[0][1] == 2
     assert assoc.ordered_users() == (1, 2, 3, 4, 5, 6)
 
 
@@ -178,7 +179,7 @@ def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two
     ]
     for placement, extents, transmissions in runs:
         keys = set(extents).union(*placement.helper_contents, *placement.private_contents)
-        pieces = {s.piece for t in transmissions for s in t.summands}
+        pieces = {s.piece for t in transmissions for s in subfiles(placement.parts, t)}
         assert keys == set(extents) and pieces <= keys
         assert all(type(key) is tuple and _plain(key) for key in keys)
     h1, h2 = build_h(*net_4users, (1, 2, 3, 4), place_unknown(net_4users[0]))
@@ -189,8 +190,8 @@ def test_transmission_summands_share_one_layout_size(
     net_4users, net_6users_deep, net_6users_two_level
 ):
     # a transmission's size is its summands' one layout size: the simulator
-    # sizes a payload by its first summand and XORs ints, so unequal summands
-    # would show up only later, as a corrupted rebuild
+    # sizes a payload by its part and XORs ints, so unequal summands would
+    # show up only later, as a corrupted rebuild
     checked = set()
     for config, assoc in (net_4users, net_6users_deep, net_6users_two_level):
         demand = tuple(range(config.num_users, 0, -1))
@@ -201,7 +202,8 @@ def test_transmission_summands_share_one_layout_size(
                 continue
             for seg in run.segments:
                 for trans in seg.transmissions(assoc, demand):
-                    assert len({seg.extents[s.piece][1] for s in trans.summands}) == 1
+                    sizes = {seg.extents[s.piece][1] for s in subfiles(seg.placement.parts, trans)}
+                    assert len(sizes) == 1
                 checked.add(seg.tag)
     assert checked == set(SCHEMES)
 

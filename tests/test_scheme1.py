@@ -19,7 +19,7 @@ from dualcache.scheme1 import (
     scheme1_params,
 )
 from dualcache.simulator import run_end_to_end
-from layout_bytes import cache_load, piece_sizes
+from layout_bytes import cache_load, summand_sizes
 
 
 def test_params(net_6users_deep):
@@ -66,8 +66,8 @@ def test_delivery_and_rate(net_6users_deep):
     config, assoc = net_6users_deep
     out = deliver_scheme1(config, assoc, (1, 2, 3, 4, 5, 6))
     assert len(out) == 6
-    size = piece_sizes(layout_scheme1(config))
-    assert all({size[s.piece] for s in t.summands} == {Fraction(1, 15)} for t in out)
+    parts = layout_scheme1(config)
+    assert all(summand_sizes(parts, t) == {Fraction(1, 15)} for t in out)
     assert rate_scheme1(config) == Fraction(2, 5)
     report = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=3)
     assert report.ok, report.failure

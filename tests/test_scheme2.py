@@ -19,7 +19,8 @@ from dualcache.scheme2 import (
 )
 from dualcache.scheme_unknown import rate_unknown_general
 from dualcache.simulator import run_end_to_end
-from layout_bytes import air, cache_load, piece_sizes
+from layout_bytes import air, cache_load, summand_sizes
+from subfile_delivery import reference_delivery, subfiles
 
 
 def test_params(net_6users_two_level):
@@ -86,10 +87,12 @@ def test_delivery_listing_and_rate(net_6users_two_level):
     config, assoc = net_6users_two_level
     out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
     assert len(out) == 9
-    size = piece_sizes(layout_scheme2(config, assoc))
-    assert all({size[s.piece] for s in t.summands} == {Fraction(1, 9)} for t in out)
+    parts = layout_scheme2(config, assoc)
+    assert all(summand_sizes(parts, t) == {Fraction(1, 9)} for t in out)
     assert rate_scheme2(config, assoc) == 1
-    by_label = {(t.label[1], t.label[2]): t.summands for t in out}
+    # each XOR under its (T, S), read off the reference delivery, which lists them in order
+    by_label = {label[1:]: subfiles(parts, t) for (_, label, _), t in
+                zip(reference_delivery(parts, assoc, (1, 2, 3, 4, 5, 6)), out, strict=True)}
     assert by_label[((2, 3), (2, 3))] == frozenset({_sub(5, (3,), (3,))})
     assert by_label[((1, 2), (1, 2))] == frozenset({
         _sub(1, (2,), (2,)), _sub(2, (2,), (1,)),

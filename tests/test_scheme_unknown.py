@@ -27,7 +27,8 @@ from dualcache.scheme_unknown import (
 )
 from dualcache.simulator import run_end_to_end
 from golden import record
-from layout_bytes import air, cache_load, piece_sizes
+from layout_bytes import air, cache_load, summand_sizes
+from subfile_delivery import subfiles
 from test_converse import _set_partitions
 from test_scheme_rate import NETWORKS
 
@@ -52,7 +53,7 @@ def pue_reference_transmissions(assoc, t_s, demand):
     for j in range(1, rounds + 1):
         for big_t in enumerate_ksubsets(lam, t_s + 1):
             elems = frozenset(
-                (demand[assoc.user_at(helper, j) - 1], without(big_t, helper))
+                (demand[assoc.groups[helper - 1][j - 1] - 1], without(big_t, helper))
                 for helper in big_t
                 if assoc.profile[helper - 1] >= j
             )
@@ -100,8 +101,8 @@ def test_placement_fills_memory_exactly(net_4users):
 def test_delivery_counts_and_rate(net_4users):
     config, assoc = net_4users
     out = deliver_unknown(config, assoc, (1, 2, 3, 4))
-    tier1 = [t for t in out if t.label[0] == "T"]
-    tier2 = [t for t in out if t.label[0] == "S"]
+    tier1 = [t for t in out if t.part == 0]  # the helper split
+    tier2 = [t for t in out if t.part == 1]  # the user split
     assert len(tier1) == 3 and len(tier2) == 4
     assert air(layout_unknown(config), out) == Fraction(13, 12)
     assert rate_unknown(config, assoc.profile) == Fraction(13, 12)
@@ -122,8 +123,8 @@ def test_zero_memory_sends_whole_files():
     assert rate_unknown(config, assoc.profile) == 4
     out = deliver_unknown(config, assoc, (2, 1, 4, 3))
     assert len(out) == 4
-    size = piece_sizes(layout_unknown(config))
-    assert all({size[s.piece] for s in t.summands} == {1} for t in out)
+    parts = layout_unknown(config)
+    assert all(summand_sizes(parts, t) == {1} for t in out)
 
 
 def test_private_only_reduces_to_dedicated_delivery():
@@ -131,8 +132,9 @@ def test_private_only_reduces_to_dedicated_delivery():
     assoc = build_association(config, [[1, 2, 3], [4]])
     demand = (3, 1, 2, 4)
     out = deliver_unknown(config, assoc, demand)
+    parts = layout_unknown(config)
     got = [
-        frozenset((s.file, s.idx_a) for s in t.summands) for t in out
+        frozenset((s.file, s.idx_a) for s in subfiles(parts, t)) for t in out
     ]
     expected = man_reference_transmissions(4, 2, demand)
     assert sorted(got, key=sorted) == sorted(expected, key=sorted)
@@ -144,8 +146,9 @@ def test_helper_only_reduces_to_shared_delivery():
     assoc = build_association(config, [[1, 2, 3], [4]])
     demand = (4, 2, 1, 3)
     out = deliver_unknown(config, assoc, demand)
+    parts = layout_unknown(config)
     got = [
-        frozenset((s.file, s.idx_a) for s in t.summands) for t in out
+        frozenset((s.file, s.idx_a) for s in subfiles(parts, t)) for t in out
     ]
     expected = pue_reference_transmissions(assoc, 1, demand)
     assert sorted(got, key=sorted) == sorted(expected, key=sorted)
@@ -277,7 +280,10 @@ def test_extreme_points_run_the_component_schemes(n, lam, partition):
     for t in range(k + 1):
         config = NetworkConfig(n, k, lam, Fraction(0), Fraction(t * n, k))
         assoc = build_association(config, partition)
-        assert deliver_unknown(config, assoc, demand) == deliver_scheme1(config, assoc, demand)
+        # the oblivious user split is its layout's part 1, scheme1's is part 0
+        assert [subfiles(layout_unknown(config), t)
+                for t in deliver_unknown(config, assoc, demand)] == \
+            [subfiles(layout_scheme1(config), t) for t in deliver_scheme1(config, assoc, demand)]
         assert tile(*layout_unknown(config)) == tile(*layout_scheme1(config))
 
 

@@ -1,12 +1,13 @@
 import math
 import random
-from collections import Counter
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import pytest
 
-from dualcache import combin, converse, model, scheme1, scheme2, simulator
+from dualcache import combin, converse, model, simulator
 from dualcache.envelope import (
     SCHEMES, envelope_at, materialize_shared_placement, scheme2_corners, scheme_run,
 )
@@ -20,6 +21,7 @@ from dualcache.simulator import (
     choose_file_len,
     run_end_to_end,
 )
+from subfile_delivery import reference_delivery, subfiles
 from test_scheme_rate import NETWORKS
 
 
@@ -34,24 +36,32 @@ def test_minimal_file_length(net_4users, net_6users_two_level):
     assert choose_file_len([seg2]) == 9
 
 
+def _spy_on_keys(monkeypatch) -> list:
+    """Every listing of subsets or keys, as (name, result): enumerate_ksubsets in
+    every dualcache module that binds it, Split iteration and Split indexing."""
+    listed = []
+
+    def spy(name, original):
+        def wrapper(*args):
+            listed.append((name, original(*args)))
+            return listed[-1][1]
+        return wrapper
+
+    original = combin.enumerate_ksubsets
+    for module in [m for name, m in sys.modules.items() if name.startswith("dualcache.")]:
+        if getattr(module, "enumerate_ksubsets", None) is original:
+            monkeypatch.setattr(module, "enumerate_ksubsets", spy("enumerate_ksubsets", original))
+    for method in ("__iter__", "__getitem__"):
+        monkeypatch.setattr(model.Split, method, spy(method, getattr(model.Split, method)))
+    return listed
+
+
 def test_placing_a_segment_lists_no_key(monkeypatch, net_6users_deep, net_6users_two_level):
     # a segment's placement holds its splits as levels and reads every cache's
     # bits from them, and the converse reads only those bits, so neither lists
     # a subset nor iterates or indexes a split; scheme2's split at
     # (t_s, t_p) = (1, 1) over Lambda = L1 = 3 has both levels C(3, 1)
-    listed = Counter()
-
-    def spy(name, original):
-        def wrapper(*args):
-            listed[name] += 1
-            return original(*args)
-        return wrapper
-
-    for module in (model, scheme1, scheme2):
-        monkeypatch.setattr(module, "enumerate_ksubsets",
-                            spy("enumerate_ksubsets", combin.enumerate_ksubsets))
-    for method in ("__iter__", "__getitem__"):
-        monkeypatch.setattr(model.Split, method, spy(method, getattr(model.Split, method)))
+    listed = _spy_on_keys(monkeypatch)
     config = NetworkConfig(16, 16, 4, Fraction(4), Fraction(4))
     contiguous = (config, build_association(config, [range(g, g + 4) for g in (1, 5, 9, 13)]))
     for tag, network, expected in (
@@ -61,11 +71,40 @@ def test_placing_a_segment_lists_no_key(monkeypatch, net_6users_deep, net_6users
     ):
         seg = build_segment(tag, *network, Fraction(1))
         assert [keys for keys, _ in seg.placement.parts] == expected, tag
-        assert listed == Counter(), tag
+        assert listed == [], tag
     cert = converse.certify(*contiguous, range(1, 17))
     assert (len(cert.h1), len(cert.h2), cert.alpha_lower, cert.tight) == \
         (16, 11440, Fraction(16, 9), True)
-    assert listed == Counter()
+    assert listed == []
+
+
+def test_a_run_lists_no_key(monkeypatch, net_4users, net_6users_deep, net_6users_two_level):
+    # a run reads its layout as parts and its summands as (file, rank) ints, so
+    # an intact run lists no key; with the first transmission of every segment
+    # dropped, it unranks one key, the one its failure text names
+    config, assoc = net_4users
+    mix = materialize_shared_placement(
+        envelope_at(scheme2_corners(config, assoc), Fraction(1), Fraction(1)), config, assoc)
+    runs = [(config, assoc, mix)] + [
+        (*network, scheme_run(tag, *network))
+        for tag, network in (("unknown", net_4users), ("scheme1", net_6users_deep),
+                             ("scheme2", net_6users_two_level))]
+    transmissions = simulator.Segment.transmissions
+    listed = _spy_on_keys(monkeypatch)
+    for config, assoc, run in runs:
+        demand = tuple(range(config.num_users, 0, -1))
+        assert run_end_to_end(config, assoc, demand, scheme=run).ok
+        assert listed == []
+        with monkeypatch.context() as patched:
+            patched.setattr(simulator.Segment, "transmissions",
+                            lambda seg, assoc, demand: transmissions(seg, assoc, demand)[1:])
+            report = run_end_to_end(config, assoc, demand, scheme=run)
+        ((name, key),) = listed
+        user = report.per_user_ok.index(False) + 1
+        assert name == "__getitem__"
+        assert report.failure.startswith(
+            f"user {user} could not recover {SubfileId(demand[user - 1], *key)} in segment")
+        listed.clear()
 
 
 def test_file_length_for_mixtures(net_4users):
@@ -142,9 +181,10 @@ def test_only_carried_pieces_are_drawn(monkeypatch, net_4users):
     (seg,) = scheme_run("unknown", config, assoc).segments
     file_len = choose_file_len([seg], min_len=4096)
     transmissions = seg.transmissions(assoc, demand)
+    sent = [subfiles(seg.placement.parts, t) for t in transmissions]
     slot = {sub: (sub.file, int(seg.extents[sub.piece][0] * file_len),
                   int(seg.extents[sub.piece][1] * file_len))
-            for t in transmissions for sub in t.summands}
+            for summands in sent for sub in summands}
     rng = random.Random(1)
     drawn = {(n, start): rng.getrandbits(8 * length) for n, start, length in sorted(set(slot.values()))}
     xor, bits, operands = simulator._xor, 0, set()
@@ -168,7 +208,7 @@ def test_only_carried_pieces_are_drawn(monkeypatch, net_4users):
     assert bits < 8 * config.num_files * file_len
     # the payload XOR takes each of its summands as the int drawn for it
     assert all(drawn[slot[sub][:2]] in operands
-               for t in transmissions if len(t.summands) > 1 for sub in t.summands)
+               for summands in sent if len(summands) > 1 for sub in summands)
 
 
 def test_adversarial_sweeps(net_4users, net_6users_two_level):
@@ -226,10 +266,10 @@ def _reference_run(config, assoc, demand, run, seed, min_len=1):
         slots.append(seg_slots)
         base += seg.weight
 
-    sent = [(i, trans) for i, seg in enumerate(segments)
+    sent = [(i, subfiles(seg.placement.parts, trans)) for i, seg in enumerate(segments)
             for trans in seg.transmissions(assoc, demand)]
-    carried = sorted({(sub.file, *slots[i][sub.piece]) for i, trans in sent
-                      for sub in trans.summands})
+    carried = sorted({(sub.file, *slots[i][sub.piece]) for i, summands in sent
+                      for sub in summands})
     rng = random.Random(seed)
     library = {n: bytearray(file_len) for n in range(1, config.num_files + 1)}
     for n, start, length in carried:
@@ -240,7 +280,7 @@ def _reference_run(config, assoc, demand, run, seed, min_len=1):
         start, length = slots[seg_idx][sub.piece]
         return files[sub.file][start:start + length]
 
-    def subfiles(pieces):
+    def every_file(pieces):
         """A cache's piece keys as that piece of every file."""
         return [SubfileId(n, *piece) for piece in pieces
                 for n in range(1, config.num_files + 1)]
@@ -253,14 +293,14 @@ def _reference_run(config, assoc, demand, run, seed, min_len=1):
     for user in range(1, k + 1):
         seen_private = set()
         for i, seg in enumerate(segments):
-            for sub in subfiles(seg.placement.private_contents[user - 1]):
+            for sub in every_file(seg.placement.private_contents[user - 1]):
                 data = slice_of(i, sub)
                 known[user - 1][(i, sub)] = data
                 private_bytes[user - 1] += len(data)
                 seen_private.add((i, sub))
         helper = assoc.helper_of(user)
         for i, seg in enumerate(segments):
-            for sub in subfiles(seg.placement.helper_contents[helper - 1]):
+            for sub in every_file(seg.placement.helper_contents[helper - 1]):
                 if (i, sub) in seen_private:
                     continue
                 data = slice_of(i, sub)
@@ -269,12 +309,12 @@ def _reference_run(config, assoc, demand, run, seed, min_len=1):
 
     payloads = []
     total_air = 0
-    for i, trans in sent:
+    for i, summands in sent:
         payload = None
-        for sub in trans.summands:
+        for sub in summands:
             data = slice_of(i, sub)
             payload = data if payload is None else _bytes_xor(payload, data)
-        payloads.append((i, trans, payload))
+        payloads.append((i, summands, payload))
         total_air += len(payload)
 
     for user in range(1, k + 1):
@@ -282,12 +322,12 @@ def _reference_run(config, assoc, demand, run, seed, min_len=1):
         progress = True
         while progress:
             progress = False
-            for i, trans, payload in payloads:
-                missing = [s for s in trans.summands if (i, s) not in mine]
+            for i, summands, payload in payloads:
+                missing = [s for s in summands if (i, s) not in mine]
                 if len(missing) != 1:
                     continue
                 acc = payload
-                for s in trans.summands:
+                for s in summands:
                     if s is not missing[0]:
                         acc = _bytes_xor(acc, mine[(i, s)])
                 mine[(i, missing[0])] = acc
@@ -432,7 +472,7 @@ def test_users_xor_only_the_pieces_they_rebuild(monkeypatch):
             cached |= set(seg.placement.helper_contents[assoc.helper_of(user) - 1])
             released = {}  # own-file piece -> XORs to rebuild it from its payload
             for t in transmissions:
-                for s in t.summands:
+                for s in subfiles(seg.placement.parts, t):
                     if s.file == wanted and s.piece not in cached:
                         released.setdefault(s.piece, len(t.summands) - 1)
             bound += sum(released.values())
@@ -449,11 +489,9 @@ def test_a_decoded_summand_carries_its_fault(monkeypatch):
     assoc = build_association(config, [[1, 2, 3]])
     demand = (1, 2, 3)
     run = scheme_run("unknown", config, assoc)
-    w1, w2, w3 = ([SubfileId(n, (), None)] for n in demand)
-    chain = [Transmission(("W", 1), frozenset(w1)),
-             Transmission(("W", 12), frozenset(w1 + w2)),
-             Transmission(("W", 23), frozenset(w2 + w3))]
-    for sent in (chain, chain + [Transmission(("W", 3), frozenset(w3))]):
+    w1, w2, w3 = (((n, 0),) for n in demand)  # the one key of the user split, part 1
+    chain = [Transmission(1, w1), Transmission(1, w1 + w2), Transmission(1, w2 + w3)]
+    for sent in (chain, chain + [Transmission(1, w3)]):
         with monkeypatch.context() as patched:
             patched.setattr(simulator.Segment, "transmissions", lambda seg, assoc, demand: sent)
             report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
@@ -480,7 +518,7 @@ def test_a_layout_gap_fails_the_rebuild():
     config = NetworkConfig(1, 1, 1, Fraction(0), Fraction(0))
     assoc = build_association(config, [[1]])
     (seg,) = scheme_run("unknown", config, assoc).segments
-    parts = [(keys, Fraction(1, 2)) for keys, _ in seg.placement.parts if keys]
+    parts = [(keys, Fraction(1, 2) if keys else 0) for keys, _ in seg.placement.parts]
     half = replace(seg, placement=replace(seg.placement, parts=parts))
     report = run_end_to_end(config, assoc, (1,), scheme=simulator.SegmentedRun((half,)))
     assert (report.file_len, report.air_bytes) == (2, (1,))
@@ -509,6 +547,17 @@ def _keys(seg):
     return tuple(key for keys, _ in seg.placement.parts for key in keys)
 
 
+def _pieces_of(segments, layout) -> list:
+    """_byte_layout's parts piece by piece, key -> (start, length) per segment,
+    each part's first key checked against its place among every segment's keys."""
+    parts = [keys for seg in segments for keys, _ in seg.placement.parts]
+    firsts = list(accumulate(map(len, parts), initial=0))[:-1]
+    assert [first for row in layout for first, _, _ in row] == firsts
+    return [{key: (start + rank * size, size)
+             for (keys, _), (_, start, size) in zip(seg.placement.parts, row)
+             for rank, key in enumerate(keys)} for seg, row in zip(segments, layout)]
+
+
 def test_byte_layout_matches_the_per_piece_rule():
     # every mixture of every scheme on the half-step grids of test_scheme_rate,
     # among them scheme1's quota split, whose two segments share their keys
@@ -523,8 +572,31 @@ def test_byte_layout_matches_the_per_piece_rule():
     (key,) = _keys(seg)
     parts = [([], Fraction(1, 3)), ([key], Fraction(1, 2))]
     gap = replace(seg, placement=replace(seg.placement, parts=parts))
-    assert simulator._byte_layout([gap], 1) == (6, [{key: (2, 3)}])
+    assert simulator._byte_layout([gap], 1) == (6, [[(0, 0, 0), (0, 2, 3)]])
     for segments in [*(run.segments for run in runs), [gap]]:
         for min_len in (1, 4096):
+            file_len, layout = simulator._byte_layout(segments, min_len)
             expected = _per_piece_layout(segments, min_len)
-            assert simulator._byte_layout(segments, min_len) == expected
+            assert (file_len, _pieces_of(segments, layout)) == expected
+
+
+def test_rank_rows_unrank_to_the_subfile_deliveries():
+    # every segment of every scheme's runs on the half-step grids of
+    # test_scheme_rate: a row is a part and distinct (file, rank) ints, and
+    # unranked through the part's split its summands are the reference's
+    # SubfileId set, row for row in the reference's order
+    tags = set()
+    for n, lam, partition in NETWORKS:
+        config = NetworkConfig(n, n, lam, Fraction(0), Fraction(0))
+        assoc = build_association(config, partition)
+        demand = tuple(range(n, 0, -1))
+        for _, run in _half_step_runs(config, assoc):
+            for seg in run.segments:
+                parts, rows = seg.placement.parts, seg.transmissions(assoc, demand)
+                assert all(type(v) is int for t in rows for v in (t.part, *chain(*t.summands)))
+                assert all(len(set(t.summands)) == len(t.summands) for t in rows)
+                reference = reference_delivery(parts, assoc, demand)
+                assert [(t.part, subfiles(parts, t)) for t in rows] == [
+                    (part, summands) for part, _, summands in reference]
+                tags.add(seg.tag)
+    assert tags == set(SCHEMES)
