@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .model import (Association, BitSet, NetworkConfig, Placement, validate_association,
                     validate_demand)
-from .scheme_unknown import place_unknown, rate_unknown
+from .scheme_unknown import place_unknown, rate_unknown_general, unknown_params
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def certify(
 ) -> ConverseCertificate:
     """Match the size of H, in pieces of share / len(keys) each, against the achieved rate."""
     validate_association(config, assoc)
-    placement = place_unknown(config)  # its splits passed the size gate; no key is listed
+    placement = place_unknown(assoc, unknown_params(config))  # size-gated; no key is listed
     known = placement.known(assoc)
     kept = walk(assoc, known, placement)
     acyclic = verify_acyclic(kept, known)
@@ -92,7 +92,7 @@ def certify(
     h = build_h(config, assoc, demand, placement, kept)
     alpha = sum((Fraction(len(part) * share, len(keys))
                  for part, (keys, share) in zip(h, placement.parts) if keys), Fraction(0))
-    kappa = rate_unknown(config, assoc.profile)
+    kappa = rate_unknown_general(config, assoc.profile)  # the gate passed, so this is the run's
     return ConverseCertificate(
         h1=h[0],  # the fields name the oblivious layout's two parts
         h2=h[1],

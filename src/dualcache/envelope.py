@@ -80,7 +80,7 @@ def scheme2_grid(n: int, lam: int, profile: tuple[int, ...]) -> tuple[CornerPoin
             rate = scheme2.rate_scheme2_formula(lam, t_s, t_p, profile)
             if (ms, mp, rate) not in seen:
                 seen.add((ms, mp, rate))
-                corners.append(CornerPoint(ms, mp, rate, "scheme2", (t_s, t_p)))
+                corners.append(CornerPoint(ms, mp, rate, "scheme2", (t_s, t_p), (t_s, t_p)))
     return tuple(corners)
 
 
@@ -98,23 +98,17 @@ def scheme1_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
 def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoint]:
     """Corners along the fixed split-ratio memory axis, on the union of the
     two subpacketization lattices."""
-    n, k, lam = config.num_files, config.num_users, config.num_helpers
-    m = config.total_mem
+    n, k, lam, m = config.num_files, config.num_users, config.num_helpers, config.total_mem
     if m == 0:
         return [CornerPoint(Fraction(0), Fraction(0), Fraction(k), "unknown", ())]
     alpha = config.helper_mem / m
-    lattice = sorted(
-        {Fraction(t * n, lam) for t in range(lam + 1)}
-        | {Fraction(t * n, k) for t in range(k + 1)}
-    )
+    lattice = sorted({Fraction(t * n, lam) for t in range(lam + 1)}
+                     | {Fraction(t * n, k) for t in range(k + 1)})
     corners = []
     for mem in lattice:
-        sub = config.with_memories(alpha * mem, (1 - alpha) * mem)
-        corners.append(
-            CornerPoint(sub.helper_mem, sub.private_mem,
-                        scheme_unknown.rate_unknown_general(sub, assoc.profile),
-                        "unknown", (mem,))
-        )
+        ms, mp = alpha * mem, (1 - alpha) * mem
+        mixture = scheme_unknown.mixture_at(config, assoc.profile, ms, mp, Fraction(1))
+        corners.append(CornerPoint(ms, mp, sum(c.rate * w for c, w in mixture), "unknown", (mem,)))
     return corners
 
 
@@ -285,16 +279,11 @@ def envelope_at(
 def _solution_mixture(
     solution: EnvelopeSolution, config: NetworkConfig, assoc: Association
 ) -> list:
-    """An LP solution with each zero-helper corner run as the oblivious
-    scheme at Ms = 0, which takes two runs between its lattice levels."""
-    mixture = []
-    for corner, weight in solution.weights:
-        if corner.helper_mem == 0:
-            sub = config.with_memories(corner.helper_mem, corner.private_mem)
-            mixture.extend(scheme_unknown.unknown_mixture(sub, assoc.profile, weight))
-        else:
-            mixture.append((corner, weight))
-    return mixture
+    """An LP solution with each corner that carries no run, the zero-helper one, run
+    as the oblivious scheme at Ms = 0, which takes two runs between its lattice levels."""
+    return [pair for corner, weight in solution.weights for pair in (
+        [(corner, weight)] if corner.run is not None else
+        scheme_unknown.mixture_at(config, assoc.profile, Fraction(0), corner.private_mem, weight))]
 
 
 def _scheme2_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
@@ -303,17 +292,21 @@ def _scheme2_mixture(config: NetworkConfig, assoc: Association) -> Optional[list
     return None if sol is None else _solution_mixture(sol, config, assoc)
 
 
-# mixture(config, assoc), and a direct run's place(config, assoc) and deliver(config,
-# assoc, demand), which look their module's function up at each call: it may be rebound
-Scheme = namedtuple("Scheme", "mixture place deliver")
+# mixture(config, assoc), whose corners carry their runs; run(config, assoc), the gate of a run
+# asked for by memory pair; place(assoc, run); deliver(assoc, run, demand).  Each looks its
+# module's function up at each call: it may be rebound
+Scheme = namedtuple("Scheme", "mixture run place deliver")
 SCHEMES = {  # in the order of `rate --scheme all` and of the curve's columns
     "unknown": Scheme(lambda c, a: scheme_unknown.unknown_mixture(c, a.profile, Fraction(1)),
-                      lambda c, a: scheme_unknown.place_unknown(c),
-                      lambda c, a, d: scheme_unknown.deliver_unknown(c, a, d)),
-    "scheme1": Scheme(scheme1.scheme1_mixture, lambda c, a: scheme1.place_scheme1(c, a),
-                      lambda c, a, d: scheme1.deliver_scheme1(c, a, d)),
-    "scheme2": Scheme(_scheme2_mixture, lambda c, a: scheme2.place_scheme2(c, a),
-                      lambda c, a, d: scheme2.deliver_scheme2(c, a, d)),
+                      lambda c, a: scheme_unknown.unknown_params(c),
+                      lambda a, r: scheme_unknown.place_unknown(a, r),
+                      lambda a, r, d: scheme_unknown.deliver_unknown(a, r, d)),
+    "scheme1": Scheme(scheme1.scheme1_mixture, lambda c, a: scheme1.scheme1_params(c, a),
+                      lambda a, r: scheme1.place_scheme1(a, r),
+                      lambda a, r, d: scheme1.deliver_scheme1(a, r, d)),
+    "scheme2": Scheme(_scheme2_mixture, lambda c, a: scheme2.scheme2_params(c, a),
+                      lambda a, r: scheme2.place_scheme2(a, r),
+                      lambda a, r, d: scheme2.deliver_scheme2(a, r, d)),
 }
 
 
@@ -406,12 +399,12 @@ def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
 # materialization
 
 
-def _segments(mixture, config: NetworkConfig, assoc: Association):
-    from .simulator import SegmentedRun, build_segment  # simulator imports this module
+def _segments(mixture, assoc: Association):
+    """One segment per corner, placing the run the corner carries."""
+    from .simulator import Segment, SegmentedRun  # simulator imports this module
     return SegmentedRun(tuple(
-        build_segment(corner.scheme_tag,
-                      config.with_memories(corner.helper_mem, corner.private_mem),
-                      assoc, weight)
+        Segment(corner.scheme_tag, weight, corner.run,
+                SCHEMES[corner.scheme_tag].place(assoc, corner.run))
         for corner, weight in mixture
     ))
 
@@ -422,7 +415,7 @@ def scheme_run(name: str, config: NetworkConfig, assoc: Association):
     mixture = scheme_mixture(name, config, assoc)
     if mixture is None:
         raise InfeasibleSchemeError(UNREACHABLE.format(name))
-    return _segments(mixture, config, assoc)
+    return _segments(mixture, assoc)
 
 
 def materialize_shared_placement(
@@ -430,7 +423,7 @@ def materialize_shared_placement(
 ):
     """Split files into one weighted segment per corner of an LP solution;
     returns a simulator-ready SegmentedRun."""
-    return _segments(_solution_mixture(solution, config, assoc), config, assoc)
+    return _segments(_solution_mixture(solution, config, assoc), assoc)
 
 
 def unknown_run_segments(config: NetworkConfig, assoc: Association):

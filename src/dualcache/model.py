@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, product, repeat
@@ -42,10 +42,11 @@ def integral(name: str, value: Fraction) -> int:
     return int(value)
 
 
-def check_pieces(label: str, count: int) -> None:
+def check_pieces(levels: Sequence[tuple[int, int]], count: int) -> None:
     """The size gate every Split passes when it is made: each piece takes at
     least a byte, so more than FILE_LEN_CAP pieces per file never fit."""
     if count > FILE_LEN_CAP:
+        label = " * ".join(f"C({n}, {t})" for n, t in levels)
         raise InfeasibleSchemeError(f"{label} = {count} pieces per file exceed the file "
                                     f"length cap {FILE_LEN_CAP}; pick a coarser grid point")
 
@@ -225,7 +226,7 @@ class Split(Sequence):
     def __init__(self, *levels: tuple[int, int]) -> None:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "count", math.prod(binom(n, t) for n, t in levels))
-        check_pieces(" * ".join(f"C({n}, {t})" for n, t in levels), self.count)
+        check_pieces(levels, self.count)
 
     def __len__(self) -> int:
         return self.count
@@ -349,6 +350,9 @@ class CornerPoint:
     rate: Fraction
     scheme_tag: str  # the scheme run at this corner; "unknown" at zero helper memory
     params: tuple
+    # the direct run place and deliver take, None where a mixture runs it; not compared,
+    # as the fields above determine it
+    run: Optional[tuple] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

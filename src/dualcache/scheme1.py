@@ -6,7 +6,8 @@ oblivious scheme also runs).  A helper stores only subfiles covering its
 whole user group, the quota q that Ms buys, and a user's private cache takes
 what its helper could not hold.  corner_feasible is the one coverage-and-cap
 test; scheme1_mixture walks the dedicated-cache lattice from the first level
-it passes (_first_level), running a fractional quota as two runs.
+it passes (_first_level), running a fractional quota as two runs.  Each corner
+carries its run (t, q), which place and deliver take.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .model import (
     Split,
     Transmission,
     integral,
-    validate_demand,
 )
 
 
@@ -47,8 +47,8 @@ def _integer_t(config: NetworkConfig) -> int:
 
 
 def scheme1_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]:
-    """Direct-run gate: integer t >= L1, Ms under the cap and an integer
-    helper quota q; returns (t, q)."""
+    """The gate of a direct run asked for by memory pair: integer t >= L1, Ms
+    under the cap and an integer helper quota q; returns the run (t, q)."""
     k, n, l1 = config.num_users, config.num_files, assoc.largest_group
     t = _integer_t(config)
     if t < l1:
@@ -73,11 +73,11 @@ def _lowest(bits: int, q: int) -> int:
     return bits & ((1 << sum(map(len, gaps)) + len(gaps)) - 1)
 
 
-def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
+def place_scheme1(assoc: Association, run: tuple[int, int]) -> Placement:
     """Helpers take the q lexicographically smallest group-covering subsets;
     users absorb the rest of their own subsets."""
-    q = scheme1_params(config, assoc)[1]
-    (keys, _), = parts = layout_scheme1(config)
+    q = run[1]
+    (keys, _), = parts = layout_scheme1(assoc, run)
     own, every = keys.bits(), (1 << len(keys)) - 1
     helpers = tuple(_lowest(reduce(and_, (own[u - 1] for u in group), every), q)
                     for group in assoc.groups)
@@ -85,11 +85,10 @@ def place_scheme1(config: NetworkConfig, assoc: Association) -> Placement:
     return Placement(parts, helpers, users)
 
 
-def deliver_scheme1(config: NetworkConfig, assoc: Association,
+def deliver_scheme1(assoc: Association, run: tuple[int, int],
                     demand: Sequence[int]) -> list[Transmission]:
-    """The user split at t over the whole file; the association plays no part."""
-    d = validate_demand(config, demand)
-    return user_split_delivery(d, config.num_users, _integer_t(config))
+    """The user split at t over the whole file; of the association only K is read."""
+    return user_split_delivery(demand, assoc.num_users, run[0])
 
 
 def _first_level(config: NetworkConfig, assoc: Association) -> int:
@@ -118,7 +117,8 @@ def scheme1_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]
         for q, share in ((low, 1 - (quota - low)), (low + 1, quota - low)):
             if share > 0:
                 ms = Fraction(q * n, binom(k, t))  # a helper's memory at quota q
-                mixture.append((CornerPoint(ms, mem - ms, rate, "scheme1", (t,)), weight * share))
+                corner = CornerPoint(ms, mem - ms, rate, "scheme1", (t,), (t, q))
+                mixture.append((corner, weight * share))
     return mixture
 
 
@@ -126,6 +126,6 @@ def rate_scheme1(config: NetworkConfig) -> Fraction:
     return bounds.man_hull(config.num_users, config.num_files)[_integer_t(config)][1]
 
 
-def layout_scheme1(config: NetworkConfig) -> list:
+def layout_scheme1(assoc: Association, run: tuple[int, int]) -> list:
     """The layout's one part: the whole file over the user split at t."""
-    return [(Split((config.num_users, _integer_t(config))), 1)]
+    return [(Split((assoc.num_users, run[0])), 1)]

@@ -6,6 +6,7 @@ everything indexed by its own tau; the j-th user of a helper stores the
 pieces its helper misses whose position subset contains j.  Delivery XORs
 over the cartesian products T x S of (t_s+1)- and (t_p+1)-subsets.  At
 t_p = 0 this helper split is the shared-cache scheme the oblivious scheme runs.
+Each grid corner carries its run (t_s, t_p), which place and deliver take.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from .model import (
     Split,
     Transmission,
     integral,
-    validate_demand,
 )
 
 
 def scheme2_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]:
-    """Direct-run gate: integer (t_s, t_p); t_s = 0 points belong to the
-    dedicated-cache engine."""
+    """The gate of a direct run asked for by memory pair: the run, integer
+    (t_s, t_p); t_s = 0 points belong to the dedicated-cache engine."""
     n = config.num_files
     t_s = integral("t_s", Fraction(config.num_helpers) * config.helper_mem / n)
     if t_s == 0:
@@ -60,22 +60,20 @@ def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> lis
     return out
 
 
-def place_scheme2(config: NetworkConfig, assoc: Association) -> Placement:
+def place_scheme2(assoc: Association, run: tuple[int, int]) -> Placement:
     """A helper stores the keys whose tau holds it; the j-th user of a
     helper outside tau stores those whose rho holds j."""
-    (keys, _), = parts = layout_scheme2(config, assoc)
+    (keys, _), = parts = layout_scheme2(assoc, run)
     helpers, at = keys.bits(), keys.bits(1)  # at: per position j, the keys whose rho holds j
     users = tuple(at[assoc.groups[h - 1].index(user)] & ~helpers[h - 1]
                   for user, h in enumerate(assoc.cache_of, start=1))
     return Placement(parts, helpers, users)
 
 
-def deliver_scheme2(
-    config: NetworkConfig, assoc: Association, demand: Sequence[int]
-) -> list[Transmission]:
+def deliver_scheme2(assoc: Association, run: tuple[int, int],
+                    demand: Sequence[int]) -> list[Transmission]:
     """The helper split at (t_s, t_p) over the whole file."""
-    d = validate_demand(config, demand)
-    return helper_split_delivery(assoc, d, *scheme2_params(config, assoc))
+    return helper_split_delivery(assoc, demand, *run)
 
 
 def rate_scheme2_formula(
@@ -92,7 +90,7 @@ def rate_scheme2(config: NetworkConfig, assoc: Association) -> Fraction:
     return rate_scheme2_formula(config.num_helpers, *scheme2_params(config, assoc), assoc.profile)
 
 
-def layout_scheme2(config: NetworkConfig, assoc: Association) -> list:
+def layout_scheme2(assoc: Association, run: tuple[int, int]) -> list:
     """The layout's one part: the whole file over the helper split at (t_s, t_p)."""
-    t_s, t_p = scheme2_params(config, assoc)
-    return [(Split((config.num_helpers, t_s), (assoc.largest_group, t_p)), 1)]
+    t_s, t_p = run
+    return [(Split((assoc.num_helpers, t_s), (assoc.largest_group, t_p)), 1)]

@@ -48,7 +48,7 @@ class Segment:
 
     tag: str
     weight: Fraction
-    config: NetworkConfig
+    run: tuple
     placement: Placement
 
     @property
@@ -57,7 +57,7 @@ class Segment:
         return tile(*self.placement.parts)
 
     def transmissions(self, assoc: Association, demand: Sequence[int]) -> list[Transmission]:
-        return SCHEMES[self.tag].deliver(self.config, assoc, demand)
+        return SCHEMES[self.tag].deliver(assoc, self.run, demand)
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ class SegmentedRun:
 def build_segment(
     tag: str, config: NetworkConfig, assoc: Association, weight: Fraction
 ) -> Segment:
-    """Place one direct run of the scheme registered as tag."""
-    return Segment(tag, Fraction(weight), config, SCHEMES[tag].place(config, assoc))
+    """Place the direct run that tag's gate returns at config's memory pair."""
+    run = SCHEMES[tag].run(config, assoc)
+    return Segment(tag, Fraction(weight), run, SCHEMES[tag].place(assoc, run))
 
 
 def _byte_layout(segments: Sequence[Segment], min_len: int) -> tuple[int, list[list]]:
@@ -148,6 +149,7 @@ def run_end_to_end(
     The fixpoint records only which payload released each address; the rebuild
     compares each released piece of its file, rebuilt by int XORs, with the library's."""
     model.validate_association(config, assoc)
+    demand = model.validate_demand(config, demand)
     segments = _resolve_segments(scheme, config, assoc)
     file_len, layout = _byte_layout(segments, min_len)
     parts = [(i, keys, first, size) for i, (seg, row) in enumerate(zip(segments, layout))

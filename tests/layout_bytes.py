@@ -31,3 +31,22 @@ def air(parts, transmissions) -> Fraction:
         (one,) = summand_sizes(parts, t)
         total += one
     return total
+
+
+def segment_memories(seg, n: int) -> tuple:
+    """A segment's (Ms, Mp) read from its caches, not from a label: per cache, in
+    each part, its bit count times the part's share over its number of keys,
+    times N.  Every helper holds the same, and every user."""
+    def load(bits):
+        total, low = Fraction(0), 0
+        for keys, share in seg.placement.parts:
+            if keys:
+                held = (bits >> low & (1 << len(keys)) - 1).bit_count()
+                total += Fraction(held * share, len(keys))
+            low += len(keys)
+        return n * total
+
+    helpers = set(map(load, seg.placement.helper_bits))
+    users = set(map(load, seg.placement.private_bits))
+    assert len(helpers) == len(users) == 1, (seg.tag, seg.run, helpers, users)
+    return helpers.pop(), users.pop()

@@ -44,6 +44,7 @@ from dualcache.scheme_unknown import (
     place_unknown,
     rate_unknown,
     rate_unknown_general,
+    unknown_params,
 )
 from dualcache.simulator import run_end_to_end
 from layout_bytes import cache_load, summand_sizes
@@ -63,7 +64,7 @@ def test_criterion_1_four_user_reference():
     assoc = build_association(config, [[1, 2, 3], [4]])
     demand = (1, 2, 3, 4)
     rate = rate_unknown(config, assoc.profile)
-    out = deliver_unknown(config, assoc, demand)
+    out = deliver_unknown(assoc, unknown_params(config), demand)
     tier1 = sum(1 for t in out if t.part == 0)  # the helper split
     tier2 = sum(1 for t in out if t.part == 1)  # the user split
     sim = run_end_to_end(config, assoc, demand, seed=0)
@@ -81,8 +82,8 @@ def test_criterion_2_single_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(6, 5), Fraction(14, 5))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     params = scheme1_params(config, assoc)
-    out = deliver_scheme1(config, assoc, (1, 2, 3, 4, 5, 6))
-    parts = layout_scheme1(config)
+    out = deliver_scheme1(assoc, params, (1, 2, 3, 4, 5, 6))
+    parts = layout_scheme1(assoc, params)
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=0)
     ok = (
         params == (4, 3)
@@ -97,14 +98,15 @@ def test_criterion_2_single_level_reference():
 def test_criterion_3_two_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(4, 3))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
-    out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
-    parts = layout_scheme2(config, assoc)
+    run = scheme2_params(config, assoc)
+    out = deliver_scheme2(assoc, run, (1, 2, 3, 4, 5, 6))
+    parts = layout_scheme2(assoc, run)
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme2", seed=0)
     uniform = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
     uni_assoc = build_association(uniform, [[1, 4], [2, 5], [3, 6]])
     t_s, t_p = scheme2_params(uniform, uni_assoc)
     gain = (t_s + 1) * (t_p + 1)
-    uni_out = deliver_scheme2(uniform, uni_assoc, (1, 2, 3, 4, 5, 6))
+    uni_out = deliver_scheme2(uni_assoc, (t_s, t_p), (1, 2, 3, 4, 5, 6))
     ok = (
         rate_scheme2(config, assoc) == 1
         and len(out) == 9
@@ -314,8 +316,10 @@ def test_criterion_8_property_suite():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(4, 3))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     cfg4 = NetworkConfig(4, 4, 2, Fraction(1), Fraction(1))
-    for placement, parts in ((place_scheme2(config, assoc), layout_scheme2(config, assoc)),
-                             (place_unknown(cfg4), layout_unknown(cfg4))):
+    run2, assoc4 = scheme2_params(config, assoc), build_association(cfg4, [[1, 2, 3], [4]])
+    run4 = unknown_params(cfg4)
+    for placement, parts in ((place_scheme2(assoc, run2), layout_scheme2(assoc, run2)),
+                             (place_unknown(assoc4, run4), layout_unknown(assoc4, run4))):
         users = len(placement.private_contents)
         helpers = len(placement.helper_contents)
         cfg = config if users == 6 else cfg4

@@ -9,8 +9,8 @@ import pytest
 from dualcache.combin import binom, enumerate_ksubsets, unrank_ksubset
 from dualcache.model import InfeasibleSchemeError, Split, build_association, members
 from dualcache.scheme1 import layout_scheme1, scheme1_params
-from dualcache.scheme2 import layout_scheme2
-from dualcache.scheme_unknown import layout_unknown
+from dualcache.scheme2 import layout_scheme2, scheme2_params
+from dualcache.scheme_unknown import layout_unknown, unknown_params
 from test_converse import PARAMS, PLACES
 from test_envelope import _half_step_grid
 from test_scheme_rate import NETWORKS
@@ -31,13 +31,14 @@ def _stored_by(keys, n, field=0):
 
 
 def _unknown_rule(config, assoc):
-    (helper_keys, _), (user_keys, _) = layout_unknown(config)
+    (helper_keys, _), (user_keys, _) = layout_unknown(assoc, unknown_params(config))
     return _stored_by(helper_keys, config.num_helpers), _stored_by(user_keys, config.num_users)
 
 
 def _scheme1_rule(config, assoc):
-    q = scheme1_params(config, assoc)[1]
-    (keys, _), = layout_scheme1(config)
+    run = scheme1_params(config, assoc)
+    q = run[1]
+    (keys, _), = layout_scheme1(assoc, run)
     helpers = tuple(frozenset([key for key in keys if set(group) <= set(key[0])][:q])
                     for group in assoc.groups)
     users = tuple(own - helpers[h - 1]
@@ -46,7 +47,7 @@ def _scheme1_rule(config, assoc):
 
 
 def _scheme2_rule(config, assoc):
-    (keys, _), = layout_scheme2(config, assoc)
+    (keys, _), = layout_scheme2(assoc, scheme2_params(config, assoc))
     users = [set() for _ in range(config.num_users)]
     for tau, rho in keys:
         for helper, group in enumerate(assoc.groups, start=1):

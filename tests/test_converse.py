@@ -48,7 +48,7 @@ def test_positions_follow_group_order(net_4users):
 
 def test_certificate_set_listing(net_4users):
     config, assoc = net_4users
-    h1, h2 = build_h(config, assoc, (1, 2, 3, 4), place_unknown(config))
+    h1, h2 = build_h(config, assoc, (1, 2, 3, 4), place_unknown(assoc, unknown_params(config)))
     assert h1 == frozenset({
         _helper_sub(1, (2,)), _helper_sub(2, (2,)), _helper_sub(3, (2,)),
     })
@@ -67,7 +67,7 @@ def test_certificate_is_tight_and_acyclic(net_4users):
 
 def test_adding_a_known_subfile_creates_a_cycle(net_4users):
     config, assoc = net_4users
-    placement, demand = place_unknown(config), (1, 2, 3, 4)
+    placement, demand = place_unknown(assoc, unknown_params(config)), (1, 2, 3, 4)
     h1, h2 = build_h(config, assoc, demand, placement)
     assert verify_acyclic(_kept_bits(placement, demand, h1 | h2), placement.known(assoc))
     # user 1 wants file 1 and caches W2's {1,3} piece; user 2 wants file 2
@@ -81,7 +81,7 @@ def test_set_sizes_match_closed_forms(net_4users):
     # per ordered user: helper subsets avoiding helpers 1..c, and user
     # subsets drawn from the strictly later ordered users
     for demand in [(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)]:
-        h1, h2 = build_h(config, assoc, demand, place_unknown(config))
+        h1, h2 = build_h(config, assoc, demand, place_unknown(assoc, unknown_params(config)))
         expected_h1 = sum(
             binom(2 - assoc.helper_of(u), 1) for u in range(1, 5)
         )
@@ -186,8 +186,9 @@ def _set_partitions(users, blocks):
             yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
 
 
-PLACES = {"unknown": lambda config, _: place_unknown(config),
-          "scheme1": place_scheme1, "scheme2": place_scheme2}
+PLACES = {"unknown": lambda config, assoc: place_unknown(assoc, unknown_params(config)),
+          "scheme1": lambda config, assoc: place_scheme1(assoc, scheme1_params(config, assoc)),
+          "scheme2": lambda config, assoc: place_scheme2(assoc, scheme2_params(config, assoc))}
 PARAMS = {"unknown": lambda config, _: unknown_params(config),
           "scheme1": scheme1_params, "scheme2": scheme2_params}
 
@@ -288,7 +289,7 @@ def _listed_h(config, assoc, demand):
     c, keeps the helper subsets avoiding helpers 1..c and the user subsets
     avoiding the first p ordered users."""
     d = tuple(demand)
-    t_s, t_p = unknown_params(config)
+    t_s, t_p, _ = unknown_params(config)
     k, lam = config.num_users, config.num_helpers
     ordered = assoc.ordered_users()
     h1 = frozenset(
@@ -324,7 +325,8 @@ def test_placement_read_h_matches_the_listed_sets():
                     config = NetworkConfig(n, k, lam, ms, mp)
                     assoc = build_association(config, partition)
                     demand = tuple(rng.sample(range(1, n + 1), k))
-                    assert build_h(config, assoc, demand, place_unknown(config)) == _listed_h(
+                    placement = place_unknown(assoc, unknown_params(config))
+                    assert build_h(config, assoc, demand, placement) == _listed_h(
                         config, assoc, demand), (config, partition, demand)
                     compared += 1
     assert compared > 1000
@@ -362,17 +364,19 @@ def test_certify_keeps_alpha_exact_for_an_int_share(monkeypatch):
     # scheme1's one layout part carries the int share 1; certified on scheme1's
     # placement and rate, where that run is tight, alpha must stay a Fraction.
     # certify reads two parts, as the oblivious placement has, so an empty
-    # second part follows scheme1's
+    # second part follows scheme1's, and certify's one gate returns scheme1's run
     n, lam, partition = NETWORKS[0]
     config = NetworkConfig(n, n, lam, Fraction(1), Fraction(2))  # t = 3, helper quota 1
     assoc = build_association(config, partition)
 
-    def place(config):
-        placement = place_scheme1(config, assoc)
+    def place(assoc, run):
+        placement = place_scheme1(assoc, run)
         return replace(placement, parts=[*placement.parts, ([], 0)])
 
+    monkeypatch.setattr(converse, "unknown_params", lambda config: scheme1_params(config, assoc))
     monkeypatch.setattr(converse, "place_unknown", place)
-    monkeypatch.setattr(converse, "rate_unknown", lambda config, profile: rate_scheme1(config))
+    monkeypatch.setattr(converse, "rate_unknown_general",
+                        lambda config, profile: rate_scheme1(config))
     cert = certify(config, assoc, tuple(range(n, 0, -1)))
     assert isinstance(cert.alpha_lower, Fraction)
     assert cert.alpha_lower == cert.kappa_upper == Fraction(1, 4)

@@ -34,6 +34,7 @@ from dualcache.model import CornerPoint, NetworkConfig, build_association
 from dualcache.scheme2 import rate_scheme2_formula
 from dualcache.scheme_unknown import rate_unknown_general
 from dualcache.simulator import run_end_to_end
+from layout_bytes import segment_memories
 from test_scheme_rate import NETWORKS
 
 F = Fraction
@@ -102,8 +103,9 @@ def test_mixture_decodes_at_its_rate(net_4users):
     config, assoc = net_4users
     sol = envelope_at(scheme2_corners(config, assoc), Fraction(1), Fraction(1))
     run = materialize_shared_placement(sol, config, assoc)
-    assert sum(seg.weight * seg.config.helper_mem for seg in run.segments) == 1
-    assert sum(seg.weight * seg.config.private_mem for seg in run.segments) == 1
+    memories = [(seg.weight, *segment_memories(seg, 4)) for seg in run.segments]
+    assert sum(w * ms for w, ms, _ in memories) == 1
+    assert sum(w * mp for w, _, mp in memories) == 1
     report = run_end_to_end(config, assoc, (1, 2, 3, 4), scheme=run, seed=6)
     assert report.ok, report.failure
     assert report.measured_rate == Fraction(11, 12)
@@ -181,8 +183,9 @@ def test_oblivious_run_off_the_lattice():
     assoc = build_association(config, [[1, 2, 3], [4]])
     run = unknown_run_segments(config, assoc)
     assert len(run.segments) > 1
-    assert sum(seg.weight * seg.config.helper_mem for seg in run.segments) == Fraction(3, 4)
-    assert sum(seg.weight * seg.config.private_mem for seg in run.segments) == Fraction(3, 4)
+    memories = [(seg.weight, *segment_memories(seg, 4)) for seg in run.segments]
+    assert sum(w * ms for w, ms, _ in memories) == Fraction(3, 4)
+    assert sum(w * mp for w, _, mp in memories) == Fraction(3, 4)
     report = run_end_to_end(config, assoc, (1, 2, 3, 4), scheme=run, seed=8)
     assert report.ok, report.failure
     assert report.measured_rate == rate_unknown_general(config, assoc.profile)

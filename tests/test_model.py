@@ -142,11 +142,13 @@ def test_load_config_missing_key():
 
 
 @pytest.mark.parametrize("place, partition, small, large", [
-    (lambda config, _: place_unknown(config), [[1, 2], [3, 4]],
+    (lambda config, assoc: place_unknown(assoc, unknown_params(config)), [[1, 2], [3, 4]],
      (4, 4, 2, Fraction(1), Fraction(1)), (8, 4, 2, Fraction(2), Fraction(2))),
-    (place_scheme2, [[1, 2, 3], [4, 5], [6]],
+    (lambda config, assoc: place_scheme2(assoc, scheme2_params(config, assoc)),
+     [[1, 2, 3], [4, 5], [6]],
      (6, 6, 3, Fraction(2), Fraction(4, 3)), (12, 6, 3, Fraction(4), Fraction(8, 3))),
-    (place_scheme1, [[1, 2, 3], [4, 5], [6]],
+    (lambda config, assoc: place_scheme1(assoc, scheme1_params(config, assoc)),
+     [[1, 2, 3], [4, 5], [6]],
      (6, 6, 3, Fraction(6, 5), Fraction(14, 5)), (12, 6, 3, Fraction(12, 5), Fraction(28, 5))),
 ], ids=["unknown", "scheme2", "scheme1"])
 def test_placement_does_not_depend_on_n(place, partition, small, large):
@@ -168,21 +170,25 @@ def _plain(value) -> bool:
 
 
 def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two_level):
-    deep, two_level = net_6users_deep, net_6users_two_level
+    (config4, assoc4), (config6, deep), (_, two_level) = \
+        net_4users, net_6users_deep, net_6users_two_level
+    unknown = unknown_params(config4)
+    one = scheme1_params(config6, deep)
+    two = scheme2_params(*net_6users_two_level)
     runs = [
-        (place_unknown(net_4users[0]), tile(*layout_unknown(net_4users[0])),
-         deliver_unknown(*net_4users, (1, 2, 3, 4))),
-        (place_scheme1(*deep), tile(*layout_scheme1(deep[0])),
-         deliver_scheme1(*deep, range(1, 7))),
-        (place_scheme2(*two_level), tile(*layout_scheme2(*two_level)),
-         deliver_scheme2(*two_level, range(1, 7))),
+        (place_unknown(assoc4, unknown), tile(*layout_unknown(assoc4, unknown)),
+         deliver_unknown(assoc4, unknown, (1, 2, 3, 4))),
+        (place_scheme1(deep, one), tile(*layout_scheme1(deep, one)),
+         deliver_scheme1(deep, one, range(1, 7))),
+        (place_scheme2(two_level, two), tile(*layout_scheme2(two_level, two)),
+         deliver_scheme2(two_level, two, range(1, 7))),
     ]
     for placement, extents, transmissions in runs:
         keys = set(extents).union(*placement.helper_contents, *placement.private_contents)
         pieces = {s.piece for t in transmissions for s in subfiles(placement.parts, t)}
         assert keys == set(extents) and pieces <= keys
         assert all(type(key) is tuple and _plain(key) for key in keys)
-    h1, h2 = build_h(*net_4users, (1, 2, 3, 4), place_unknown(net_4users[0]))
+    h1, h2 = build_h(*net_4users, (1, 2, 3, 4), place_unknown(assoc4, unknown))
     assert h1 and h2 and all(map(_plain, h1 | h2))
 
 

@@ -18,7 +18,7 @@ from dualcache.scheme1 import (
     rate_scheme1,
     scheme1_params,
 )
-from dualcache.simulator import run_end_to_end
+from dualcache.simulator import build_segment, run_end_to_end
 from layout_bytes import cache_load, summand_sizes
 
 
@@ -29,7 +29,7 @@ def test_params(net_6users_deep):
 
 def test_helpers_take_lex_smallest_covering_subsets(net_6users_deep):
     config, assoc = net_6users_deep
-    placement = place_scheme1(config, assoc)
+    placement = place_scheme1(assoc, scheme1_params(config, assoc))
     expected = {
         1: [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)],
         2: [(1, 2, 4, 5), (1, 3, 4, 5), (1, 4, 5, 6)],
@@ -42,8 +42,8 @@ def test_helpers_take_lex_smallest_covering_subsets(net_6users_deep):
 
 def test_placement_memory_and_coverage(net_6users_deep):
     config, assoc = net_6users_deep
-    placement = place_scheme1(config, assoc)
-    parts = layout_scheme1(config)
+    run = scheme1_params(config, assoc)
+    placement, parts = place_scheme1(assoc, run), layout_scheme1(assoc, run)
     for helper in (1, 2, 3):
         assert cache_load(config, parts, placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 7):
@@ -64,9 +64,10 @@ def test_placement_memory_and_coverage(net_6users_deep):
 
 def test_delivery_and_rate(net_6users_deep):
     config, assoc = net_6users_deep
-    out = deliver_scheme1(config, assoc, (1, 2, 3, 4, 5, 6))
+    run = scheme1_params(config, assoc)
+    out = deliver_scheme1(assoc, run, (1, 2, 3, 4, 5, 6))
     assert len(out) == 6
-    parts = layout_scheme1(config)
+    parts = layout_scheme1(assoc, run)
     assert all(summand_sizes(parts, t) == {Fraction(1, 15)} for t in out)
     assert rate_scheme1(config) == Fraction(2, 5)
     report = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=3)
@@ -84,7 +85,7 @@ def test_full_memory_needs_no_transmissions():
     assoc = build_association(config, [[1, 2, 3], [4]])
     assert scheme1_params(config, assoc) == (4, 1)
     assert rate_scheme1(config) == 0
-    assert deliver_scheme1(config, assoc, (1, 2, 3, 4)) == []
+    assert deliver_scheme1(assoc, scheme1_params(config, assoc), (1, 2, 3, 4)) == []
     report = run_end_to_end(config, assoc, (1, 2, 3, 4), scheme="scheme1", seed=9)
     assert report.ok, report.failure
     assert report.measured_rate == 0
@@ -95,17 +96,19 @@ def test_one_below_full_memory():
     assoc = build_association(config, [[1, 2, 3], [4]])
     assert scheme1_params(config, assoc) == (3, 1)
     assert rate_scheme1(config) == Fraction(1, 4)
-    assert len(deliver_scheme1(config, assoc, (1, 2, 3, 4))) == 1
+    assert len(deliver_scheme1(assoc, scheme1_params(config, assoc), (1, 2, 3, 4))) == 1
     sim = run_end_to_end(config, assoc, (4, 3, 2, 1), scheme="scheme1", seed=2)
     assert sim.ok, sim.failure
     assert sim.measured_rate == Fraction(1, 4)
 
 
 def test_layout_rejects_fractional_t():
-    # t = K(Ms+Mp)/N = 3/2; the layout used to truncate it to the t = 1 layout
+    # t = K(Ms+Mp)/N = 3/2; the layout used to truncate it to the t = 1 layout,
+    # and a segment asked for at this memory pair runs the gate before any layout
     config = NetworkConfig(4, 4, 2, Fraction(1), Fraction(1, 2))
+    assoc = build_association(config, [[1, 2, 3], [4]])
     with pytest.raises(InfeasibleSchemeError, match="t = 3/2 is not an integer"):
-        layout_scheme1(config)
+        build_segment("scheme1", config, assoc, Fraction(1))
     with pytest.raises(InfeasibleSchemeError, match="t = 3/2 is not an integer"):
         rate_scheme1(config)
 
@@ -114,7 +117,7 @@ def test_place_rejects_infeasible_points():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     with pytest.raises(InfeasibleSchemeError):
-        place_scheme1(config, assoc)
+        build_segment("scheme1", config, assoc, Fraction(1))
 
 
 @pytest.mark.parametrize("l1,ms,lo,hi", [

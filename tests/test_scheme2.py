@@ -26,7 +26,7 @@ from subfile_delivery import reference_delivery, subfiles
 def test_params(net_6users_two_level):
     config, assoc = net_6users_two_level
     assert scheme2_params(config, assoc) == (1, 1)
-    assert set(tile(*layout_scheme2(config, assoc)).values()) == {
+    assert set(tile(*layout_scheme2(assoc, scheme2_params(config, assoc))).values()) == {
         (Fraction(i, 9), Fraction(1, 9)) for i in range(9)}
 
 
@@ -56,7 +56,7 @@ def _sub(n, tau, rho):
 
 def test_placement_matches_known_listing(net_6users_two_level):
     config, assoc = net_6users_two_level
-    placement = place_scheme2(config, assoc)
+    placement = place_scheme2(assoc, scheme2_params(config, assoc))
     for helper in (1, 2, 3):
         want = frozenset(_sub(1, (helper,), (j,)).piece for j in (1, 2, 3))
         assert placement.helper_contents[helper - 1] == want
@@ -75,8 +75,8 @@ def test_placement_matches_known_listing(net_6users_two_level):
 
 def test_placement_memory(net_6users_two_level):
     config, assoc = net_6users_two_level
-    placement = place_scheme2(config, assoc)
-    parts = layout_scheme2(config, assoc)
+    run = scheme2_params(config, assoc)
+    placement, parts = place_scheme2(assoc, run), layout_scheme2(assoc, run)
     for helper in (1, 2, 3):
         assert cache_load(config, parts, placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 7):
@@ -85,9 +85,10 @@ def test_placement_memory(net_6users_two_level):
 
 def test_delivery_listing_and_rate(net_6users_two_level):
     config, assoc = net_6users_two_level
-    out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
+    run = scheme2_params(config, assoc)
+    out = deliver_scheme2(assoc, run, (1, 2, 3, 4, 5, 6))
     assert len(out) == 9
-    parts = layout_scheme2(config, assoc)
+    parts = layout_scheme2(assoc, run)
     assert all(summand_sizes(parts, t) == {Fraction(1, 9)} for t in out)
     assert rate_scheme2(config, assoc) == 1
     # each XOR under its (T, S), read off the reference delivery, which lists them in order
@@ -108,7 +109,7 @@ def test_uniform_association_gain_is_constant():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
     assoc = build_association(config, [[1, 4], [2, 5], [3, 6]])
     t_s, t_p = scheme2_params(config, assoc)
-    out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
+    out = deliver_scheme2(assoc, (t_s, t_p), (1, 2, 3, 4, 5, 6))
     gain = (t_s + 1) * (t_p + 1)
     assert all(len(t.summands) == gain for t in out)
     expected = Fraction(6, gain) * (1 - config.total_mem / 6)
@@ -131,8 +132,9 @@ def test_formula_counts_nonempty_slots():
                 if ms + mp > 6:
                     continue
                 config = NetworkConfig(6, 6, 3, ms, mp)
-                out = deliver_scheme2(config, assoc, (1, 2, 3, 4, 5, 6))
-                total = air(layout_scheme2(config, assoc), out)
+                run = scheme2_params(config, assoc)
+                out = deliver_scheme2(assoc, run, (1, 2, 3, 4, 5, 6))
+                total = air(layout_scheme2(assoc, run), out)
                 assert total == rate_scheme2_formula(3, ms_level, tp_level, assoc.profile)
 
 

@@ -17,6 +17,7 @@ from dualcache.scheme1 import rate_scheme1, scheme1_params
 from dualcache.scheme2 import rate_scheme2
 from dualcache.scheme_unknown import rate_unknown
 from dualcache.simulator import run_end_to_end
+from layout_bytes import segment_memories
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -119,9 +120,9 @@ def test_every_rate_is_realized(n, lam, partition):
                 if value is None:
                     continue
                 run = scheme_run(name, config, assoc)
-                memories = (sum(seg.weight * seg.config.helper_mem for seg in run.segments),
-                            sum(seg.weight * seg.config.private_mem for seg in run.segments))
-                assert memories == (ms, mp), (name, ms, mp)
+                memories = [(seg.weight, *segment_memories(seg, n)) for seg in run.segments]
+                assert (sum(w * seg_ms for w, seg_ms, _ in memories),
+                        sum(w * seg_mp for w, _, seg_mp in memories)) == (ms, mp), (name, ms, mp)
                 report = run_end_to_end(config, assoc, demand, scheme=run)
                 assert report.ok, (name, ms, mp, report.failure)
                 assert report.measured_rate == value, (name, ms, mp)

@@ -63,9 +63,10 @@ def pue_reference_transmissions(assoc, t_s, demand):
 
 
 def test_params_split_evenly(net_4users):
-    config, _ = net_4users
-    assert unknown_params(config) == (1, 2)
-    assert [share for _, share in layout_unknown(config)] == [Fraction(1, 2)] * 2
+    config, assoc = net_4users
+    assert unknown_params(config) == (1, 2, Fraction(1, 2))
+    assert [share for _, share in layout_unknown(assoc, unknown_params(config))] == \
+        [Fraction(1, 2)] * 2
 
 
 def test_params_reject_fractional_levels():
@@ -75,8 +76,8 @@ def test_params_reject_fractional_levels():
 
 
 def test_placement_matches_known_listing(net_4users):
-    config, _ = net_4users
-    placement = place_unknown(config)
+    config, assoc = net_4users
+    placement = place_unknown(assoc, unknown_params(config))
     for helper in (1, 2):
         expected = frozenset({((helper,), ())})
         assert placement.helper_contents[helper - 1] == expected
@@ -89,9 +90,9 @@ def test_placement_matches_known_listing(net_4users):
 
 
 def test_placement_fills_memory_exactly(net_4users):
-    config, _ = net_4users
-    placement = place_unknown(config)
-    parts = layout_unknown(config)
+    config, assoc = net_4users
+    run = unknown_params(config)
+    placement, parts = place_unknown(assoc, run), layout_unknown(assoc, run)
     for helper in (1, 2):
         assert cache_load(config, parts, placement.helper_contents[helper - 1]) == config.helper_mem
     for user in range(1, 5):
@@ -100,19 +101,21 @@ def test_placement_fills_memory_exactly(net_4users):
 
 def test_delivery_counts_and_rate(net_4users):
     config, assoc = net_4users
-    out = deliver_unknown(config, assoc, (1, 2, 3, 4))
+    run = unknown_params(config)
+    out = deliver_unknown(assoc, run, (1, 2, 3, 4))
     tier1 = [t for t in out if t.part == 0]  # the helper split
     tier2 = [t for t in out if t.part == 1]  # the user split
     assert len(tier1) == 3 and len(tier2) == 4
-    assert air(layout_unknown(config), out) == Fraction(13, 12)
+    assert air(layout_unknown(assoc, run), out) == Fraction(13, 12)
     assert rate_unknown(config, assoc.profile) == Fraction(13, 12)
 
 
 def test_rate_is_demand_permutation_invariant(net_4users):
     config, assoc = net_4users
-    parts = layout_unknown(config)
+    run = unknown_params(config)
+    parts = layout_unknown(assoc, run)
     sizes = {
-        air(parts, deliver_unknown(config, assoc, d)) for d in permutations((1, 2, 3, 4))
+        air(parts, deliver_unknown(assoc, run, d)) for d in permutations((1, 2, 3, 4))
     }
     assert sizes == {Fraction(13, 12)}
 
@@ -121,9 +124,10 @@ def test_zero_memory_sends_whole_files():
     config = NetworkConfig(4, 4, 2, Fraction(0), Fraction(0))
     assoc = build_association(config, [[1, 2, 3], [4]])
     assert rate_unknown(config, assoc.profile) == 4
-    out = deliver_unknown(config, assoc, (2, 1, 4, 3))
+    run = unknown_params(config)
+    out = deliver_unknown(assoc, run, (2, 1, 4, 3))
     assert len(out) == 4
-    parts = layout_unknown(config)
+    parts = layout_unknown(assoc, run)
     assert all(summand_sizes(parts, t) == {1} for t in out)
 
 
@@ -131,8 +135,8 @@ def test_private_only_reduces_to_dedicated_delivery():
     config = NetworkConfig(4, 4, 2, Fraction(0), Fraction(2))
     assoc = build_association(config, [[1, 2, 3], [4]])
     demand = (3, 1, 2, 4)
-    out = deliver_unknown(config, assoc, demand)
-    parts = layout_unknown(config)
+    run = unknown_params(config)
+    out, parts = deliver_unknown(assoc, run, demand), layout_unknown(assoc, run)
     got = [
         frozenset((s.file, s.idx_a) for s in subfiles(parts, t)) for t in out
     ]
@@ -145,8 +149,8 @@ def test_helper_only_reduces_to_shared_delivery():
     config = NetworkConfig(4, 4, 2, Fraction(2), Fraction(0))
     assoc = build_association(config, [[1, 2, 3], [4]])
     demand = (4, 2, 1, 3)
-    out = deliver_unknown(config, assoc, demand)
-    parts = layout_unknown(config)
+    run = unknown_params(config)
+    out, parts = deliver_unknown(assoc, run, demand), layout_unknown(assoc, run)
     got = [
         frozenset((s.file, s.idx_a) for s in subfiles(parts, t)) for t in out
     ]
@@ -162,8 +166,8 @@ def test_uniform_association_tier1_closed_form():
     # (K/Lam) * (Lam - t_s) / (t_s + 1)
     config = NetworkConfig(8, 8, 4, Fraction(2), Fraction(2))
     assoc = build_association(config, [[1, 2], [3, 4], [5, 6], [7, 8]])
-    t_s, t_p = unknown_params(config)
-    (_, f1), (_, f2) = layout_unknown(config)
+    t_s, t_p, _ = run = unknown_params(config)
+    (_, f1), (_, f2) = layout_unknown(assoc, run)
     expected = f1 * Fraction(2 * (4 - t_s), t_s + 1) + f2 * Fraction(8 - t_p, t_p + 1)
     assert rate_unknown(config, assoc.profile) == expected
 
@@ -271,20 +275,23 @@ def test_extreme_points_run_the_component_schemes(n, lam, partition):
     for t_s in range(1, lam + 1):
         config = NetworkConfig(n, k, lam, Fraction(t_s * n, lam), Fraction(0))
         assoc = build_association(config, partition)
-        assert deliver_unknown(config, assoc, demand) == deliver_scheme2(config, assoc, demand)
-        assert tile(*layout_unknown(config)) == tile(*layout_scheme2(config, assoc))
-        unknown, scheme2 = place_unknown(config), place_scheme2(config, assoc)
+        run = unknown_params(config)
+        assert deliver_unknown(assoc, run, demand) == deliver_scheme2(assoc, (t_s, 0), demand)
+        assert tile(*layout_unknown(assoc, run)) == tile(*layout_scheme2(assoc, (t_s, 0)))
+        unknown, scheme2 = place_unknown(assoc, run), place_scheme2(assoc, (t_s, 0))
         # the parts differ only by the user split's empty zero share, as tile shows
         assert unknown.helper_contents == scheme2.helper_contents
         assert unknown.private_contents == scheme2.private_contents
     for t in range(k + 1):
         config = NetworkConfig(n, k, lam, Fraction(0), Fraction(t * n, k))
         assoc = build_association(config, partition)
-        # the oblivious user split is its layout's part 1, scheme1's is part 0
-        assert [subfiles(layout_unknown(config), t)
-                for t in deliver_unknown(config, assoc, demand)] == \
-            [subfiles(layout_scheme1(config), t) for t in deliver_scheme1(config, assoc, demand)]
-        assert tile(*layout_unknown(config)) == tile(*layout_scheme1(config))
+        # the oblivious user split is its layout's part 1, scheme1's (at quota 0) is part 0
+        run, user_split = unknown_params(config), (t, 0)
+        assert [subfiles(layout_unknown(assoc, run), u)
+                for u in deliver_unknown(assoc, run, demand)] == \
+            [subfiles(layout_scheme1(assoc, user_split), u)
+             for u in deliver_scheme1(assoc, user_split, demand)]
+        assert tile(*layout_unknown(assoc, run)) == tile(*layout_scheme1(assoc, user_split))
 
 
 def test_oblivious_placement_ignores_the_association():
