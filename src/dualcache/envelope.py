@@ -292,10 +292,10 @@ def _scheme2_mixture(config: NetworkConfig, assoc: Association) -> Optional[list
     return None if sol is None else _solution_mixture(sol, config, assoc)
 
 
-# mixture(config, assoc), whose corners carry their runs; run(config, assoc), the gate of a run
-# asked for by memory pair; place(assoc, run); deliver(assoc, run, demand).  Each looks its
+# mixture(config, assoc), whose corners carry their runs; gate(config, assoc), the run asked
+# for by memory pair; place(assoc, run); deliver(assoc, run, demand).  Each looks its
 # module's function up at each call: it may be rebound
-Scheme = namedtuple("Scheme", "mixture run place deliver")
+Scheme = namedtuple("Scheme", "mixture gate place deliver")
 SCHEMES = {  # in the order of `rate --scheme all` and of the curve's columns
     "unknown": Scheme(lambda c, a: scheme_unknown.unknown_mixture(c, a.profile, Fraction(1)),
                       lambda c, a: scheme_unknown.unknown_params(c),

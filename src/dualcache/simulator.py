@@ -69,7 +69,7 @@ def build_segment(
     tag: str, config: NetworkConfig, assoc: Association, weight: Fraction
 ) -> Segment:
     """Place the direct run that tag's gate returns at config's memory pair."""
-    run = SCHEMES[tag].run(config, assoc)
+    run = SCHEMES[tag].gate(config, assoc)
     return Segment(tag, Fraction(weight), run, SCHEMES[tag].place(assoc, run))
 
 

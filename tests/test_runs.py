@@ -74,7 +74,7 @@ def test_the_gate_at_each_corner_returns_the_corner_run():
             segments = scheme_run(name, config, assoc).segments
             for (corner, weight), segment in zip(mixture, segments, strict=True):
                 at = config.with_memories(corner.helper_mem, corner.private_mem)
-                assert SCHEMES[corner.scheme_tag].run(at, assoc) == corner.run, (name, corner)
+                assert SCHEMES[corner.scheme_tag].gate(at, assoc) == corner.run, (name, corner)
                 assert build_segment(corner.scheme_tag, at, assoc, weight) == segment, \
                     (name, corner)
                 corners.add(corner.scheme_tag)
