@@ -3,9 +3,9 @@ the mixtures of direct runs that realize each scheme's rate, and the bound
 report that sets those rates against the reference curves.
 
 A corner point is a memory pair where some scheme's integer parameters
-line up; arbitrary (Ms, Mp) targets are met by splitting files into
-weighted segments, one direct run per corner.  scheme_rate and scheme_run
-both read scheme_mixture, so a printed rate is the rate of the run.
+line up, and it carries that run; arbitrary (Ms, Mp) targets are met by
+splitting files into weighted segments, one per corner's run.  scheme_rate
+and scheme_run both read scheme_mixture, so a printed rate is the rate of the run.
 
 Every LP is one two-phase Bland solve of the columns it is given, and
 lp_optimal, the one certificate check for any number of rows, checks each
@@ -107,7 +107,7 @@ def unknown_corners(config: NetworkConfig, assoc: Association) -> list[CornerPoi
     corners = []
     for mem in lattice:
         ms, mp = alpha * mem, (1 - alpha) * mem
-        mixture = scheme_unknown.mixture_at(config, assoc.profile, ms, mp, Fraction(1))
+        mixture = scheme_unknown.unknown_mixture(config, assoc.profile, ms, mp, Fraction(1))
         corners.append(CornerPoint(ms, mp, sum(c.rate * w for c, w in mixture), "unknown", (mem,)))
     return corners
 
@@ -283,7 +283,8 @@ def _solution_mixture(
     as the oblivious scheme at Ms = 0, which takes two runs between its lattice levels."""
     return [pair for corner, weight in solution.weights for pair in (
         [(corner, weight)] if corner.run is not None else
-        scheme_unknown.mixture_at(config, assoc.profile, Fraction(0), corner.private_mem, weight))]
+        scheme_unknown.unknown_mixture(config, assoc.profile, Fraction(0), corner.private_mem,
+                                       weight))]
 
 
 def _scheme2_mixture(config: NetworkConfig, assoc: Association) -> Optional[list]:
@@ -297,7 +298,8 @@ def _scheme2_mixture(config: NetworkConfig, assoc: Association) -> Optional[list
 # module's function up at each call: it may be rebound
 Scheme = namedtuple("Scheme", "mixture gate place deliver")
 SCHEMES = {  # in the order of `rate --scheme all` and of the curve's columns
-    "unknown": Scheme(lambda c, a: scheme_unknown.unknown_mixture(c, a.profile, Fraction(1)),
+    "unknown": Scheme(lambda c, a: scheme_unknown.unknown_mixture(c, a.profile, c.helper_mem,
+                                                                  c.private_mem, Fraction(1)),
                       lambda c, a: scheme_unknown.unknown_params(c),
                       lambda a, r: scheme_unknown.place_unknown(a, r),
                       lambda a, r, d: scheme_unknown.deliver_unknown(a, r, d)),

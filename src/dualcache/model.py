@@ -350,8 +350,7 @@ class CornerPoint:
     rate: Fraction
     scheme_tag: str  # the scheme run at this corner; "unknown" at zero helper memory
     params: tuple
-    # the direct run place and deliver take, None where a mixture runs it; not compared,
-    # as the fields above determine it
+    # the run place and deliver take (None: a mixture runs it); not compared, the others fix it
     run: Optional[tuple] = field(default=None, compare=False)
 
 

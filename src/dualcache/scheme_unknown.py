@@ -74,21 +74,16 @@ def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
     return rate_unknown_general(config, profile)
 
 
-def unknown_mixture(config: NetworkConfig, profile: Sequence[int], weight: Fraction) -> list:
-    """mixture_at config's own memory pair."""
-    return mixture_at(config, profile, config.helper_mem, config.private_mem, weight)
-
-
-def mixture_at(config: NetworkConfig, profile: Sequence[int], helper_mem: Fraction,
-               private_mem: Fraction, weight: Fraction) -> list:
+def unknown_mixture(config: NetworkConfig, profile: Sequence[int], helper_mem: Fraction,
+                    private_mem: Fraction, weight: Fraction) -> list:
     """Weighted corners, each carrying its run, that realize the scheme at (helper_mem,
-    private_mem) on config's network, scaled to a total of weight.  Each nonzero share
-    walks its own cached lattice once at M = Ms + Mp (at M = 0, only the private share
-    at level 0): one direct-run corner when every walk lands on a lattice point, else
-    each share's one or two lattice points, up to four corners."""
+    private_mem) on config's network (not at config's own pair), scaled to a total of
+    weight.  Each nonzero share walks its own cached lattice once at M = Ms + Mp (at M = 0,
+    only the private share at level 0): one direct-run corner when every walk lands on a
+    lattice point, else each share's one or two lattice points, up to four corners."""
     n, k, lam, m = config.num_files, config.num_users, config.num_helpers, helper_mem + private_mem
     alpha = helper_mem / m if m else Fraction(0)
-    walks = []  # (share, hull_mix of its lattice at m, a lattice memory -> (Ms, Mp, its gate's run))
+    walks = []  # (share, hull_mix of its lattice at m, lattice memory -> (Ms, Mp, gate's run))
     if alpha > 0:
         walks.append((alpha, bounds.hull_mix(bounds.pue_hull(lam, n, tuple(profile)), m),
                       lambda mem: (mem, Fraction(0), (lam * mem // n, None, Fraction(1))
@@ -106,4 +101,5 @@ def mixture_at(config: NetworkConfig, profile: Sequence[int], helper_mem: Fracti
 
 def rate_unknown_general(config: NetworkConfig, profile: Sequence[int]) -> Fraction:
     """Rate at arbitrary (Ms, Mp): the weighted rate of unknown_mixture."""
-    return sum((c.rate * w for c, w in unknown_mixture(config, profile, Fraction(1))), Fraction(0))
+    mixture = unknown_mixture(config, profile, config.helper_mem, config.private_mem, Fraction(1))
+    return sum((c.rate * w for c, w in mixture), Fraction(0))

@@ -209,7 +209,8 @@ def test_mixture_walks_the_lattices_without_the_direct_run_gate(monkeypatch):
         n, lam, partition = r["network"]
         config = NetworkConfig(n, n, lam, *map(Fraction, r["mixture_at"]))
         assoc = build_association(config, partition)
-        mixture = scheme_unknown.unknown_mixture(config, assoc.profile, Fraction(1))
+        mixture = scheme_unknown.unknown_mixture(config, assoc.profile, config.helper_mem,
+                                                 config.private_mem, Fraction(1))
         assert [[record._corner(c), str(w)] for c, w in mixture] == r["mixtures"]["unknown"]
         value, label = printed[(str(r["network"]), *r["mixture_at"])]
         assert str(scheme_unknown.rate_unknown_general(config, assoc.profile)) == value
@@ -225,8 +226,8 @@ def test_malformed_profiles_are_rejected():
         lambda p: rate_unknown(config, p),
         lambda p: rate_unknown_general(config, p),
         lambda p: rate_unknown_general(general, p),
-        lambda p: unknown_mixture(config, p, Fraction(1)),
-        lambda p: unknown_mixture(general, p, Fraction(1)),
+        lambda p: unknown_mixture(config, p, config.helper_mem, config.private_mem, Fraction(1)),
+        lambda p: unknown_mixture(general, p, general.helper_mem, general.private_mem, Fraction(1)),
     ]
     for profile in ((1, 3), [1, 3], (3, 1, 0), (4,)):
         for reader in readers:
