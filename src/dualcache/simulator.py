@@ -11,11 +11,12 @@ that int's big-endian bytes; a payload is the int XOR of its summands.  Only the
 pieces some payload carries are drawn: random.Random(seed).getrandbits(8 * length)
 for each, in order of file, then start.  Decoding is a fixpoint over addresses:
 a transmission releases its one unknown summand to a user that holds the rest.
-Two indexes built once per run, key -> payloads and address -> payloads, let a
-user visit only payloads that can release something: first those holding a key
-it caches or one summand, then those holding an address just released, pass by
-pass in payload order, so each address is released by the payload a scan of every
-payload on every pass would pick.  The rebuild walks only the keys the user lacks.
+Each address has an int with a bit per user lacking it, so one scan of the
+payloads in order decodes every user at once: a payload finds the users lacking
+exactly one of its summands in a few int ops.  The scan repeats only when some
+address is carried twice, so each address is released by the payload a user's
+own scan of every payload on every pass would pick.  The rebuild walks only the
+keys the user lacks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from . import model
@@ -120,6 +120,36 @@ class DecodeReport:
 _xor = operator.xor  # looked up at each use, so a patched _xor sees every XOR
 
 
+def _releases(sent: Sequence[tuple], lacks: list, users: int) -> list[dict]:
+    """Per user, address -> the payload that released it to that user, where
+    bit u - 1 of lacks[a] is set while user u lacks address a.  Every user
+    decodes at once: a scan visits the payloads in index order, and each releases
+    a summand to the users lacking only that one of its summands.  Users never
+    interact, so scanning until a scan releases nothing is each user's own scan
+    of every payload on every pass, run in lockstep.  With no address carried
+    twice a release completes no other payload, so the first scan is the fixpoint."""
+    releases: list[dict] = [{} for _ in range(users)]
+    repeated = sum(map(len, sent)) > len({a for summands in sent for a in summands})
+    progress = True
+    while progress:
+        progress = False
+        for j, summands in enumerate(sent):
+            once = twice = 0
+            for a in summands:
+                twice |= once & lacks[a]
+                once |= lacks[a]
+            one = once & ~twice  # the users lacking exactly one summand
+            for a in summands:
+                if got := one & lacks[a]:
+                    lacks[a] ^= got
+                    progress = repeated
+                    while got:
+                        low = got & -got
+                        releases[low.bit_length() - 1][a] = j
+                        got ^= low
+    return releases
+
+
 def _resolve_segments(
     scheme, config: NetworkConfig, assoc: Association
 ) -> tuple[Segment, ...]:
@@ -145,9 +175,10 @@ def run_end_to_end(
     end, each as every segment's keys laid end to end: (file - 1) * width + its
     part's first key + rank, width the keys per file, so addresses run in (file,
     byte start) order.  A user's two caches are read once, as one int over a file's
-    keys; it holds an address when that bit is set or a transmission released it.
-    The fixpoint records only which payload released each address; the rebuild
-    compares each released piece of its file, rebuilt by int XORs, with the library's."""
+    keys, and the users lacking each key form one int, tiled over the files.  The
+    fixpoint records only which payload released each address to each user; the
+    rebuild compares each released piece of its file, rebuilt by int XORs, with the
+    library's."""
     model.validate_association(config, assoc)
     demand = model.validate_demand(config, demand)
     segments = _resolve_segments(scheme, config, assoc)
@@ -165,17 +196,11 @@ def run_end_to_end(
             base, size = bases[part]
             sent.append(tuple(width * n + base + rank for n, rank in summands))
             length.append(size)
-    # the payloads with a summand at each address, and at each key of any file
-    holders: dict[int, list[int]] = {}
-    at_key: dict[int, list[int]] = {}
-    for j, summands in enumerate(sent):
-        for a in summands:
-            holders.setdefault(a, []).append(j)
-            at_key.setdefault(a % width, []).append(j)
-    singles = [j for j, summands in enumerate(sent) if len(summands) == 1]
     # only the pieces some payload carries are ever read, so only they are drawn
+    piece = {a: size for summands, size in zip(sent, length) for a in summands}
     rng = random.Random(seed)
-    piece = {a: rng.getrandbits(8 * length[holders[a][0]]) for a in sorted(holders)}
+    for a in sorted(piece):
+        piece[a] = rng.getrandbits(8 * piece[a])
     payloads = [reduce(_xor, map(piece.__getitem__, summands)) for summands in sent]
 
     def materialize(address: int, released: dict, decoded: dict) -> int:
@@ -200,35 +225,19 @@ def run_end_to_end(
         return config.num_files * sum(((bits >> first) & ((1 << len(keys)) - 1)).bit_count()
                                       * size for _, keys, first, size in parts)
 
+    caches = [spread(bits[u] for bits in known) for u in range(config.num_users)]
+    lacks = [(1 << config.num_users) - 1] * width  # per key, the users not caching it
+    for u, cached in enumerate(caches):
+        for g in model.members(range(width), cached):
+            lacks[g] &= ~(1 << u)
+    releases = _releases(sent, lacks * config.num_files, config.num_users)
+
     private_bytes, helper_bytes, air_bytes, per_user_ok = [], [], [], []
     failure = None
-    for user in range(1, config.num_users + 1):
-        cached = spread(bits[user - 1] for bits in known)
+    for user, cached, released in zip(range(1, config.num_users + 1), caches, releases):
         private = spread(seg.placement.private_bits[user - 1] for seg in segments)
         private_bytes.append(cached_bytes(private))
         helper_bytes.append(cached_bytes(cached & ~private))
-        held = bytearray(model.flags(cached, width)) * config.num_files  # by address
-        released: dict[int, int] = {}  # address -> index of the payload that released it
-        # a pass pops its payloads in index order, the first those holding a cached key
-        # or one summand; a payload holding an address released at j joins this pass
-        # above j, the next one below
-        queue = sorted({j for g in model.members(range(width), cached)
-                        for j in at_key.get(g, ())}.union(singles))
-        while queue:
-            queued, later = set(queue), set()
-            while queue:
-                j = heappop(queue)
-                missing = [a for a in sent[j] if not held[a]]
-                if len(missing) == 1:
-                    a = missing[0]
-                    held[a], released[a] = 1, j
-                    for i in holders[a]:
-                        if i < j:
-                            later.add(i)
-                        elif i not in queued:
-                            queued.add(i)
-                            heappush(queue, i)
-            queue = sorted(later)
         air_bytes.append(sum(map(length.__getitem__, released.values())))
         decoded: dict[int, int] = {}
         wanted = demand[user - 1]

@@ -123,6 +123,10 @@ def test_every_rate_is_realized(n, lam, partition):
                 memories = [(seg.weight, *segment_memories(seg, n)) for seg in run.segments]
                 assert (sum(w * seg_ms for w, seg_ms, _ in memories),
                         sum(w * seg_mp for w, _, seg_mp in memories)) == (ms, mp), (name, ms, mp)
+                # no summand is carried twice, so one scan of the payloads decodes
+                carried = [(i, t.part, *summand) for i, seg in enumerate(run.segments)
+                           for t in seg.transmissions(assoc, demand) for summand in t.summands]
+                assert len(set(carried)) == len(carried), (name, ms, mp)
                 report = run_end_to_end(config, assoc, demand, scheme=run)
                 assert report.ok, (name, ms, mp, report.failure)
                 assert report.measured_rate == value, (name, ms, mp)

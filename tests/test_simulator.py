@@ -386,11 +386,46 @@ def _half_step_runs(config, assoc):
                     pass
 
 
+def _scan_per_user(sent, lacks, users):
+    """The reference decode order, as in _reference_run: each user on its own
+    scans every payload in index order, pass by pass, until a pass releases
+    nothing.  Bit u - 1 of lacks[a] is set where user u lacks address a."""
+    releases = []
+    for u in range(users):
+        released = {}
+        progress = True
+        while progress:
+            progress = False
+            for j, summands in enumerate(sent):
+                missing = [a for a in summands if lacks[a] >> u & 1 and a not in released]
+                if len(missing) == 1:
+                    released[missing[0]] = j
+                    progress = True
+        releases.append(released)
+    return releases
+
+
+def _check_releases(patched) -> list:
+    """Check every later simulator._releases call against _scan_per_user: the
+    same address -> payload map for every user.  Returns the checked calls."""
+    releases, calls = simulator._releases, []
+
+    def checked(sent, lacks, users):
+        expected = _scan_per_user(sent, list(lacks), users)
+        calls.append(releases(sent, lacks, users))
+        assert calls[-1] == expected
+        return calls[-1]
+
+    patched.setattr(simulator, "_releases", checked)
+    return calls
+
+
 def _check_parity(monkeypatch, cases, modes, min_len=1):
-    """Every case under every mode decodes to the reference's report; an intact
-    run never fails, a damaged one fails on some cases but not all.  A mode is
-    intact, the first transmission of every segment dropped, or every XOR's
-    last big-endian byte zeroed.  Returns the last mode's failure texts."""
+    """Every case under every mode decodes to the reference's report, every user
+    by the reference's releases; an intact run never fails, a damaged one fails on
+    some cases but not all.  A mode is intact, the first transmission of every
+    segment dropped, or every XOR's last big-endian byte zeroed.  Returns the last
+    mode's failure texts."""
     transmissions, xor = simulator.Segment.transmissions, simulator._xor
     patches = {
         "intact": None,
@@ -404,6 +439,7 @@ def _check_parity(monkeypatch, cases, modes, min_len=1):
         with monkeypatch.context() as patched:
             if patch:
                 patched.setattr(*patch)
+            calls = _check_releases(patched)
             reports = []
             for seed, (config, assoc, run) in enumerate(cases):
                 demand = tuple(range(config.num_users, 0, -1))
@@ -412,6 +448,7 @@ def _check_parity(monkeypatch, cases, modes, min_len=1):
                 reference = _reference_run(config, assoc, demand, run, seed, min_len=min_len)
                 assert report == reference, (mode, config)
                 reports.append(report)
+            assert len(calls) == len(cases)
         failures = [r.failure for r in reports if not r.ok]
         if mode == "intact":
             assert not failures
@@ -494,6 +531,7 @@ def test_a_decoded_summand_carries_its_fault(monkeypatch):
     for sent in (chain, chain + [Transmission(1, w3)]):
         with monkeypatch.context() as patched:
             patched.setattr(simulator.Segment, "transmissions", lambda seg, assoc, demand: sent)
+            checked = _check_releases(patched)
             report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
             assert report.ok and report == _reference_run(config, assoc, demand, run, seed=6)
 
@@ -511,6 +549,17 @@ def test_a_decoded_summand_carries_its_fault(monkeypatch):
             assert report == _reference_run(config, assoc, demand, run, seed=6)
             assert report.per_user_ok == (True, False, False), len(sent)
             assert report.failure == "user 2 rebuilt a corrupted copy of file 2"
+            assert len(checked) == 2
+
+
+def test_a_release_can_complete_an_earlier_payload():
+    # W2+W3, W1+W2, W1 to two users lacking all three: each scan releases one
+    # piece, through the piece the scan before it released
+    sent, lacks = [(1, 2), (0, 1), (0,)], [0b11] * 3
+    expected = [{0: 2, 1: 1, 2: 0}] * 2
+    assert _scan_per_user(sent, lacks, 2) == expected
+    assert simulator._releases(sent, lacks, 2) == expected
+    assert lacks == [0] * 3
 
 
 def test_a_layout_gap_fails_the_rebuild():
