@@ -89,8 +89,8 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction, Fraction]:
     if len(parts) != 3:
         raise ConfigError(f"range must be A:B:STEP, got {text!r}")
     start, stop, step = (parse_fraction(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise ConfigError(f"bad sweep range {text!r}: need STEP > 0 and B >= A")
+    if step <= 0 or stop < start or (stop - start) % step:
+        raise ConfigError(f"bad sweep range {text!r}: need STEP > 0 dividing B - A >= 0")
     return start, stop, step
 
 
@@ -110,7 +110,7 @@ def curve(config_path: str, ms_text: str, mp_range: str, out_path: str, fraction
     base.with_memories(ms, start)
     base.with_memories(ms, stop)
 
-    mps = [start + i * step for i in range(int((stop - start) / step) + 1)]
+    mps = [start + i * step for i in range((stop - start) // step + 1)]
 
     def cell(value: Optional[Fraction]) -> str:
         return "" if value is None else fmt(value, fractions)

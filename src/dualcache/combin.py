@@ -9,9 +9,11 @@ the canonical order used throughout is lexicographic on those tuples.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations, zip_longest
-from operator import getitem, sub
+from itertools import chain, combinations, islice, zip_longest
+from operator import add, sub
 from typing import Iterator
+
+BLOCK = 1 << 12  # subsets per block of drop_ranks: a caller keeps only what it builds
 
 
 def binom(n: int, k: int) -> int:
@@ -41,17 +43,25 @@ def member_bits(n: int, t: int) -> tuple[int, ...]:
     return tuple(rows.get(t, [0] * n))
 
 
-def drop_ranks(n: int, t: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Each (t+1)-subset S of [1..n] in lexicographic order, with the rank of S minus u
-    among the t-subsets for each u in S, in O(t) per S: rank(R) = C(n, t) - 1 - the sum of
-    C(n - R[i], t - i + 1) over 1-based i, as a prefix sum before u and a suffix after."""
-    before = [[math.comb(n - e, t - i) for e in range(n + 1)] for i in range(t + 1)]
-    after = [[math.comb(n - e, t - i + 1) for e in range(n + 1)] for i in range(t, -1, -1)]
-    top = math.comb(n, t) - 1
-    for s in combinations(range(1, n + 1), t + 1):
-        heads = accumulate(map(getitem, before, s), sub, initial=top)
-        tails = [*accumulate(map(getitem, after, reversed(s)), initial=0)]
-        yield s, [*map(sub, heads, tails[-2::-1])]
+def drop_ranks(n: int, t: int) -> Iterator[tuple[list[tuple[int, ...]], list[list[int]]]]:
+    """The (t+1)-subsets S of [1..n] in lexicographic order, in blocks of up to BLOCK, as
+    columns: per position k, each S[k] and the rank among t-subsets of S minus S[k].  The S
+    with S[0] = e drop it to the last C(n - e, t) t-subsets in order; dropping S[k + 1] in
+    place of S[k] adds C(n - S[k + 1], t - k) - C(n - S[k], t - k) to the rank."""
+    top, subsets = math.comb(n, t), combinations(range(1, n + 1), t + 1)
+    level = [[math.comb(n - e, t - k) for e in range(n + 1)] for k in range(t)]
+    firsts = chain.from_iterable(range(top - math.comb(n - e, t), top) for e in range(1, n + 1))
+    while block := [*islice(subsets, BLOCK)]:
+        columns, ranks = [*zip(*block)], [[*islice(firsts, len(block))]]
+        for k, at in enumerate(level):
+            gain = map(sub, map(at.__getitem__, columns[k + 1]), map(at.__getitem__, columns[k]))
+            ranks.append([*map(add, ranks[-1], gain)])
+        yield columns, ranks
+
+
+def drop_rank_rows(n: int, t: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """drop_ranks row by row: each S as its (S[k], rank of S minus S[k]) pairs."""
+    return chain.from_iterable(zip(*map(zip, *block)) for block in drop_ranks(n, t))
 
 
 def without(subset: tuple[int, ...], element: int) -> tuple[int, ...]:

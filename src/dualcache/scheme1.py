@@ -63,8 +63,8 @@ def user_split_delivery(demand: Sequence[int], k: int, t: int, part: int = 0) ->
     """One XOR per (t+1)-subset S of users, exactly the dedicated-cache delivery: each
     user in S gets its file's piece keyed S minus it, by rank in the user split at part."""
     files = (0, *demand)  # by user
-    return [Transmission(part, tuple(zip(map(files.__getitem__, big_s), ranks)))
-            for big_s, ranks in drop_ranks(k, t)]
+    return [Transmission(part, summands) for users, ranks in drop_ranks(k, t)
+            for summands in zip(*map(zip, (map(files.__getitem__, c) for c in users), ranks))]
 
 
 def _lowest(bits: int, q: int) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bounds
-from .combin import binom, drop_ranks
+from .combin import binom, drop_rank_rows
 from .model import (
     Association,
     InfeasibleSchemeError,
@@ -46,15 +46,15 @@ def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> lis
     j-th user of each helper in T gets its file's piece keyed (T minus the helper,
     S minus j), ranked tau * C(L1, t_p) + rho in the helper split, part 0.  S runs
     over the positions [L1] also at t_p = 0, where rho is empty, of rank 0."""
-    big_ss = list(drop_ranks(assoc.largest_group, t_p))  # each S with the ranks of S minus j
+    big_ss = [*drop_rank_rows(assoc.largest_group, t_p)]  # each S as (j, rank of S minus j)
     width = binom(assoc.largest_group, t_p)
     files = [[demand[user - 1] for user in group] for group in assoc.groups]  # by position
     out = []
-    for big_t, taus in drop_ranks(assoc.num_helpers, t_s):
-        rows = [(files[helper - 1], tau * width) for helper, tau in zip(big_t, taus)]
-        for big_s, rhos in big_ss:
+    for big_t in drop_rank_rows(assoc.num_helpers, t_s):
+        rows = [(files[helper - 1], tau * width) for helper, tau in big_t]
+        for big_s in big_ss:
             summands = tuple((at[j - 1], base + rho) for at, base in rows
-                             for j, rho in zip(big_s, rhos) if j <= len(at))
+                             for j, rho in big_s if j <= len(at))
             if summands:
                 out.append(Transmission(0, summands))
     return out

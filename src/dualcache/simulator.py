@@ -15,8 +15,8 @@ Each address has an int with a bit per user lacking it, so one scan of the
 payloads in order decodes every user at once: a payload finds the users lacking
 exactly one of its summands in a few int ops.  The scan repeats only when some
 address is carried twice, so each address is released by the payload a user's
-own scan of every payload on every pass would pick.  The rebuild walks only the
-keys the user lacks.
+own scan of every payload on every pass would pick.  A user rebuilds only the
+releases of its own file, from the pieces listed with each payload.
 """
 
 from __future__ import annotations
@@ -150,6 +150,18 @@ def _releases(sent: Sequence[tuple], lacks: list, users: int) -> list[dict]:
     return releases
 
 
+def _lacks(caches: Sequence[int], width: int) -> list[int]:
+    """Per key, bit u set unless caches[u] holds it: each cache is a lane of ceil(K / 8)
+    bytes per key, 1 where not held; shifted by u and summed, a key's lane is its mask."""
+    size, lanes = -(-len(caches) // 8), 0
+    lane = bytearray(size * width)
+    for u, cached in enumerate(caches):
+        lane[::size] = model.flags(((1 << width) - 1) & ~cached, width)
+        lanes += int.from_bytes(lane, "little") << u
+    masks = lanes.to_bytes(size * width, "little")
+    return [int.from_bytes(masks[g:g + size], "little") for g in range(0, len(masks), size)]
+
+
 def _resolve_segments(
     scheme, config: NetworkConfig, assoc: Association
 ) -> tuple[Segment, ...]:
@@ -175,10 +187,10 @@ def run_end_to_end(
     end, each as every segment's keys laid end to end: (file - 1) * width + its
     part's first key + rank, width the keys per file, so addresses run in (file,
     byte start) order.  A user's two caches are read once, as one int over a file's
-    keys, and the users lacking each key form one int, tiled over the files.  The
-    fixpoint records only which payload released each address to each user; the
-    rebuild compares each released piece of its file, rebuilt by int XORs, with the
-    library's."""
+    keys, and the users lacking each key form one int, tiled over the files.  Each
+    payload's pieces are held with it and the library is dropped, the fixpoint records
+    only which payload released each address to each user, and each release of a
+    user's file, rebuilt by int XORs, is checked against its piece."""
     model.validate_association(config, assoc)
     demand = model.validate_demand(config, demand)
     segments = _resolve_segments(scheme, config, assoc)
@@ -201,20 +213,10 @@ def run_end_to_end(
     rng = random.Random(seed)
     for a in sorted(piece):
         piece[a] = rng.getrandbits(8 * piece[a])
-    payloads = [reduce(_xor, map(piece.__getitem__, summands)) for summands in sent]
-
-    def materialize(address: int, released: dict, decoded: dict) -> int:
-        """A released piece: its payload XOR the other summands as the user
-        holds them, rebuilding a decoded summand first."""
-        if address not in decoded:
-            j = released[address]
-            value = payloads[j]
-            for a in sent[j]:
-                if a != address:
-                    value = _xor(value, materialize(a, released, decoded) if a in released
-                                 else piece[a])
-            decoded[address] = value
-        return decoded[address]
+    held = [tuple(map(piece.__getitem__, summands)) for summands in sent]  # per payload
+    payloads = [reduce(_xor, pieces) for pieces in held]
+    repeated = len(piece) < sum(map(len, sent))  # some address is carried twice
+    del piece
 
     def spread(caches) -> int:
         """A cache's bits in each segment as one int over every segment's keys."""
@@ -226,34 +228,42 @@ def run_end_to_end(
                                       * size for _, keys, first, size in parts)
 
     caches = [spread(bits[u] for bits in known) for u in range(config.num_users)]
-    lacks = [(1 << config.num_users) - 1] * width  # per key, the users not caching it
-    for u, cached in enumerate(caches):
-        for g in model.members(range(width), cached):
-            lacks[g] &= ~(1 << u)
-    releases = _releases(sent, lacks * config.num_files, config.num_users)
+    releases = _releases(sent, _lacks(caches, width) * config.num_files, config.num_users)
 
-    private_bytes, helper_bytes, air_bytes, per_user_ok = [], [], [], []
-    failure = None
-    for user, cached, released in zip(range(1, config.num_users + 1), caches, releases):
+    def rebuilt(released: dict, lo: int) -> tuple[int, bool]:
+        """How many releases are of the user's file [lo, lo + width), and whether each, its
+        payload XOR its other summands (cached, else the user's copies), is its piece."""
+        found, intact, copies = 0, tiled, {}
+        for a, j in released.items() if repeated else ():  # in order, each through those before
+            i, pieces = sent[j].index(a), [*map(copies.get, sent[j], held[j])]
+            copies[a] = reduce(_xor, pieces[:i] + pieces[i + 1:], payloads[j])
+        for a, j in released.items():
+            if lo <= a < lo + width:
+                found += 1
+                if intact:
+                    i, pieces = sent[j].index(a), held[j]
+                    copy = (copies[a] if repeated
+                            else reduce(_xor, pieces[:i] + pieces[i + 1:], payloads[j]))
+                    intact = copy == pieces[i]
+        return found, intact
+
+    private_bytes, helper_bytes, air_bytes, per_user_ok, failure = [], [], [], [], None
+    for user, (wanted, cached, released) in enumerate(zip(demand, caches, releases), start=1):
         private = spread(seg.placement.private_bits[user - 1] for seg in segments)
         private_bytes.append(cached_bytes(private))
         helper_bytes.append(cached_bytes(cached & ~private))
         air_bytes.append(sum(map(length.__getitem__, released.values())))
-        decoded: dict[int, int] = {}
-        wanted = demand[user - 1]
-        user_ok, intact = True, tiled
-        for i, keys, first, _ in parts:
-            lacked = ~(cached >> first) & ((1 << len(keys)) - 1)
-            for rank in model.members(range(len(keys)), lacked):
-                address = (wanted - 1) * width + first + rank
-                if address not in released:
-                    user_ok = False
-                    failure = failure or (
-                        f"user {user} could not recover {SubfileId(wanted, *keys[rank])} in "
-                        f"segment {i} ({segments[i].tag}); no transmission completed it")
-                    continue
-                intact = intact and materialize(address, released, decoded) == piece[address]
-        if user_ok and not intact:
+        lo = (wanted - 1) * width
+        found, intact = rebuilt(released, lo)
+        user_ok = found == width - cached.bit_count()  # every lacked piece released
+        if not user_ok:  # name the first lacked piece not released, in (part, rank) order
+            i, keys, rank = next((i, keys, g - first) for i, keys, first, _ in parts
+                                 for g in range(first, first + len(keys))
+                                 if not (cached >> g) & 1 and lo + g not in released)
+            failure = failure or (
+                f"user {user} could not recover {SubfileId(wanted, *keys[rank])} in "
+                f"segment {i} ({segments[i].tag}); no transmission completed it")
+        elif not intact:
             user_ok = False
             failure = failure or f"user {user} rebuilt a corrupted copy of file {wanted}"
         per_user_ok.append(user_ok)

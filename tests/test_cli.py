@@ -109,7 +109,7 @@ def test_curve_range_validation(config_path, tmp_path):
     ])
     assert result.exit_code == 1
     for ms, bad in (("1", "0:3"), ("1", "2:1:1"), ("1", "0:1:0"),
-                    ("-1", "0:1:1"), ("1", "-1:1:1")):
+                    ("-1", "0:1:1"), ("1", "-1:1:1"), ("1", "0:1/3:1/7")):
         result = CliRunner().invoke(main, [
             "curve", "--config", config_path, "--ms", ms,
             "--mp-range", bad, "--out", str(out),

@@ -4,8 +4,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from dualcache import combin
 from dualcache.combin import (
     binom,
+    drop_rank_rows,
     drop_ranks,
     enumerate_ksubsets,
     rank_ksubset,
@@ -88,11 +90,21 @@ def test_rank_of_random_subset(n, data):
     assert unrank_ksubset(n, k, rank_ksubset(n, elements)) == elements
 
 
-def test_drop_ranks_match_rank_ksubset():
+def test_drop_ranks_match_rank_ksubset(monkeypatch):
     # every (t+1)-subset S of [1..n] in lexicographic order, each with the ranks
-    # of S minus u for u in S, for every n <= 10 and t < n
-    for n in range(1, 11):
-        for t in range(n):
-            assert list(drop_ranks(n, t)) == [
-                (s, [rank_ksubset(n, without(s, u)) for u in s])
-                for s in enumerate_ksubsets(n, t + 1)], (n, t)
+    # of S minus u for u in S, for every n <= 12 and t <= n (no S at t = n); in
+    # blocks of BLOCK, which no n here fills, and of 5, so that blocks split
+    for block in (combin.BLOCK, 5):
+        monkeypatch.setattr(combin, "BLOCK", block)
+        for n in range(13):
+            for t in range(n + 1):
+                sizes = []
+                for columns, ranks in drop_ranks(n, t):
+                    assert len(columns) == len(ranks) == t + 1
+                    assert len({*map(len, columns), *map(len, ranks)}) == 1
+                    sizes.append(len(ranks[0]))
+                assert sizes == [block] * (math.comb(n, t + 1) // block) + (
+                    [math.comb(n, t + 1) % block] if math.comb(n, t + 1) % block else [])
+                assert list(drop_rank_rows(n, t)) == [
+                    tuple((u, rank_ksubset(n, without(s, u))) for u in s)
+                    for s in enumerate_ksubsets(n, t + 1)], (n, t)

@@ -482,8 +482,8 @@ def test_matches_reference_simulator_at_multi_byte_pieces(monkeypatch, net_4user
 
 def test_users_xor_only_the_pieces_they_rebuild(monkeypatch):
     # the oblivious scheme releases pieces of other users' files too: 870 air
-    # bytes here against 360 bytes of demanded files; a user XORs only to
-    # rebuild the released pieces of its own file
+    # bytes here against 360 bytes of demanded files; a user XORs once per other
+    # summand of each release of its own file, to rebuild it, and never otherwise
     config = NetworkConfig(6, 6, 2, Fraction(3, 2), Fraction(1, 2))
     assoc = build_association(config, [[1, 2, 3], [4, 5, 6]])
     demand = tuple(range(1, 7))
@@ -513,7 +513,7 @@ def test_users_xor_only_the_pieces_they_rebuild(monkeypatch):
                     if s.file == wanted and s.piece not in cached:
                         released.setdefault(s.piece, len(t.summands) - 1)
             bound += sum(released.values())
-    assert calls - encode <= bound
+    assert calls - encode == bound
 
 
 def test_a_decoded_summand_carries_its_fault(monkeypatch):
@@ -560,6 +560,21 @@ def test_a_release_can_complete_an_earlier_payload():
     assert _scan_per_user(sent, lacks, 2) == expected
     assert simulator._releases(sent, lacks, 2) == expected
     assert lacks == [0] * 3
+
+
+def test_lacks_by_lanes_match_the_per_user_build():
+    # K from 1 to 33 puts lanes of one to five bytes, each byte boundary on
+    # both sides; random caches and the empty and full ones
+    rng = random.Random(0)
+    for k in (1, 7, 8, 9, 16, 17, 32, 33):
+        for width in (1, 5, 64, 300):
+            for caches in ([rng.getrandbits(width) for _ in range(k)], [0] * k,
+                           [(1 << width) - 1] * k):
+                expected = [(1 << k) - 1] * width  # the per-(user, cached key) build
+                for u, cached in enumerate(caches):
+                    for g in model.members(range(width), cached):
+                        expected[g] &= ~(1 << u)
+                assert simulator._lacks(caches, width) == expected, (k, width)
 
 
 def test_a_layout_gap_fails_the_rebuild():
