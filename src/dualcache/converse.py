@@ -9,7 +9,8 @@ later one, so every edge points back and any uncoded placement gives an acyclic 
 
 Caches are ints over the layout's keys, read from its splits (model.Split) with no key
 listed, so the walk is one `rest &= ~cache` per user, alpha is a bit count per part, and
-the acyclicity check is K^2 `&` tests; keys are listed only when a caller iterates H.
+acyclicity is certified along the walk's order in 2K int ops; keys are listed only when a
+caller iterates H.
 """
 
 from __future__ import annotations
@@ -79,6 +80,20 @@ def verify_acyclic(kept: Sequence[int], known: Sequence[int]) -> bool:
     return True
 
 
+def acyclic_in_order(order: Sequence[int], kept: Sequence[int], known: Sequence[int]) -> bool:
+    """Whether every side-information edge on the set points back along order, a list of
+    users 1..K, each once (kept and known as verify_acyclic takes them): the caches of
+    the users up to each one, folded into one union in that order, must miss what that
+    user keeps.  Then order is a topological order of the user quotient, so the set is
+    acyclic; False says only that this order is not one, as no other is searched."""
+    union = 0
+    for user in order:
+        union |= known[user - 1]
+        if union & kept[user - 1]:
+            return False
+    return True
+
+
 def certify(
     config: NetworkConfig, assoc: Association, demand: Sequence[int]
 ) -> ConverseCertificate:
@@ -87,7 +102,7 @@ def certify(
     placement = place_unknown(assoc, unknown_params(config))  # size-gated; no key is listed
     known = placement.known(assoc)
     kept = walk(assoc, known, placement)
-    acyclic = verify_acyclic(kept, known)
+    acyclic = acyclic_in_order(assoc.ordered_users(), kept, known)  # the walk's own order
     del known  # before H's views are cut from kept, so the two never peak together
     h = build_h(config, assoc, demand, placement, kept)
     alpha = sum((Fraction(len(part) * share, len(keys))

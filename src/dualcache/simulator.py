@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -183,14 +184,16 @@ def run_end_to_end(
     """Full broadcast round: every user must reconstruct its file byte-for-byte.
     A scheme name runs envelope.scheme_run, the mixture scheme_rate reports.
 
-    Inside, a piece's address is its place in the library, the files laid end to
-    end, each as every segment's keys laid end to end: (file - 1) * width + its
-    part's first key + rank, width the keys per file, so addresses run in (file,
-    byte start) order.  A user's two caches are read once, as one int over a file's
-    keys, and the users lacking each key form one int, tiled over the files.  Each
-    payload's pieces are held with it and the library is dropped, the fixpoint records
-    only which payload released each address to each user, and each release of a
-    user's file, rebuilt by int XORs, is checked against its piece."""
+    Inside, a piece's address is its place in the demanded files laid end to end in
+    file order, each as every segment's keys laid end to end: slot * width + its
+    part's first key + rank, slot the file's place among the sorted demanded files and
+    width the keys per file, so addresses run in (file, byte start) order and the
+    undemanded files, which no payload carries, take no room.  A user's two caches are
+    read once, as one int over a file's keys, and the users lacking each key form one
+    int, tiled over the K demanded files.  Each payload's pieces are held with it and
+    the library is dropped, the fixpoint records only which payload released each
+    address to each user, and each release of a user's file, rebuilt by int XORs, is
+    checked against its piece."""
     model.validate_association(config, assoc)
     demand = model.validate_demand(config, demand)
     segments = _resolve_segments(scheme, config, assoc)
@@ -200,13 +203,13 @@ def run_end_to_end(
     width = sum(len(keys) for _, keys, _, _ in parts)
     tiled = sum(len(keys) * size for _, keys, _, size in parts) == file_len
     known = [seg.placement.known(assoc) for seg in segments]  # per segment, per user
+    base = {n: width * slot for slot, n in enumerate(sorted(demand))}  # demands are distinct
 
     sent, length = [], []  # per payload, its summands' addresses and its pieces' length
     for seg, row in zip(segments, layout):
-        bases = [(first - width, size) for first, _, size in row]
         for part, summands in seg.transmissions(assoc, demand):
-            base, size = bases[part]
-            sent.append(tuple(width * n + base + rank for n, rank in summands))
+            first, _, size = row[part]
+            sent.append(tuple(base[n] + first + rank for n, rank in summands))
             length.append(size)
     # only the pieces some payload carries are ever read, so only they are drawn
     piece = {a: size for summands, size in zip(sent, length) for a in summands}
@@ -228,7 +231,7 @@ def run_end_to_end(
                                       * size for _, keys, first, size in parts)
 
     caches = [spread(bits[u] for bits in known) for u in range(config.num_users)]
-    releases = _releases(sent, _lacks(caches, width) * config.num_files, config.num_users)
+    releases = _releases(sent, _lacks(caches, width) * len(base), config.num_users)
 
     def rebuilt(released: dict, lo: int) -> tuple[int, bool]:
         """How many releases are of the user's file [lo, lo + width), and whether each, its
@@ -253,7 +256,7 @@ def run_end_to_end(
         private_bytes.append(cached_bytes(private))
         helper_bytes.append(cached_bytes(cached & ~private))
         air_bytes.append(sum(map(length.__getitem__, released.values())))
-        lo = (wanted - 1) * width
+        lo = base[wanted]
         found, intact = rebuilt(released, lo)
         user_ok = found == width - cached.bit_count()  # every lacked piece released
         if not user_ok:  # name the first lacked piece not released, in (part, rank) order
@@ -297,6 +300,19 @@ class SweepReport:
         return max(self.rates)
 
 
+def _distinct_files(rng: random.Random, n: int, k: int) -> list[int]:
+    """k distinct files of 1..n, drawn as rng.sample(range(1, n + 1), k) draws them.  Past
+    sys.maxsize, where a range has no len, by sample's own rule for a population that
+    large: redraw rng.randrange(n) until it is new."""
+    if n <= sys.maxsize:
+        return rng.sample(range(1, n + 1), k)
+    drawn: list[int] = []
+    while len(drawn) < k:
+        if (j := rng.randrange(n) + 1) not in drawn:
+            drawn.append(j)
+    return drawn
+
+
 def adversarial_sweep(
     config: NetworkConfig,
     assoc: Association,
@@ -314,7 +330,7 @@ def adversarial_sweep(
     failures = 0
     first_failure = None
     for trial in range(trials):
-        demand = rng.sample(range(1, config.num_files + 1), config.num_users)
+        demand = _distinct_files(rng, config.num_files, config.num_users)
         report = run_end_to_end(
             config, assoc, tuple(demand), scheme=run, seed=rng.randrange(2 ** 32)
         )

@@ -322,13 +322,28 @@ def test_zero_memory_point(tmp_path):
                              "acyclic = True, tight = True\n")
 
 
+HUGE = {"N": 2**63, "K": 4, "Lambda": 2, "association": [[1, 2, 3], [4]]}
+
+
 def test_verify_point_too_fine_to_simulate(tmp_path):
-    # the segment weights need a file longer than the simulator's cap
+    # the segment weights need a file longer than the simulator's cap, at fine
+    # memories and at N = 2**63 files, whose file length is 2**63 at Ms = Mp = 1
     path = tmp_path / "fine.json"
-    path.write_text(json.dumps({**GOOD, "Ms": "1/997", "Mp": "1/991"}))
-    result = CliRunner().invoke(main, ["verify", "--config", str(path), "--trials", "1"])
-    _assert_rejected(result, code=2)
-    assert "exceeds the cap" in result.output
+    for payload in ({**GOOD, "Ms": "1/997", "Mp": "1/991"}, {**HUGE, "Ms": 1, "Mp": 1}):
+        path.write_text(json.dumps(payload))
+        result = CliRunner().invoke(main, ["verify", "--config", str(path), "--trials", "1"])
+        _assert_rejected(result, code=2)
+        assert "exceeds the cap" in result.output
+
+
+def test_verify_past_the_largest_range(tmp_path):
+    # N = 2**63 is past the largest range Python can take the len of, so a sweep
+    # draws its demands without one; with no cache memory every trial decodes
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**HUGE, "Ms": 0, "Mp": 0}))
+    result = CliRunner().invoke(main, ["verify", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "unknown: 10/10 trials decoded, worst rate 4\n"
 
 
 def _stderr_runner() -> CliRunner:

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import deque
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 
 from dualcache import converse
 from dualcache.combin import binom
-from dualcache.converse import build_h, certify, verify_acyclic
+from dualcache.converse import acyclic_in_order, build_h, certify, verify_acyclic
 from dualcache.model import (
     InfeasibleSchemeError, NetworkConfig, Placement, SubfileId, build_association,
 )
@@ -16,6 +17,7 @@ from dualcache.scheme1 import place_scheme1, rate_scheme1, scheme1_params
 from dualcache.scheme2 import place_scheme2, scheme2_params
 from dualcache.scheme_unknown import place_unknown, unknown_params
 from dualcache.simulator import run_end_to_end
+from golden import record
 from test_envelope import _half_step_grid
 from test_scheme_rate import NETWORKS, _direct_rate
 
@@ -68,12 +70,42 @@ def test_certificate_is_tight_and_acyclic(net_4users):
 def test_adding_a_known_subfile_creates_a_cycle(net_4users):
     config, assoc = net_4users
     placement, demand = place_unknown(assoc, unknown_params(config)), (1, 2, 3, 4)
+    known = placement.known(assoc)
     h1, h2 = build_h(config, assoc, demand, placement)
-    assert verify_acyclic(_kept_bits(placement, demand, h1 | h2), placement.known(assoc))
+    kept = _kept_bits(placement, demand, h1 | h2)
+    assert verify_acyclic(kept, known)
+    # H's edges point back along the walk's order, so reversed they point forward:
+    # the check certifies the order it is given and searches for no other
+    order = assoc.ordered_users()
+    assert acyclic_in_order(order, kept, known)
+    assert not acyclic_in_order(order[::-1], kept, known)
     # user 1 wants file 1 and caches W2's {1,3} piece; user 2 wants file 2
     # and caches W1's {2,3} piece, closing a 2-cycle
-    poisoned = h1 | h2 | {_private_sub(2, (1, 3))}
-    assert not verify_acyclic(_kept_bits(placement, demand, poisoned), placement.known(assoc))
+    poisoned = _kept_bits(placement, demand, h1 | h2 | {_private_sub(2, (1, 3))})
+    assert not verify_acyclic(poisoned, known)
+    # a cycle has no topological order, so no order certifies it
+    for order in permutations(range(1, 5)):
+        assert not acyclic_in_order(order, poisoned, known), order
+
+
+def test_certify_needs_no_order_free_check(monkeypatch):
+    # certify proves acyclicity along the walk's order alone: with verify_acyclic
+    # unusable, every golden certify record comes out as recorded
+    def unusable(kept, known):
+        raise AssertionError("certify called verify_acyclic")
+
+    monkeypatch.setattr(converse, "verify_acyclic", unusable)
+    checked = 0
+    for line in record.OUTPUTS.read_text().splitlines():
+        if "certify_at" not in (want := json.loads(line)):
+            continue
+        (n, lam, partition), (ms, mp) = want["network"], want["certify_at"]
+        config = NetworkConfig(n, n, lam, Fraction(ms), Fraction(mp))
+        assoc = build_association(config, partition)
+        for field, demand in (("forward", range(1, n + 1)), ("reverse", range(n, 0, -1))):
+            assert record._certificate(config, assoc, demand) == want[field], (want, field)
+            checked += 1
+    assert checked == 224
 
 
 def test_set_sizes_match_closed_forms(net_4users):
@@ -261,6 +293,11 @@ def test_receiver_quotient_matches_subfile_graph():
                     assert verify_acyclic(kept, placement.known(assoc)) == expected, (
                         name, config, partition, demand, sorted(map(repr, subfiles))
                     )
+                    # no order certifies a cycle, and the walk's own order certifies H
+                    in_order = acyclic_in_order(assoc.ordered_users(), kept,
+                                                placement.known(assoc))
+                    assert expected or not in_order, (name, config, partition, demand)
+                    assert in_order or subfiles is not h, (name, config, partition, demand)
                     outcomes.setdefault(name, set()).add(expected)
     assert outcomes == {name: {True, False} for name in PLACES}
 
@@ -278,6 +315,9 @@ def test_helper_only_two_cycle_is_rejected():
                           helper_bits=(0b01, 0b10), private_bits=(0,) * 4)
     cycle = {SubfileId(1, *second), SubfileId(3, *first)}
     assert not verify_acyclic(_kept_bits(placement, demand, cycle), placement.known(assoc))
+    for order in permutations(range(1, 5)):
+        assert not acyclic_in_order(order, _kept_bits(placement, demand, cycle),
+                                    placement.known(assoc)), order
     assert not _subfile_graph_acyclic(config, assoc, demand, cycle, placement)
     for v in cycle:
         assert verify_acyclic(_kept_bits(placement, demand, cycle - {v}), placement.known(assoc))
@@ -350,6 +390,7 @@ def test_placement_read_h_bounds_every_direct_run():
                 h = build_h(config, assoc, demand, placement)
                 kept = _kept_bits(placement, demand, frozenset().union(*h))
                 assert verify_acyclic(kept, placement.known(assoc))
+                assert acyclic_in_order(assoc.ordered_users(), kept, placement.known(assoc))
                 alpha = sum((Fraction(len(part) * share, len(keys))
                              for part, (keys, share) in zip(h, placement.parts) if keys),
                             Fraction(0))

@@ -142,6 +142,28 @@ def test_end_to_end_byte_accounting(net_4users):
         assert report.air_bytes[user] <= report.total_air_bytes
 
 
+def test_a_run_holds_only_the_demanded_files(monkeypatch):
+    # addresses cover the K demanded files, not all N, so a million files take the
+    # room of four: with each demand in the same place among the sorted demands,
+    # the run at N = 10**6 and Ms = Mp = N/4 is the run at N = 4 and Ms = Mp = 1
+    releases, addresses, reports = simulator._releases, [], []
+
+    def counted(sent, lacks, users):
+        addresses.append(len(lacks))
+        return releases(sent, lacks, users)
+
+    monkeypatch.setattr(simulator, "_releases", counted)
+    for n, demand in ((4, (4, 2, 3, 1)), (10**6, (10**6, 7, 500_000, 1))):
+        config = NetworkConfig(n, 4, 2, Fraction(n, 4), Fraction(n, 4))
+        assoc = build_association(config, [[1, 2, 3], [4]])
+        reports.append(run_end_to_end(config, assoc, demand, seed=1))
+    small, large = reports
+    assert large.ok, large.failure
+    assert ((large.measured_rate, large.file_len, large.air_bytes)
+            == (small.measured_rate, small.file_len, small.air_bytes))
+    assert addresses[0] == addresses[1]
+
+
 def test_decode_across_schemes(net_6users_deep, net_6users_two_level):
     c1, a1 = net_6users_deep
     r1 = run_end_to_end(c1, a1, (6, 5, 4, 3, 2, 1), scheme="scheme1", seed=2)
