@@ -4,8 +4,9 @@ report that sets those rates against the reference curves.
 
 A corner point is a memory pair where some scheme's integer parameters
 line up, and it carries that run; arbitrary (Ms, Mp) targets are met by
-splitting files into weighted segments, one per corner's run.  scheme_rate
-and scheme_run both read scheme_mixture, so a printed rate is the rate of the run.
+splitting files into weighted segments, one per corner's run: a SegmentedRun of
+Segments, which the simulator executes.  scheme_rate and scheme_run both read
+scheme_mixture, so a printed rate is the rate of the run.
 
 Every LP is one two-phase Bland solve of the columns it is given, and
 lp_optimal, the one certificate check for any number of rows, checks each
@@ -31,7 +32,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import bounds, model, scheme1, scheme2, scheme_unknown
-from .model import Association, CertificateError, CornerPoint, InfeasibleSchemeError, NetworkConfig
+from .model import (Association, CertificateError, CornerPoint, InfeasibleSchemeError, NetworkConfig,
+                    Placement, Transmission, tile)
 
 UNREACHABLE = "no mixture of {} runs reaches this memory pair"
 
@@ -401,9 +403,31 @@ def bound_report(config: NetworkConfig, assoc: Association) -> BoundReport:
 # materialization
 
 
-def _segments(mixture, assoc: Association):
+@dataclass(frozen=True)
+class Segment:
+    """One weighted slice of every file: a direct run of the scheme its tag names."""
+
+    tag: str
+    weight: Fraction
+    run: tuple
+    placement: Placement
+
+    @property
+    def extents(self) -> dict:
+        """The per-piece view of the placement's parts: key -> (offset, size)."""
+        return tile(*self.placement.parts)
+
+    def transmissions(self, assoc: Association, demand: Sequence[int]) -> list[Transmission]:
+        return SCHEMES[self.tag].deliver(assoc, self.run, demand)
+
+
+@dataclass(frozen=True)
+class SegmentedRun:
+    segments: tuple[Segment, ...]
+
+
+def _segments(mixture, assoc: Association) -> SegmentedRun:
     """One segment per corner, placing the run the corner carries."""
-    from .simulator import Segment, SegmentedRun  # simulator imports this module
     return SegmentedRun(tuple(
         Segment(corner.scheme_tag, weight, corner.run,
                 SCHEMES[corner.scheme_tag].place(assoc, corner.run))
@@ -411,7 +435,7 @@ def _segments(mixture, assoc: Association):
     ))
 
 
-def scheme_run(name: str, config: NetworkConfig, assoc: Association):
+def scheme_run(name: str, config: NetworkConfig, assoc: Association) -> SegmentedRun:
     """The segments whose rate scheme_rate reports, one per mixture corner;
     raises InfeasibleSchemeError when no mixture reaches the pair."""
     mixture = scheme_mixture(name, config, assoc)
@@ -422,12 +446,12 @@ def scheme_run(name: str, config: NetworkConfig, assoc: Association):
 
 def materialize_shared_placement(
     solution: EnvelopeSolution, config: NetworkConfig, assoc: Association
-):
+) -> SegmentedRun:
     """Split files into one weighted segment per corner of an LP solution;
     returns a simulator-ready SegmentedRun."""
     return _segments(_solution_mixture(solution, config, assoc), assoc)
 
 
-def unknown_run_segments(config: NetworkConfig, assoc: Association):
+def unknown_run_segments(config: NetworkConfig, assoc: Association) -> SegmentedRun:
     """Segmented realization of the association-oblivious scheme at any memory."""
     return scheme_run("unknown", config, assoc)

@@ -31,39 +31,8 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from . import model
-from .envelope import SCHEMES, scheme_run
-from .model import (
-    Association,
-    InfeasibleSchemeError,
-    NetworkConfig,
-    Placement,
-    SubfileId,
-    Transmission,
-    tile,
-)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One weighted slice of every file: a direct run of the scheme its tag names."""
-
-    tag: str
-    weight: Fraction
-    run: tuple
-    placement: Placement
-
-    @property
-    def extents(self) -> dict:
-        """The per-piece view of the placement's parts: key -> (offset, size)."""
-        return tile(*self.placement.parts)
-
-    def transmissions(self, assoc: Association, demand: Sequence[int]) -> list[Transmission]:
-        return SCHEMES[self.tag].deliver(assoc, self.run, demand)
-
-
-@dataclass(frozen=True)
-class SegmentedRun:
-    segments: tuple[Segment, ...]
+from .envelope import SCHEMES, Segment, SegmentedRun, scheme_run
+from .model import Association, InfeasibleSchemeError, NetworkConfig, SubfileId
 
 
 def build_segment(
@@ -121,16 +90,16 @@ class DecodeReport:
 _xor = operator.xor  # looked up at each use, so a patched _xor sees every XOR
 
 
-def _releases(sent: Sequence[tuple], lacks: list, users: int) -> list[dict]:
+def _releases(sent: Sequence[tuple], lacks: list, users: int, repeated: bool) -> list[dict]:
     """Per user, address -> the payload that released it to that user, where
     bit u - 1 of lacks[a] is set while user u lacks address a.  Every user
     decodes at once: a scan visits the payloads in index order, and each releases
     a summand to the users lacking only that one of its summands.  Users never
     interact, so scanning until a scan releases nothing is each user's own scan
-    of every payload on every pass, run in lockstep.  With no address carried
-    twice a release completes no other payload, so the first scan is the fixpoint."""
+    of every payload on every pass, run in lockstep.  Unless repeated, no address
+    is carried twice, a release completes no other payload, and the first scan is
+    the fixpoint."""
     releases: list[dict] = [{} for _ in range(users)]
-    repeated = sum(map(len, sent)) > len({a for summands in sent for a in summands})
     progress = True
     while progress:
         progress = False
@@ -231,7 +200,7 @@ def run_end_to_end(
                                       * size for _, keys, first, size in parts)
 
     caches = [spread(bits[u] for bits in known) for u in range(config.num_users)]
-    releases = _releases(sent, _lacks(caches, width) * len(base), config.num_users)
+    releases = _releases(sent, _lacks(caches, width) * len(base), config.num_users, repeated)
 
     def rebuilt(released: dict, lo: int) -> tuple[int, bool]:
         """How many releases are of the user's file [lo, lo + width), and whether each, its

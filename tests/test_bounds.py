@@ -120,6 +120,9 @@ def test_shared_curve_values():
     assert pue_rate(2, 4, Fraction(2), profile) == Fraction(3, 2)
     with pytest.raises(ValueError):
         pue_rate(2, 4, Fraction(1), (1, 3))  # profile must be non-increasing
+    for mem in (Fraction(-1, 2), Fraction(9, 2)):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\]"):
+            pue_rate(2, 4, mem, profile)
 
 
 def test_reference_hulls_are_built_once_per_shape():

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dualcache import combin, envelope, model, simulator
+from dualcache import combin, converse, envelope, model, simulator
 from dualcache.cli import main
 
 
@@ -193,13 +193,14 @@ def test_malformed_config_is_rejected(tmp_path, payload):
 
 
 def test_verify_failure_exit_code(config_path, monkeypatch):
-    broken = simulator.SweepReport(
-        trials=2, failures=1, rates=(Fraction(1), Fraction(1)),
-        first_failure="trial 1: user 2 could not recover a subfile",
-    )
-    monkeypatch.setattr(simulator, "adversarial_sweep", lambda *a, **kw: broken)
-    result = CliRunner().invoke(main, ["verify", "--config", config_path])
+    # a real sweep over corrupted payloads: every XOR's last byte zeroed
+    xor = simulator._xor
+    monkeypatch.setattr(simulator, "_xor", lambda a, b: xor(a, b) & ~0xFF)
+    result = _stderr_runner().invoke(main, ["verify", "--config", config_path, "--trials", "2"])
     assert result.exit_code == 3
+    assert result.stdout == "unknown: 0/2 trials decoded, worst rate 13/12\n"
+    assert result.stderr.startswith("first failure: trial 0: user ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
 @pytest.mark.parametrize("flag, expected", [([], 3), (["--seed", "0"], 0), (["--seed", "5"], 5)])
@@ -302,11 +303,19 @@ def test_bounds_output(config_path, tmp_path):
     ]
 
 
-def test_converse_output(config_path):
+def test_converse_output(config_path, monkeypatch):
     result = CliRunner().invoke(main, ["converse", "--config", config_path])
     assert result.exit_code == 0
     assert "alpha_lower = 13/12" in result.output
     assert "tight = True" in result.output
+    # a rate one above the true 13/12 leaves the acyclic set's bound short of it
+    rate = converse.rate_unknown_general
+    monkeypatch.setattr(converse, "rate_unknown_general", lambda *a: rate(*a) + 1)
+    result = CliRunner().invoke(main, ["converse", "--config", config_path])
+    assert result.exit_code == 3
+    assert result.output.splitlines() == [
+        "|H1| = 3, |H2| = 4", "alpha_lower = 13/12", "kappa_upper = 25/12",
+        "acyclic = True, tight = False"]
 
 
 def test_zero_memory_point(tmp_path):

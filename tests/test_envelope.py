@@ -125,6 +125,7 @@ def test_unreachable_target_is_reported(net_4users):
     _, assoc = net_4users
     config = NetworkConfig(4, 4, 2, Fraction(1), Fraction(5, 2))
     assert envelope_at(scheme2_corners(config, assoc), Fraction(1), Fraction(5, 2)) is None
+    assert envelope_at([], Fraction(1), Fraction(1)) is None  # no corner reaches any pair
     assert scheme2_envelope_rate(config, assoc) is None
 
 
@@ -203,6 +204,9 @@ def test_certificate_rejects_a_negative_weight():
     for check in (_lp_optimal, _reference_lp_optimal):
         assert check(*_LINE_LP, F(1), good, duals)
         assert not check(*_LINE_LP, F(1), bad, duals)
+        # so is an x or y of the wrong length
+        assert not check(*_LINE_LP, F(1), good[1:], duals)
+        assert not check(*_LINE_LP, F(1), good, duals[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Import hygiene, read from the source with `ast`: every module-level import
-is used in its file, and `src/` keeps a single function-local import."""
+is used in its file, `src/` has no function-local import, and the modules'
+imports of each other form no cycle."""
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -10,9 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "dualcache").glob("*.py"))
 FILES = [p for p in SRC + sorted((ROOT / "tests").glob("*.py")) if p.name != "__init__.py"]
 
-# simulator reads envelope's scheme registry, and envelope builds its segments
-# through simulator, so envelope reaches build_segment at call time
-LOCAL_IMPORTS = {("envelope.py", "_segments", "simulator")}
+# every import sits at module level, so the import graph alone orders the modules
+LOCAL_IMPORTS: set[tuple[str, str, str]] = set()
 
 
 def _imports(tree: ast.Module) -> list[tuple[ast.stmt, str | None]]:
@@ -49,7 +50,7 @@ def test_module_level_imports_are_used(path):
     assert unused == [], f"{path.name} imports {unused} without using them"
 
 
-def test_one_function_local_import_in_src():
+def test_no_function_local_import_in_src():
     local = set()
     for path in SRC:
         for node, function in _imports(ast.parse(path.read_text(), filename=str(path))):
@@ -57,3 +58,22 @@ def test_one_function_local_import_in_src():
                 module = node.module if isinstance(node, ast.ImportFrom) else node.names[0].name
                 local.add((path.name, function, module))
     assert local == LOCAL_IMPORTS
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The dualcache modules a source file imports, at module level or in a function."""
+    found = set()
+    for node, _ in _imports(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_the_module_import_graph_has_no_cycle():
+    graph = {path.stem: _package_imports(path) for path in SRC}
+    assert "envelope" in graph["simulator"]  # the simulator runs the runs envelope builds
+    try:
+        order = list(TopologicalSorter(graph).static_order())
+    except CycleError as error:
+        raise AssertionError(f"import cycle {error.args[1]}") from None
+    assert set(order) == {path.stem for path in SRC}

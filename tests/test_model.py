@@ -134,6 +134,10 @@ def test_load_config_from_json(tmp_path):
     assert loaded.association.profile == (3, 2, 1)
     assert loaded.demand == (1, 2, 3, 4, 5, 6)
     assert loaded.seed == 11
+    # JSON text, as perfbench's curve cases pass it, reads as the file does
+    assert load_config("  " + json.dumps(payload)) == loaded
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(json.dumps(payload)[:-1])  # cut short
 
 
 def test_load_config_missing_key():

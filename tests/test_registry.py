@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dualcache import scheme1, scheme2, scheme_unknown
+from dualcache import envelope, scheme1, scheme2, scheme_unknown, simulator
 from dualcache.envelope import SCHEMES, scheme_mixture, scheme_rate, scheme_run
 from dualcache.simulator import run_end_to_end
 
@@ -33,6 +33,13 @@ def test_no_scheme_name_is_compared_in_src():
                 if any(isinstance(v, ast.Constant) and v.value in NAMES for v in operands):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_segment_types_live_with_the_registry():
+    # the simulator runs the very classes envelope builds, not copies of them
+    assert simulator.Segment is envelope.Segment
+    assert simulator.SegmentedRun is envelope.SegmentedRun
+    assert envelope.Segment.__module__ == "dualcache.envelope"
 
 
 def test_simulator_imports_no_scheme_module():

@@ -148,9 +148,9 @@ def test_a_run_holds_only_the_demanded_files(monkeypatch):
     # the run at N = 10**6 and Ms = Mp = N/4 is the run at N = 4 and Ms = Mp = 1
     releases, addresses, reports = simulator._releases, [], []
 
-    def counted(sent, lacks, users):
+    def counted(sent, lacks, users, repeated):
         addresses.append(len(lacks))
-        return releases(sent, lacks, users)
+        return releases(sent, lacks, users, repeated)
 
     monkeypatch.setattr(simulator, "_releases", counted)
     for n, demand in ((4, (4, 2, 3, 1)), (10**6, (10**6, 7, 500_000, 1))):
@@ -233,7 +233,7 @@ def test_only_carried_pieces_are_drawn(monkeypatch, net_4users):
                for summands in sent if len(summands) > 1 for sub in summands)
 
 
-def test_adversarial_sweeps(net_4users, net_6users_two_level):
+def test_adversarial_sweeps(net_4users, net_6users_two_level, monkeypatch):
     config, assoc = net_4users
     sweep = adversarial_sweep(config, assoc, scheme="unknown", trials=8, seed=0)
     assert sweep.ok, sweep.first_failure
@@ -244,6 +244,16 @@ def test_adversarial_sweeps(net_4users, net_6users_two_level):
     assert sweep2.worst_rate == 1
     with pytest.raises(ValueError):
         adversarial_sweep(config, assoc, trials=0)
+    # a run's segments alone are neither a scheme name nor a SegmentedRun
+    with pytest.raises(TypeError, match="a name or a SegmentedRun"):
+        adversarial_sweep(config, assoc, scheme=scheme_run("unknown", config, assoc).segments)
+    # zeroing each XOR's last byte corrupts every coded payload, so some user in
+    # every trial rebuilds a wrong copy, and the sweep counts each trial
+    xor = simulator._xor
+    monkeypatch.setattr(simulator, "_xor", lambda a, b: xor(a, b) & ~0xFF)
+    sweep = adversarial_sweep(config, assoc, trials=3, seed=0)
+    assert (sweep.ok, sweep.failures, sweep.trials) == (False, 3, 3)
+    assert sweep.first_failure.startswith("trial 0: user "), sweep.first_failure
 
 
 def test_single_user_network():
@@ -432,9 +442,9 @@ def _check_releases(patched) -> list:
     same address -> payload map for every user.  Returns the checked calls."""
     releases, calls = simulator._releases, []
 
-    def checked(sent, lacks, users):
+    def checked(sent, lacks, users, repeated):
         expected = _scan_per_user(sent, list(lacks), users)
-        calls.append(releases(sent, lacks, users))
+        calls.append(releases(sent, lacks, users, repeated))
         assert calls[-1] == expected
         return calls[-1]
 
@@ -580,7 +590,7 @@ def test_a_release_can_complete_an_earlier_payload():
     sent, lacks = [(1, 2), (0, 1), (0,)], [0b11] * 3
     expected = [{0: 2, 1: 1, 2: 0}] * 2
     assert _scan_per_user(sent, lacks, 2) == expected
-    assert simulator._releases(sent, lacks, 2) == expected
+    assert simulator._releases(sent, lacks, 2, True) == expected
     assert lacks == [0] * 3
 
 
