@@ -296,7 +296,7 @@ def _scheme2_mixture(config: NetworkConfig, assoc: Association) -> Optional[list
 
 
 # mixture(config, assoc), whose corners carry their runs; gate(config, assoc), the run asked
-# for by memory pair; place(assoc, run); deliver(assoc, run, demand).  Each looks its
+# for by memory pair; place(assoc, run); deliver(assoc, run, labels).  Each looks its
 # module's function up at each call: it may be rebound
 Scheme = namedtuple("Scheme", "mixture gate place deliver")
 SCHEMES = {  # in the order of `rate --scheme all` and of the curve's columns
@@ -417,8 +417,11 @@ class Segment:
         """The per-piece view of the placement's parts: key -> (offset, size)."""
         return tile(*self.placement.parts)
 
-    def transmissions(self, assoc: Association, demand: Sequence[int]) -> list[Transmission]:
-        return SCHEMES[self.tag].deliver(assoc, self.run, demand)
+    def transmissions(self, assoc: Association, labels: Sequence[int]) -> list[Transmission]:
+        """The run's broadcasts, each summand labels[u - 1] plus the piece's index among
+        the segment's keys for the user u it serves: the simulator labels u by where its
+        file's copy of this segment starts among the run's addresses."""
+        return SCHEMES[self.tag].deliver(assoc, self.run, labels)
 
 
 @dataclass(frozen=True)

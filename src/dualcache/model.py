@@ -310,9 +310,10 @@ def tile(*parts: tuple[Sequence, Fraction]) -> dict:
 
 
 class Transmission(NamedTuple):
-    """One XOR broadcast: a layout part and its summands, each (file, rank), the
-    piece of that file at key rank of the part's split.  The part sizes the
-    broadcast; its summands all have the part's one piece size."""
+    """One XOR broadcast: a layout part and its summands, one int each: the caller's
+    label for the user it serves plus the piece's index among the segment's keys,
+    the part's first key plus the piece's rank in the part's split.  The part sizes
+    the broadcast; its summands all have the part's one piece size."""
 
     part: int
     summands: tuple

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from operator import add, and_
 from typing import Optional, Sequence
 
 from . import bounds
@@ -59,12 +59,13 @@ def scheme1_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
     return t, integral("helper quota q", config.helper_mem * binom(k, t) / n)
 
 
-def user_split_delivery(demand: Sequence[int], k: int, t: int, part: int = 0) -> list:
+def user_split_delivery(labels: Sequence[int], k: int, t: int, part: int = 0) -> list:
     """One XOR per (t+1)-subset S of users, exactly the dedicated-cache delivery: each
-    user in S gets its file's piece keyed S minus it, by rank in the user split at part."""
-    files = (0, *demand)  # by user
+    user u in S gets its file's piece keyed S minus u, as labels[u - 1] plus that key's
+    rank in the user split, a column of drop_ranks; part is the split's layout part."""
+    at = (0, *labels)  # by user
     return [Transmission(part, summands) for users, ranks in drop_ranks(k, t)
-            for summands in zip(*map(zip, (map(files.__getitem__, c) for c in users), ranks))]
+            for summands in zip(*[map(add, map(at.__getitem__, c), r) for c, r in zip(users, ranks)])]
 
 
 def _lowest(bits: int, q: int) -> int:
@@ -86,9 +87,9 @@ def place_scheme1(assoc: Association, run: tuple[int, int]) -> Placement:
 
 
 def deliver_scheme1(assoc: Association, run: tuple[int, int],
-                    demand: Sequence[int]) -> list[Transmission]:
+                    labels: Sequence[int]) -> list[Transmission]:
     """The user split at t over the whole file; of the association only K is read."""
-    return user_split_delivery(demand, assoc.num_users, run[0])
+    return user_split_delivery(labels, assoc.num_users, run[0])
 
 
 def _first_level(config: NetworkConfig, assoc: Association) -> int:

@@ -41,20 +41,20 @@ def scheme2_params(config: NetworkConfig, assoc: Association) -> tuple[int, int]
     return t_s, integral("t_p", assoc.largest_group * config.private_mem / (n - config.helper_mem))
 
 
-def helper_split_delivery(assoc: Association, demand, t_s: int, t_p: int) -> list:
+def helper_split_delivery(assoc: Association, labels, t_s: int, t_p: int) -> list:
     """One XOR per T x S pair with at least one present (helper, position) slot: the
-    j-th user of each helper in T gets its file's piece keyed (T minus the helper,
-    S minus j), ranked tau * C(L1, t_p) + rho in the helper split, part 0.  S runs
-    over the positions [L1] also at t_p = 0, where rho is empty, of rank 0."""
+    j-th user u of each helper in T gets its file's piece keyed (T minus the helper,
+    S minus j), as labels[u - 1] plus that key's rank tau * C(L1, t_p) + rho in the
+    helper split, part 0.  S runs over the positions [L1] also at t_p = 0, where rho
+    is empty, of rank 0."""
     big_ss = [*drop_rank_rows(assoc.largest_group, t_p)]  # each S as (j, rank of S minus j)
     width = binom(assoc.largest_group, t_p)
-    files = [[demand[user - 1] for user in group] for group in assoc.groups]  # by position
+    at = [[labels[user - 1] for user in group] for group in assoc.groups]  # by position
     out = []
     for big_t in drop_rank_rows(assoc.num_helpers, t_s):
-        rows = [(files[helper - 1], tau * width) for helper, tau in big_t]
+        rows = [[label + tau * width for label in at[helper - 1]] for helper, tau in big_t]
         for big_s in big_ss:
-            summands = tuple((at[j - 1], base + rho) for at, base in rows
-                             for j, rho in big_s if j <= len(at))
+            summands = tuple(row[j - 1] + rho for row in rows for j, rho in big_s if j <= len(row))
             if summands:
                 out.append(Transmission(0, summands))
     return out
@@ -71,9 +71,9 @@ def place_scheme2(assoc: Association, run: tuple[int, int]) -> Placement:
 
 
 def deliver_scheme2(assoc: Association, run: tuple[int, int],
-                    demand: Sequence[int]) -> list[Transmission]:
+                    labels: Sequence[int]) -> list[Transmission]:
     """The helper split at (t_s, t_p) over the whole file."""
-    return helper_split_delivery(assoc, demand, *run)
+    return helper_split_delivery(assoc, labels, *run)
 
 
 def rate_scheme2_formula(

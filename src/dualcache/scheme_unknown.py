@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import bounds
+from .combin import binom
 from .model import (
     Association,
     CornerPoint,
@@ -61,11 +62,14 @@ def place_unknown(assoc: Association, run: tuple) -> Placement:
 
 
 def deliver_unknown(assoc: Association, run: tuple,
-                    demand: Sequence[int]) -> list[Transmission]:
-    """The helper split at (t_s, 0) on F1, part 0, then the user split at t_p on F2, part 1."""
+                    labels: Sequence[int]) -> list[Transmission]:
+    """The helper split at (t_s, 0) on F1, part 0, then the user split at t_p on F2, part 1,
+    whose first key follows the helper split's C(Lambda, t_s) keys."""
     t_s, t_p, _ = run
-    return ((helper_split_delivery(assoc, demand, t_s, 0) if t_s is not None else [])
-            + (user_split_delivery(demand, assoc.num_users, t_p, part=1) if t_p is not None else []))
+    first = binom(assoc.num_helpers, t_s) if t_s is not None else 0
+    return ((helper_split_delivery(assoc, labels, t_s, 0) if t_s is not None else [])
+            + (user_split_delivery([label + first for label in labels], assoc.num_users, t_p, part=1)
+               if t_p is not None else []))
 
 
 def rate_unknown(config: NetworkConfig, profile: Sequence[int]) -> Fraction:

@@ -4,16 +4,18 @@ payloads, and check that every user reconstructs its demanded file.
 A run is a list of weighted segments; each covers a contiguous slice of every
 file and runs the scheme its tag names in envelope.SCHEMES.  A segment's layout
 is its parts, (split, share) laid end to end and each cut into equal pieces, so
-a part is its first key, byte start and piece length, and a delivery summand,
-(file, rank) in one part, finds its piece by arithmetic: no key is listed, and
-one is unranked only to name the first failure.  A piece is one int, its bytes
-that int's big-endian bytes; a payload is the int XOR of its summands.  Only the
-pieces some payload carries are drawn: random.Random(seed).getrandbits(8 * length)
-for each, in order of file, then start.  Decoding is a fixpoint over addresses:
-a transmission releases its one unknown summand to a user that holds the rest.
-Each address has an int with a bit per user lacking it, so one scan of the
-payloads in order decodes every user at once: a payload finds the users lacking
-exactly one of its summands in a few int ops.  The scan repeats only when some
+a part is its first key, byte start and piece length.  A delivery summand is one
+int, its user's label plus the piece's index among the segment's keys; labelled
+by where its file's copy of the segment starts, a summand is its piece's address,
+found by arithmetic: no key is listed, and one is unranked only to name the
+first failure.  A piece is one int, its bytes that int's big-endian bytes; a
+payload is the int XOR of its summands.  Only the pieces some payload carries are
+drawn: random.Random(seed).getrandbits(8 * length) for each, in order of file,
+then start.  Decoding is a fixpoint over addresses: a transmission releases its
+one unknown summand to a user that holds the rest.  Each address has an int with
+a bit per user lacking it, so one scan of the payloads in order decodes every
+user at once: a payload finds the users lacking exactly one of its summands in a
+few int ops.  The scan repeats only when some
 address is carried twice, so each address is released by the payload a user's
 own scan of every payload on every pass would pick.  A user rebuilds only the
 releases of its own file, from the pieces listed with each payload.
@@ -157,12 +159,14 @@ def run_end_to_end(
     file order, each as every segment's keys laid end to end: slot * width + its
     part's first key + rank, slot the file's place among the sorted demanded files and
     width the keys per file, so addresses run in (file, byte start) order and the
-    undemanded files, which no payload carries, take no room.  A user's two caches are
-    read once, as one int over a file's keys, and the users lacking each key form one
-    int, tiled over the K demanded files.  Each payload's pieces are held with it and
-    the library is dropped, the fixpoint records only which payload released each
-    address to each user, and each release of a user's file, rebuilt by int XORs, is
-    checked against its piece."""
+    undemanded files, which no payload carries, take no room.  Each segment's delivery
+    labels user u with slot(d_u) * width + the segment's first key, so its summands
+    are these addresses as they come.  A user's two caches are read once, as one int
+    over a file's keys, and the users lacking each key form one int, tiled over the K
+    demanded files.  Each payload's pieces are held with it and the library is
+    dropped, the fixpoint records only which payload released each address to each
+    user, and each release of a user's file, rebuilt by int XORs, is checked against
+    its piece."""
     model.validate_association(config, assoc)
     demand = model.validate_demand(config, demand)
     segments = _resolve_segments(scheme, config, assoc)
@@ -176,10 +180,9 @@ def run_end_to_end(
 
     sent, length = [], []  # per payload, its summands' addresses and its pieces' length
     for seg, row in zip(segments, layout):
-        for part, summands in seg.transmissions(assoc, demand):
-            first, _, size = row[part]
-            sent.append(tuple(base[n] + first + rank for n, rank in summands))
-            length.append(size)
+        for part, summands in seg.transmissions(assoc, [base[n] + row[0][0] for n in demand]):
+            sent.append(summands)
+            length.append(row[part][2])
     # only the pieces some payload carries are ever read, so only they are drawn
     piece = {a: size for summands, size in zip(sent, length) for a in summands}
     rng = random.Random(seed)

@@ -1,9 +1,14 @@
-"""The deliveries as SubfileId sets, the reference a scheme's (file, rank) rows
-must unrank to, and the reader that unranks a row through its part's split.
+"""The deliveries as SubfileId sets, the reference a scheme's int summands must
+decode to, and the reader that decodes them.
 
-user_split_delivery and helper_split_delivery list each XOR's summands as
-SubfileId(file, *key), with the key built from the subsets themselves, and
-label it with them: ("S", S) in the user split, ("T", T, S) in the helper split."""
+A delivery's summand is the label of the user it serves plus the piece's index
+among the segment's keys.  Labelled by labels, each user by its file times W,
+the segment's key count, a summand divmods by W to (file, index), and the index
+less its part's first key is the piece's rank in the part's split, which
+subfiles unranks.  user_split_delivery and helper_split_delivery list each
+XOR's summands as SubfileId(file, *key), with the key built from the subsets
+themselves, and label it with them: ("S", S) in the user split, ("T", T, S) in
+the helper split."""
 
 from dualcache.combin import enumerate_ksubsets, without
 from dualcache.model import SubfileId
@@ -48,7 +53,23 @@ def reference_delivery(parts, assoc, demand) -> list:
     return out
 
 
+def labels(parts, demand) -> list:
+    """Per user, its file times the segment's key count: the labels pairs reads."""
+    width = sum(len(keys) for keys, _ in parts)
+    return [n * width for n in demand]
+
+
+def pairs(parts, transmission) -> list:
+    """A transmission's summands, delivered to labels(parts, demand), as (file, rank):
+    each divmod by the key count, the index less the part's first key."""
+    sizes = [len(keys) for keys, _ in parts]
+    width, first = sum(sizes), sum(sizes[:transmission.part])
+    out = [(n, index - first) for n, index in (divmod(s, width) for s in transmission.summands)]
+    assert all(0 <= rank < sizes[transmission.part] for _, rank in out), transmission
+    return out
+
+
 def subfiles(parts, transmission) -> frozenset:
     """A transmission's summands as SubfileIds, each rank unranked through its part's split."""
     keys = parts[transmission.part][0]
-    return frozenset(SubfileId(n, *keys[rank]) for n, rank in transmission.summands)
+    return frozenset(SubfileId(n, *keys[rank]) for n, rank in pairs(parts, transmission))

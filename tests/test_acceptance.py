@@ -48,6 +48,7 @@ from dualcache.scheme_unknown import (
 )
 from dualcache.simulator import run_end_to_end
 from layout_bytes import cache_load, summand_sizes
+from subfile_delivery import labels
 
 SKEWED_20 = [list(range(1, 11)), list(range(11, 16)), [16, 17, 18], [19, 20]]
 UNIFORM_20 = [list(range(5 * i + 1, 5 * i + 6)) for i in range(4)]
@@ -82,8 +83,8 @@ def test_criterion_2_single_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(6, 5), Fraction(14, 5))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     params = scheme1_params(config, assoc)
-    out = deliver_scheme1(assoc, params, (1, 2, 3, 4, 5, 6))
     parts = layout_scheme1(assoc, params)
+    out = deliver_scheme1(assoc, params, labels(parts, (1, 2, 3, 4, 5, 6)))
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=0)
     ok = (
         params == (4, 3)
@@ -99,8 +100,8 @@ def test_criterion_3_two_level_reference():
     config = NetworkConfig(6, 6, 3, Fraction(2), Fraction(4, 3))
     assoc = build_association(config, [[1, 2, 3], [4, 5], [6]])
     run = scheme2_params(config, assoc)
-    out = deliver_scheme2(assoc, run, (1, 2, 3, 4, 5, 6))
     parts = layout_scheme2(assoc, run)
+    out = deliver_scheme2(assoc, run, labels(parts, (1, 2, 3, 4, 5, 6)))
     sim = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme2", seed=0)
     uniform = NetworkConfig(6, 6, 3, Fraction(2), Fraction(2))
     uni_assoc = build_association(uniform, [[1, 4], [2, 5], [3, 6]])

@@ -19,7 +19,7 @@ from dualcache.scheme1 import deliver_scheme1, layout_scheme1, place_scheme1, sc
 from dualcache.scheme2 import deliver_scheme2, layout_scheme2, place_scheme2, scheme2_params
 from dualcache.scheme_unknown import deliver_unknown, layout_unknown, place_unknown, unknown_params
 from dualcache.simulator import run_end_to_end
-from subfile_delivery import subfiles
+from subfile_delivery import labels, subfiles
 
 
 def test_parse_fraction_forms():
@@ -181,11 +181,11 @@ def test_piece_keys_are_plain_tuples(net_4users, net_6users_deep, net_6users_two
     two = scheme2_params(*net_6users_two_level)
     runs = [
         (place_unknown(assoc4, unknown), tile(*layout_unknown(assoc4, unknown)),
-         deliver_unknown(assoc4, unknown, (1, 2, 3, 4))),
+         deliver_unknown(assoc4, unknown, labels(layout_unknown(assoc4, unknown), (1, 2, 3, 4)))),
         (place_scheme1(deep, one), tile(*layout_scheme1(deep, one)),
-         deliver_scheme1(deep, one, range(1, 7))),
+         deliver_scheme1(deep, one, labels(layout_scheme1(deep, one), range(1, 7)))),
         (place_scheme2(two_level, two), tile(*layout_scheme2(two_level, two)),
-         deliver_scheme2(two_level, two, range(1, 7))),
+         deliver_scheme2(two_level, two, labels(layout_scheme2(two_level, two), range(1, 7)))),
     ]
     for placement, extents, transmissions in runs:
         keys = set(extents).union(*placement.helper_contents, *placement.private_contents)
@@ -211,8 +211,9 @@ def test_transmission_summands_share_one_layout_size(
             except InfeasibleSchemeError:
                 continue
             for seg in run.segments:
-                for trans in seg.transmissions(assoc, demand):
-                    sizes = {seg.extents[s.piece][1] for s in subfiles(seg.placement.parts, trans)}
+                parts = seg.placement.parts
+                for trans in seg.transmissions(assoc, labels(parts, demand)):
+                    sizes = {seg.extents[s.piece][1] for s in subfiles(parts, trans)}
                     assert len(sizes) == 1
                 checked.add(seg.tag)
     assert checked == set(SCHEMES)

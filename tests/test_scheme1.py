@@ -20,6 +20,7 @@ from dualcache.scheme1 import (
 )
 from dualcache.simulator import build_segment, run_end_to_end
 from layout_bytes import cache_load, summand_sizes
+from subfile_delivery import labels
 
 
 def test_params(net_6users_deep):
@@ -65,9 +66,9 @@ def test_placement_memory_and_coverage(net_6users_deep):
 def test_delivery_and_rate(net_6users_deep):
     config, assoc = net_6users_deep
     run = scheme1_params(config, assoc)
-    out = deliver_scheme1(assoc, run, (1, 2, 3, 4, 5, 6))
-    assert len(out) == 6
     parts = layout_scheme1(assoc, run)
+    out = deliver_scheme1(assoc, run, labels(parts, (1, 2, 3, 4, 5, 6)))
+    assert len(out) == 6
     assert all(summand_sizes(parts, t) == {Fraction(1, 15)} for t in out)
     assert rate_scheme1(config) == Fraction(2, 5)
     report = run_end_to_end(config, assoc, (1, 2, 3, 4, 5, 6), scheme="scheme1", seed=3)

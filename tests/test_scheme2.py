@@ -20,7 +20,7 @@ from dualcache.scheme2 import (
 from dualcache.scheme_unknown import rate_unknown_general
 from dualcache.simulator import run_end_to_end
 from layout_bytes import air, cache_load, summand_sizes
-from subfile_delivery import reference_delivery, subfiles
+from subfile_delivery import labels, reference_delivery, subfiles
 
 
 def test_params(net_6users_two_level):
@@ -86,9 +86,9 @@ def test_placement_memory(net_6users_two_level):
 def test_delivery_listing_and_rate(net_6users_two_level):
     config, assoc = net_6users_two_level
     run = scheme2_params(config, assoc)
-    out = deliver_scheme2(assoc, run, (1, 2, 3, 4, 5, 6))
-    assert len(out) == 9
     parts = layout_scheme2(assoc, run)
+    out = deliver_scheme2(assoc, run, labels(parts, (1, 2, 3, 4, 5, 6)))
+    assert len(out) == 9
     assert all(summand_sizes(parts, t) == {Fraction(1, 9)} for t in out)
     assert rate_scheme2(config, assoc) == 1
     # each XOR under its (T, S), read off the reference delivery, which lists them in order
@@ -133,8 +133,9 @@ def test_formula_counts_nonempty_slots():
                     continue
                 config = NetworkConfig(6, 6, 3, ms, mp)
                 run = scheme2_params(config, assoc)
-                out = deliver_scheme2(assoc, run, (1, 2, 3, 4, 5, 6))
-                total = air(layout_scheme2(assoc, run), out)
+                parts = layout_scheme2(assoc, run)
+                out = deliver_scheme2(assoc, run, labels(parts, (1, 2, 3, 4, 5, 6)))
+                total = air(parts, out)
                 assert total == rate_scheme2_formula(3, ms_level, tp_level, assoc.profile)
 
 

@@ -18,6 +18,7 @@ from dualcache.scheme2 import rate_scheme2
 from dualcache.scheme_unknown import rate_unknown
 from dualcache.simulator import run_end_to_end
 from layout_bytes import segment_memories
+from subfile_delivery import labels
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -123,9 +124,11 @@ def test_every_rate_is_realized(n, lam, partition):
                 memories = [(seg.weight, *segment_memories(seg, n)) for seg in run.segments]
                 assert (sum(w * seg_ms for w, seg_ms, _ in memories),
                         sum(w * seg_mp for w, _, seg_mp in memories)) == (ms, mp), (name, ms, mp)
-                # no summand is carried twice, so one scan of the payloads decodes
-                carried = [(i, t.part, *summand) for i, seg in enumerate(run.segments)
-                           for t in seg.transmissions(assoc, demand) for summand in t.summands]
+                # no summand is carried twice, so one scan of the payloads decodes; a
+                # summand labelled by labels is (file, index among the segment's keys)
+                carried = [(i, summand) for i, seg in enumerate(run.segments)
+                           for t in seg.transmissions(assoc, labels(seg.placement.parts, demand))
+                           for summand in t.summands]
                 assert len(set(carried)) == len(carried), (name, ms, mp)
                 report = run_end_to_end(config, assoc, demand, scheme=run)
                 assert report.ok, (name, ms, mp, report.failure)

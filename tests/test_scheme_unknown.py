@@ -28,7 +28,7 @@ from dualcache.scheme_unknown import (
 from dualcache.simulator import run_end_to_end
 from golden import record
 from layout_bytes import air, cache_load, summand_sizes
-from subfile_delivery import subfiles
+from subfile_delivery import labels, subfiles
 from test_converse import _set_partitions
 from test_scheme_rate import NETWORKS
 
@@ -102,11 +102,12 @@ def test_placement_fills_memory_exactly(net_4users):
 def test_delivery_counts_and_rate(net_4users):
     config, assoc = net_4users
     run = unknown_params(config)
-    out = deliver_unknown(assoc, run, (1, 2, 3, 4))
+    parts = layout_unknown(assoc, run)
+    out = deliver_unknown(assoc, run, labels(parts, (1, 2, 3, 4)))
     tier1 = [t for t in out if t.part == 0]  # the helper split
     tier2 = [t for t in out if t.part == 1]  # the user split
     assert len(tier1) == 3 and len(tier2) == 4
-    assert air(layout_unknown(assoc, run), out) == Fraction(13, 12)
+    assert air(parts, out) == Fraction(13, 12)
     assert rate_unknown(config, assoc.profile) == Fraction(13, 12)
 
 
@@ -115,7 +116,7 @@ def test_rate_is_demand_permutation_invariant(net_4users):
     run = unknown_params(config)
     parts = layout_unknown(assoc, run)
     sizes = {
-        air(parts, deliver_unknown(assoc, run, d)) for d in permutations((1, 2, 3, 4))
+        air(parts, deliver_unknown(assoc, run, labels(parts, d))) for d in permutations((1, 2, 3, 4))
     }
     assert sizes == {Fraction(13, 12)}
 
@@ -125,9 +126,9 @@ def test_zero_memory_sends_whole_files():
     assoc = build_association(config, [[1, 2, 3], [4]])
     assert rate_unknown(config, assoc.profile) == 4
     run = unknown_params(config)
-    out = deliver_unknown(assoc, run, (2, 1, 4, 3))
-    assert len(out) == 4
     parts = layout_unknown(assoc, run)
+    out = deliver_unknown(assoc, run, labels(parts, (2, 1, 4, 3)))
+    assert len(out) == 4
     assert all(summand_sizes(parts, t) == {1} for t in out)
 
 
@@ -136,7 +137,8 @@ def test_private_only_reduces_to_dedicated_delivery():
     assoc = build_association(config, [[1, 2, 3], [4]])
     demand = (3, 1, 2, 4)
     run = unknown_params(config)
-    out, parts = deliver_unknown(assoc, run, demand), layout_unknown(assoc, run)
+    parts = layout_unknown(assoc, run)
+    out = deliver_unknown(assoc, run, labels(parts, demand))
     got = [
         frozenset((s.file, s.idx_a) for s in subfiles(parts, t)) for t in out
     ]
@@ -150,7 +152,8 @@ def test_helper_only_reduces_to_shared_delivery():
     assoc = build_association(config, [[1, 2, 3], [4]])
     demand = (4, 2, 1, 3)
     run = unknown_params(config)
-    out, parts = deliver_unknown(assoc, run, demand), layout_unknown(assoc, run)
+    parts = layout_unknown(assoc, run)
+    out = deliver_unknown(assoc, run, labels(parts, demand))
     got = [
         frozenset((s.file, s.idx_a) for s in subfiles(parts, t)) for t in out
     ]
@@ -288,10 +291,10 @@ def test_extreme_points_run_the_component_schemes(n, lam, partition):
         assoc = build_association(config, partition)
         # the oblivious user split is its layout's part 1, scheme1's (at quota 0) is part 0
         run, user_split = unknown_params(config), (t, 0)
-        assert [subfiles(layout_unknown(assoc, run), u)
-                for u in deliver_unknown(assoc, run, demand)] == \
-            [subfiles(layout_scheme1(assoc, user_split), u)
-             for u in deliver_scheme1(assoc, user_split, demand)]
+        parts, user_parts = layout_unknown(assoc, run), layout_scheme1(assoc, user_split)
+        assert [subfiles(parts, u) for u in deliver_unknown(assoc, run, labels(parts, demand))] == \
+            [subfiles(user_parts, u)
+             for u in deliver_scheme1(assoc, user_split, labels(user_parts, demand))]
         assert tile(*layout_unknown(assoc, run)) == tile(*layout_scheme1(assoc, user_split))
 
 

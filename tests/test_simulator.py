@@ -3,7 +3,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import pytest
 
@@ -21,7 +21,7 @@ from dualcache.simulator import (
     choose_file_len,
     run_end_to_end,
 )
-from subfile_delivery import reference_delivery, subfiles
+from subfile_delivery import labels, pairs, reference_delivery, subfiles
 from test_scheme_rate import NETWORKS
 
 
@@ -79,8 +79,8 @@ def test_placing_a_segment_lists_no_key(monkeypatch, net_6users_deep, net_6users
 
 
 def test_a_run_lists_no_key(monkeypatch, net_4users, net_6users_deep, net_6users_two_level):
-    # a run reads its layout as parts and its summands as (file, rank) ints, so
-    # an intact run lists no key; with the first transmission of every segment
+    # a run reads its layout as parts and its summands as address ints, so an
+    # intact run lists no key; with the first transmission of every segment
     # dropped, it unranks one key, the one its failure text names
     config, assoc = net_4users
     mix = materialize_shared_placement(
@@ -97,7 +97,7 @@ def test_a_run_lists_no_key(monkeypatch, net_4users, net_6users_deep, net_6users
         assert listed == []
         with monkeypatch.context() as patched:
             patched.setattr(simulator.Segment, "transmissions",
-                            lambda seg, assoc, demand: transmissions(seg, assoc, demand)[1:])
+                            lambda seg, assoc, labels: transmissions(seg, assoc, labels)[1:])
             report = run_end_to_end(config, assoc, demand, scheme=run)
         ((name, key),) = listed
         user = report.per_user_ok.index(False) + 1
@@ -202,7 +202,7 @@ def test_only_carried_pieces_are_drawn(monkeypatch, net_4users):
     demand = (1, 2, 3, 4)
     (seg,) = scheme_run("unknown", config, assoc).segments
     file_len = choose_file_len([seg], min_len=4096)
-    transmissions = seg.transmissions(assoc, demand)
+    transmissions = seg.transmissions(assoc, labels(seg.placement.parts, demand))
     sent = [subfiles(seg.placement.parts, t) for t in transmissions]
     slot = {sub: (sub.file, int(seg.extents[sub.piece][0] * file_len),
                   int(seg.extents[sub.piece][1] * file_len))
@@ -299,7 +299,7 @@ def _reference_run(config, assoc, demand, run, seed, min_len=1):
         base += seg.weight
 
     sent = [(i, subfiles(seg.placement.parts, trans)) for i, seg in enumerate(segments)
-            for trans in seg.transmissions(assoc, demand)]
+            for trans in seg.transmissions(assoc, labels(seg.placement.parts, demand))]
     carried = sorted({(sub.file, *slots[i][sub.piece]) for i, summands in sent
                       for sub in summands})
     rng = random.Random(seed)
@@ -462,7 +462,7 @@ def _check_parity(monkeypatch, cases, modes, min_len=1):
     patches = {
         "intact": None,
         "dropped": (simulator.Segment, "transmissions",
-                    lambda seg, assoc, demand: transmissions(seg, assoc, demand)[1:]),
+                    lambda seg, assoc, labels: transmissions(seg, assoc, labels)[1:]),
         "corrupted": (simulator, "_xor", lambda a, b: xor(a, b) & ~0xFF),
     }
     failures = []
@@ -534,7 +534,7 @@ def test_users_xor_only_the_pieces_they_rebuild(monkeypatch):
 
     encode = bound = 0
     for seg in run.segments:
-        transmissions = seg.transmissions(assoc, demand)
+        transmissions = seg.transmissions(assoc, labels(seg.placement.parts, demand))
         encode += sum(len(t.summands) - 1 for t in transmissions)
         for user, wanted in enumerate(demand, start=1):
             cached = set(seg.placement.private_contents[user - 1])
@@ -558,11 +558,19 @@ def test_a_decoded_summand_carries_its_fault(monkeypatch):
     assoc = build_association(config, [[1, 2, 3]])
     demand = (1, 2, 3)
     run = scheme_run("unknown", config, assoc)
-    w1, w2, w3 = (((n, 0),) for n in demand)  # the one key of the user split, part 1
-    chain = [Transmission(1, w1), Transmission(1, w1 + w2), Transmission(1, w2 + w3)]
-    for sent in (chain, chain + [Transmission(1, w3)]):
+
+    def chain(labels):
+        # the user split's one key, part 1 after the helper split's none, is index 0
+        w1, w2, w3 = ((label,) for label in labels)
+        return [Transmission(1, w1), Transmission(1, w1 + w2), Transmission(1, w2 + w3)]
+
+    def lone_w3_last(labels):
+        return chain(labels) + [Transmission(1, (labels[2],))]
+
+    for sends in (chain, lone_w3_last):
         with monkeypatch.context() as patched:
-            patched.setattr(simulator.Segment, "transmissions", lambda seg, assoc, demand: sent)
+            patched.setattr(simulator.Segment, "transmissions",
+                            lambda seg, assoc, labels: sends(labels))
             checked = _check_releases(patched)
             report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
             assert report.ok and report == _reference_run(config, assoc, demand, run, seed=6)
@@ -579,7 +587,7 @@ def test_a_decoded_summand_carries_its_fault(monkeypatch):
             report = run_end_to_end(config, assoc, demand, scheme=run, seed=6)
             calls = 0
             assert report == _reference_run(config, assoc, demand, run, seed=6)
-            assert report.per_user_ok == (True, False, False), len(sent)
+            assert report.per_user_ok == (True, False, False), sends.__name__
             assert report.failure == "user 2 rebuilt a corrupted copy of file 2"
             assert len(checked) == 2
 
@@ -678,9 +686,9 @@ def test_byte_layout_matches_the_per_piece_rule():
 
 def test_rank_rows_unrank_to_the_subfile_deliveries():
     # every segment of every scheme's runs on the half-step grids of
-    # test_scheme_rate: a row is a part and distinct (file, rank) ints, and
-    # unranked through the part's split its summands are the reference's
-    # SubfileId set, row for row in the reference's order
+    # test_scheme_rate: a row is a part and distinct summand ints, and decoded
+    # to (file, rank) and unranked through the part's split its summands are
+    # the reference's SubfileId set, row for row in the reference's order
     tags = set()
     for n, lam, partition in NETWORKS:
         config = NetworkConfig(n, n, lam, Fraction(0), Fraction(0))
@@ -688,11 +696,46 @@ def test_rank_rows_unrank_to_the_subfile_deliveries():
         demand = tuple(range(n, 0, -1))
         for _, run in _half_step_runs(config, assoc):
             for seg in run.segments:
-                parts, rows = seg.placement.parts, seg.transmissions(assoc, demand)
-                assert all(type(v) is int for t in rows for v in (t.part, *chain(*t.summands)))
+                parts = seg.placement.parts
+                rows = seg.transmissions(assoc, labels(parts, demand))
+                assert all(type(v) is int for t in rows for v in (t.part, *t.summands))
                 assert all(len(set(t.summands)) == len(t.summands) for t in rows)
                 reference = reference_delivery(parts, assoc, demand)
                 assert [(t.part, subfiles(parts, t)) for t in rows] == [
                     (part, summands) for part, _, summands in reference]
                 tags.add(seg.tag)
+    assert tags == set(SCHEMES)
+
+
+def test_summands_are_the_addresses_of_their_pairs(monkeypatch, net_4users, net_6users_deep):
+    # every half-step case of N=K=4 and N=K=6: labelled file times W, W the segment's
+    # key count, the summands decode to the reference delivery in its order; labelled
+    # by the simulator, the summands it hands _releases are the addresses slot * width
+    # + part first + rank of those same pairs, the rule the simulator once applied to
+    # (file, rank) summands itself, so no address, and so no draw, moved
+    releases, handed = simulator._releases, []
+
+    def spied(sent, lacks, users, repeated):
+        handed.append(list(sent))
+        return releases(sent, lacks, users, repeated)
+
+    monkeypatch.setattr(simulator, "_releases", spied)
+    tags = set()
+    for config, assoc in (net_4users, net_6users_deep):
+        demand = tuple(range(config.num_users, 0, -1))
+        slot = {n: s for s, n in enumerate(sorted(demand))}
+        for point, run in _half_step_runs(config, assoc):
+            _, layout = simulator._byte_layout(run.segments, 1)
+            width = sum(len(keys) for seg in run.segments for keys, _ in seg.placement.parts)
+            expected = []
+            for seg, row in zip(run.segments, layout):
+                parts = seg.placement.parts
+                rows = seg.transmissions(assoc, labels(parts, demand))
+                assert [(t.part, subfiles(parts, t)) for t in rows] == [
+                    (part, summands) for part, _, summands in reference_delivery(parts, assoc, demand)]
+                expected += [tuple(slot[n] * width + row[t.part][0] + rank
+                                   for n, rank in pairs(parts, t)) for t in rows]
+                tags.add(seg.tag)
+            assert run_end_to_end(point, assoc, demand, scheme=run).ok
+            assert handed.pop() == expected
     assert tags == set(SCHEMES)
